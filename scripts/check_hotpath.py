@@ -1,38 +1,37 @@
 #!/usr/bin/env python
-"""AST lint for the engines' hot paths (evaluators, kernels, compiler).
+"""AST lint for the engines' hot paths (interpreter, kernels, compiler).
 
 Two rule sets, dispatched per file:
 
-**Evaluator rules** (``src/repro/algebra/evaluator.py``,
-``columnar_eval.py``, the compiler's hot modules
-``repro/compiler/{certificate,fuse,runtime}.py``, and the
-query-translation serving path ``repro/core/translation.py``). Each evaluator keeps
-two entry points: ``_eval`` (the default, untraced path — called once
-per operator per evaluation, often inside per-row loops higher up) and
-``_eval_traced`` (taken only when a tracer is installed); the compiled
-runtime mirrors the split as ``run`` vs ``_run_traced``. The untraced path must stay allocation-free
-with respect to observability: no ``Span`` objects, no timing calls, no
-unguarded tracer method calls. These rules enforce that invariant
+**Evaluator rules** (the interpreter ``src/repro/algebra/evaluator.py``,
+the refresh orchestration ``repro/core/maintenance.py``, the compiler's
+hot modules ``repro/compiler/{certificate,fuse,runtime}.py``, and the
+query-translation serving path ``repro/core/translation.py``). Each of
+these runs once per operator, per refresh or per answer, with tracing
+normally off, and must then cost nothing for observability: no ``Span``
+objects, no timing calls, no unguarded tracer method calls. Every
+instrumented site is written once and opens its span through the seam
+``repro.obs.trace.span_of(tracer, ...)``, which returns one shared
+do-nothing span for ``tracer=None``. These rules enforce that invariant
 structurally so a refactor cannot quietly put span construction back on
 the hot path.
 
-R1  ``*.span(...)`` calls may appear only inside functions on the
-    allowlist (``_eval_traced``) — span construction is what makes the
-    traced path cost something, and it must stay quarantined there.
+R1  No literal ``*.span(...)`` call: spans are opened through
+    ``span_of`` only, so a site cannot build a ``Span`` — or grow a
+    second, traced copy of itself — while tracing is off.
 R2  No references to ``perf_counter``, ``monotonic``, ``time`` or
-    ``datetime``: the evaluator itself never reads clocks; timing lives
+    ``datetime``: the engine itself never reads clocks; timing lives
     in ``repro.obs`` behind the tracer.
-R3  Any other ``*.tracer.method(...)`` call outside the allowlist must
-    be lexically inside an ``if <obj>.tracer is not None`` guard, so the
-    ``tracer=None`` default never pays an attribute lookup on a dead
-    branch. (Guarded calls inside loops are fine — e.g. the per-operand
-    annotate in ``_eval_difference``.)
-R4  The name ``Span`` must not be referenced at all: the evaluator
-    receives spans only through the tracer's context manager.
+R3  Any ``*.tracer.method(...)`` call must be lexically inside an
+    ``if <obj>.tracer is not None`` guard, so the ``tracer=None``
+    default never pays an attribute lookup on a dead branch. (Guarded
+    calls inside loops are fine.)
+R4  The name ``Span`` must not be referenced at all: the engine
+    receives spans only through the seam's context manager.
 R5  No environment reads: ``environ``/``getenv`` (and the sanitizer
-    variable names ``REPRO_CHECK_INVARIANTS`` / ``REPRO_CHECK_QUERIES``)
-    must never appear — the sanitizer flags are read once per
-    ``Warehouse`` construction, and the engine default once at
+    variable names ``REPRO_CHECK_INVARIANTS`` / ``REPRO_CHECK_QUERIES``
+    / ``REPRO_CHECK_RACES``) must never appear — the sanitizer flags are
+    read once per warehouse construction, and the engine default once at
     ``repro.storage.engine`` import, never per-operator.
 
 **Columnar kernel rules** (``src/repro/storage/columnar.py``). The
@@ -61,10 +60,11 @@ import sys
 from pathlib import Path
 from typing import List
 
-SPAN_ALLOWLIST = frozenset({"_eval_traced", "_run_traced"})
 TIMING_NAMES = frozenset({"perf_counter", "monotonic", "time", "datetime"})
 ENVIRON_NAMES = frozenset({"environ", "getenv"})
-SANITIZER_ENVS = frozenset({"REPRO_CHECK_INVARIANTS", "REPRO_CHECK_QUERIES"})
+SANITIZER_ENVS = frozenset(
+    {"REPRO_CHECK_INVARIANTS", "REPRO_CHECK_QUERIES", "REPRO_CHECK_RACES"}
+)
 
 #: Columnar facade methods allowed to loop row-at-a-time (C1): they run
 #: once per build/patch on delta-sized inputs, not inside operator trees.
@@ -75,11 +75,12 @@ MATERIALIZE_ALLOWLIST = frozenset({"to_relation", "from_relation"})
 _ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_TARGETS = (
     _ROOT / "src" / "repro" / "algebra" / "evaluator.py",
-    _ROOT / "src" / "repro" / "algebra" / "columnar_eval.py",
     _ROOT / "src" / "repro" / "storage" / "columnar.py",
+    # Orchestration of every interpreted refresh (normalize, maintain).
+    _ROOT / "src" / "repro" / "core" / "maintenance.py",
     # The compiler's refresh path: certificate checks, plan fusion, and
     # the compiled closures all run under the same no-clock/no-env/
-    # quarantined-span rules. (repro/compiler/__init__.py is exempt: it
+    # seam-only-span rules. (repro/compiler/__init__.py is exempt: it
     # is the build/metrics boundary and times compilation on purpose.)
     _ROOT / "src" / "repro" / "compiler" / "certificate.py",
     _ROOT / "src" / "repro" / "compiler" / "fuse.py",
@@ -152,15 +153,14 @@ class _HotPathChecker(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr == "span":
-            if self._function not in SPAN_ALLOWLIST:
-                self._report(
-                    node,
-                    "R1",
-                    f"span() call in '{self._function}' — spans may only be "
-                    f"built in {sorted(SPAN_ALLOWLIST)}",
-                )
+            self._report(
+                node,
+                "R1",
+                f"span() call in '{self._function}' — open spans through "
+                "repro.obs.trace.span_of(tracer, ...)",
+            )
         elif _is_tracer_call(node):
-            if self._function not in SPAN_ALLOWLIST and not self._guard_depth:
+            if not self._guard_depth:
                 self._report(
                     node,
                     "R3",

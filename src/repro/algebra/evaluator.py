@@ -32,13 +32,22 @@ layer: the warehouse folds each refresh's snapshot into its
 For *per-operator* visibility, :func:`evaluate` additionally accepts a
 :class:`~repro.obs.trace.Tracer`: every node actually computed gets a span
 (``join``/``project``/``read``/...) annotated with row counts, index hits,
-cross-update cache hits, and fast-path firings. ``tracer=None`` (the
-default) takes a branch-free path that allocates no spans at all.
+cross-update cache hits, and fast-path firings. Spans are opened at one
+site (:func:`_eval`) through :func:`~repro.obs.trace.span_of`, so
+``tracer=None`` (the default) allocates no span and reads no clock.
+
+There is **one interpreter** for both physical engines — ``"tuple"``
+(frozenset operators on ``Relation``) and ``"columnar"`` (batch kernels on
+:class:`~repro.storage.columnar.ColumnarTable`, late-materialized). They
+differ only in the :class:`_Backend` record the walk consults; every
+kernel is reached by method lookup on the operand, so both engines make
+the same decisions in the same order by construction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, Union as TypingUnion
+from typing import Callable, Dict, FrozenSet, Iterable, Mapping, NamedTuple, Optional
+from typing import Sequence, Tuple, Union as TypingUnion
 
 from repro.errors import EvaluationError
 from repro.algebra.expressions import (
@@ -52,7 +61,8 @@ from repro.algebra.expressions import (
     Select,
     Union,
 )
-from repro.storage.engine import ENGINE_COLUMNAR, resolve_engine
+from repro.obs.trace import span_of
+from repro.storage.engine import ENGINE_COLUMNAR, ENGINE_TUPLE, resolve_engine
 from repro.storage.relation import Relation
 
 State = Mapping[str, Relation]
@@ -226,24 +236,90 @@ _SCOPE_KEY = ("__scope__",)
 _STATE_KEY = ("__state_version__",)
 
 
-class _Context:
-    """Per-``evaluate``-call plumbing: memo, optional cache, stats, flags."""
+class _Backend(NamedTuple):
+    """What differs between the physical engines; the walk shares the rest.
 
-    __slots__ = ("state", "memo", "cache", "stats", "fastpath", "tracer")
+    ``Relation`` and ``ColumnarTable`` share every other operator name
+    (``project``, ``union``, ``semi_join``, ...). ``tag`` prefixes memo and
+    cache keys (``None``: the bare structural key), keeping the engines'
+    entries apart in a shared cache; ``span_attributes`` go on every
+    operator span, ``join_attributes(shared, *probed)`` on a join over
+    the ``shared`` attributes that looks ``probed`` up by key; ``read``
+    makes a bound relation a leaf operand, ``decode`` an operand a
+    ``Relation`` at the public boundary.
+    """
+
+    tag: Optional[str]
+    span_attributes: Mapping[str, object]
+    read: Callable
+    empty: Callable
+    select: Callable
+    join: Callable
+    join_attributes: Callable
+    decode: Callable
+
+
+def _index_hit(shared: FrozenSet[str], *probed: Relation) -> Dict[str, object]:
+    return {"index_hit": any(side.has_join_index(shared) for side in probed)}
+
+
+def _empty_table(attrs: Sequence[str]):
+    # Not importable at module level: repro.storage.columnar imports
+    # repro.algebra.conditions, i.e. this package.
+    from repro.storage.columnar import ColumnarTable
+
+    return ColumnarTable.empty(attrs)
+
+
+_BACKENDS = {
+    ENGINE_TUPLE: _Backend(
+        tag=None,
+        span_attributes={},
+        read=lambda relation: relation,
+        empty=lambda attrs: Relation.empty(attrs),
+        select=lambda child, cond: child.select(cond.compile(child.attributes)),
+        join=lambda left, right: left.natural_join(right),
+        join_attributes=_index_hit,
+        decode=lambda relation: relation,
+    ),
+    # Leaves encode through Relation.columnar() (cached on the instance,
+    # delta-patched across refreshes); to_relation() caches its result on
+    # the table, so cross-update cache hits stay object-identical.
+    ENGINE_COLUMNAR: _Backend(
+        tag="@columnar",
+        span_attributes={"engine": "columnar"},
+        read=lambda relation: relation.columnar(),
+        empty=_empty_table,
+        select=lambda child, cond: child.select(cond),
+        join=lambda left, right: left.join(right),
+        join_attributes=lambda shared, *probed: {},
+        decode=lambda table: table.to_relation(),
+    ),
+}
+
+
+class _Context:
+    """Per-call plumbing: backend, memo, optional cache, stats, flags."""
+
+    __slots__ = ("backend", "state", "memo", "cache", "stats", "fastpath", "tracer")
 
     def __init__(
         self,
         state: State,
-        memo: Dict[tuple, object],
-        cache: Optional[EvaluationCache],
-        stats: EvalStats,
+        cache: Optional[Cache],
+        stats: Optional[EvalStats],
         fastpath: bool,
-        tracer=None,
+        tracer,
+        engine: Optional[str],
     ) -> None:
+        self.backend = _BACKENDS[resolve_engine(engine)]
         self.state = state
-        self.memo = memo
-        self.cache = cache
-        self.stats = stats
+        if isinstance(cache, EvaluationCache):
+            self.memo, self.cache = {}, cache
+        else:
+            self.memo, self.cache = ({} if cache is None else cache), None
+            _check_memo_state(self.memo, state)
+        self.stats = EvalStats() if stats is None else stats
         self.fastpath = fastpath
         self.tracer = tracer
 
@@ -274,7 +350,8 @@ def evaluate(
         correctness hazard (it would silently return stale relations), so it
         raises :class:`~repro.errors.EvaluationError`. To share results
         *across* states pass an :class:`EvaluationCache` instead, which
-        validates every entry against the current state.
+        validates every entry against the current state. One cache object
+        may serve both engines: columnar entries live under tagged keys.
     stats:
         Optional :class:`EvalStats` to increment (shared across calls).
     fastpath:
@@ -286,12 +363,14 @@ def evaluate(
         actually computed opens a span annotated with operator kind and
         row counts; cross-update cache hits appear as zero-work spans with
         ``cached=True``. ``None`` (the default) disables tracing with no
-        per-node overhead.
+        span allocated.
     engine:
-        Physical execution engine: ``"tuple"`` (the frozenset path below),
+        Physical execution engine: ``"tuple"`` (frozenset operators),
         ``"columnar"`` (batch kernels over dictionary-coded columns, see
-        :mod:`repro.algebra.columnar_eval`), or ``None`` to follow the
-        process default (the ``REPRO_ENGINE`` environment variable).
+        :mod:`repro.storage.columnar`), or ``None`` to follow the process
+        default (the ``REPRO_ENGINE`` environment variable). Either way
+        the result is an ordinary ``Relation``, and a bare
+        :class:`RelationRef` returns the state's bound object itself.
 
     Examples
     --------
@@ -301,21 +380,27 @@ def evaluate(
     >>> evaluate(join(rel("Sale"), rel("Emp")), {"Sale": sale, "Emp": emp}).to_set()
     frozenset({('TV', 'Mary', 23)})
     """
-    if resolve_engine(engine) == ENGINE_COLUMNAR:
-        from repro.algebra.columnar_eval import evaluate_columnar
+    ctx = _Context(state, cache, stats, fastpath, tracer, engine)
+    return _materialize(expression, ctx)
 
-        return evaluate_columnar(
-            expression, state, cache, stats=stats, fastpath=fastpath, tracer=tracer
-        )
-    if stats is None:
-        stats = EvalStats()
-    if isinstance(cache, EvaluationCache):
-        ctx = _Context(state, {}, cache, stats, fastpath, tracer)
-    else:
-        memo: Dict[tuple, object] = cache if cache is not None else {}
-        _check_memo_state(memo, state)
-        ctx = _Context(state, memo, None, stats, fastpath, tracer)
-    return _eval(expression, ctx)
+
+def evaluate_all(
+    expressions: Mapping[str, Expression],
+    state: State,
+    cache: Optional[Cache] = None,
+    *,
+    stats: Optional[EvalStats] = None,
+    fastpath: bool = True,
+    tracer=None,
+    engine: Optional[str] = None,
+) -> Dict[str, Relation]:
+    """Evaluate several named expressions over one state, sharing the memo.
+
+    Returns ``{name: result}`` in input order. ``cache``, ``stats``,
+    ``fastpath``, ``tracer``, and ``engine`` behave as in :func:`evaluate`.
+    """
+    ctx = _Context(state, cache, stats, fastpath, tracer, engine)
+    return {name: _materialize(expr, ctx) for name, expr in expressions.items()}
 
 
 def _check_memo_state(memo: Dict[tuple, object], state: State) -> None:
@@ -337,6 +422,19 @@ def _check_memo_state(memo: Dict[tuple, object], state: State) -> None:
         )
 
 
+def _materialize(expr: Expression, ctx: _Context) -> Relation:
+    """Evaluate, then decode at the API boundary.
+
+    Identity contract: a bare :class:`RelationRef` returns the bound
+    relation object itself under either engine, which is what keeps
+    ``StateVersion`` checks and the warehouse's no-op detection working.
+    """
+    result = _eval(expr, ctx)
+    if isinstance(expr, RelationRef):
+        return ctx.state[expr.name]
+    return ctx.backend.decode(result)
+
+
 #: Span name per expression node type (tracing only).
 _SPAN_NAMES = {
     RelationRef: "read",
@@ -350,62 +448,51 @@ _SPAN_NAMES = {
 }
 
 
-def _eval(expr: Expression, ctx: _Context) -> Relation:
-    if ctx.tracer is not None:
-        return _eval_traced(expr, ctx)
-    key = expr._key()
-    hit = ctx.memo.get(key)
-    if hit is not None:
-        ctx.stats.memo_hits += 1
-        return hit  # type: ignore[return-value]
-    if ctx.cache is not None:
-        cached = ctx.cache.lookup(key, ctx.state)
-        if cached is not None:
-            ctx.stats.cache_hits += 1
-            ctx.memo[key] = cached
-            return cached
-        ctx.stats.cache_misses += 1
-    result = _eval_node(expr, ctx)
-    ctx.stats.nodes_evaluated += 1
-    ctx.memo[key] = result
-    if ctx.cache is not None:
-        ctx.cache.store(key, ctx.state, expr, result)
-    return result
+def _memo_key(expr: Expression, ctx: _Context) -> tuple:
+    tag = ctx.backend.tag
+    return expr._key() if tag is None else (tag, expr._key())
 
 
-def _eval_traced(expr: Expression, ctx: _Context) -> Relation:
-    """The tracing twin of :func:`_eval`: same logic, plus per-node spans.
+def _eval(expr: Expression, ctx: _Context):
+    """One node: memo lookup, cache lookup, compute, store.
 
-    Kept separate so the default ``tracer=None`` path stays byte-for-byte
-    the PR 1 hot path (no extra branches inside the loop, no allocations).
-    Memo hits within one call are silent (they would dominate the trace);
-    cross-update cache hits get a zero-work span marked ``cached=True``.
+    The one place an operator span is opened. Memo hits within one call
+    are silent (they would dominate the trace); a cross-update cache hit
+    is a zero-work span marked ``cached=True``. Every
+    :class:`RelationRef` computed or served from the cache yields a
+    ``read`` span carrying ``relation`` — what the
+    ``REPRO_CHECK_INVARIANTS`` / ``REPRO_CHECK_QUERIES`` sanitizers
+    cross-check against the static read sets.
     """
-    key = expr._key()
+    key = _memo_key(expr, ctx)
     hit = ctx.memo.get(key)
     if hit is not None:
         ctx.stats.memo_hits += 1
-        return hit  # type: ignore[return-value]
-    name = _SPAN_NAMES.get(type(expr), "node")
-    if ctx.cache is not None:
-        cached = ctx.cache.lookup(key, ctx.state)
-        if cached is not None:
+        return hit
+    cache = ctx.cache
+    result = None
+    if cache is not None:
+        result = cache.lookup(key, ctx.state)
+        if result is None:
+            ctx.stats.cache_misses += 1
+        else:
             ctx.stats.cache_hits += 1
-            ctx.memo[key] = cached
-            with ctx.tracer.span(name, cached=True, rows_out=len(cached)) as span:
-                if isinstance(expr, RelationRef):
-                    span.attributes["relation"] = expr.name
-            return cached
-        ctx.stats.cache_misses += 1
-    with ctx.tracer.span(name) as span:
-        result = _eval_node(expr, ctx)
-        span.attributes["rows_out"] = len(result)
+    cached = result is not None
+    with span_of(
+        ctx.tracer, _SPAN_NAMES.get(type(expr), "node"), **ctx.backend.span_attributes
+    ) as span:
+        if cached:
+            span.set(cached=True)
+        else:
+            result = _eval_node(expr, ctx)
+        span.set(rows_out=len(result))
         if isinstance(expr, RelationRef):
-            span.attributes["relation"] = expr.name
-    ctx.stats.nodes_evaluated += 1
+            span.set(relation=expr.name)
     ctx.memo[key] = result
-    if ctx.cache is not None:
-        ctx.cache.store(key, ctx.state, expr, result)
+    if not cached:
+        ctx.stats.nodes_evaluated += 1
+        if cache is not None:
+            cache.store(key, ctx.state, expr, result)
     return result
 
 
@@ -430,83 +517,97 @@ def _join_operands(expr: Join) -> Tuple[Expression, ...]:
     return tuple(reversed(parts))
 
 
-def _natural_join(left: Relation, right: Relation, ctx: _Context) -> Relation:
-    if ctx.tracer is not None:
-        shared = left.attribute_set & right.attribute_set
-        ctx.tracer.annotate(
-            rows_in_left=len(left),
-            rows_in_right=len(right),
-            index_hit=left.has_join_index(shared) or right.has_join_index(shared),
-        )
-    result = left.natural_join(right)
-    ctx.stats.joins += 1
-    ctx.stats.rows_joined += len(result)
-    return result
+def semi_join_side(
+    attrs: Sequence[str], left_schema: FrozenSet[str], right_schema: FrozenSet[str]
+) -> Optional[int]:
+    """Which operand of ``pi_attrs(L join R)`` the projection stays inside.
+
+    ``0`` (L) or ``1`` (R) when ``attrs`` lies inside that operand's
+    schema — the projection then equals ``pi_attrs`` of that operand
+    semi-joined with the other, and the wide join is never materialized —
+    else ``None``. The interpreter asks per evaluation, the plan compiler
+    (:mod:`repro.compiler.runtime`) once per compiled shape.
+    """
+    target = frozenset(attrs)
+    if target <= left_schema:
+        return 0
+    if target <= right_schema:
+        return 1
+    return None
 
 
-def _eval_project(expr: Project, ctx: _Context) -> Relation:
+def anti_join_partner(
+    expr: Difference, left_schema: FrozenSet[str]
+) -> Optional[Expression]:
+    """``S`` when ``expr`` is Proposition 2.2's ``R - pi_{attr(R)}(R join S)``.
+
+    That shape equals the hash anti-join ``R ▷ S``, computed without
+    evaluating the join or the projection. Restricted to two-operand
+    joins: with more operands, joining "the rest" could introduce a cross
+    product the original tree order avoids. ``left_schema`` is ``attr(R)``.
+    """
+    right = expr.right
+    if not (
+        isinstance(right, Project)
+        and isinstance(right.child, Join)
+        and frozenset(right.attrs) == left_schema
+    ):
+        return None
+    operands = _join_operands(right.child)
+    if len(operands) == 2:
+        left_key = expr.left._key()
+        for index, operand in enumerate(operands):
+            if operand._key() == left_key:
+                return operands[1 - index]
+    return None
+
+
+def _eval_project(expr: Project, ctx: _Context):
     child = expr.child
-    if not (ctx.fastpath and isinstance(child, Join)):
-        return _eval(child, ctx).project(expr.attrs)
-    # pi_Z(L join R) with Z inside one operand's schema is a semi-join:
-    # pi_Z(L ⋉ R). The wide join result is never materialized. Skipped when
-    # the join itself is already memoized (projection is then cheaper).
-    if child._key() in ctx.memo:
-        return _eval(child, ctx).project(expr.attrs)
-    left = _eval(child.left, ctx)
-    if not left:
-        return Relation.empty(expr.attrs)
-    right = _eval(child.right, ctx)
-    if not right:
-        return Relation.empty(expr.attrs)
-    target = frozenset(expr.attrs)
-    if target <= left.attribute_set:
-        ctx.stats.semijoin_fastpaths += 1
-        if ctx.tracer is not None:
-            ctx.tracer.annotate(fastpath="semi_join")
-        return left.semi_join(right).project(expr.attrs)
-    if target <= right.attribute_set:
-        ctx.stats.semijoin_fastpaths += 1
-        if ctx.tracer is not None:
-            ctx.tracer.annotate(fastpath="semi_join")
-        return right.semi_join(left).project(expr.attrs)
-    # No fast path applies: evaluate the join through _eval so the result is
-    # memoized for other sub-trees that share it.
+    # Skipped when the join itself is already memoized (projecting it is
+    # then cheaper than a semi-join).
+    if (
+        ctx.fastpath
+        and isinstance(child, Join)
+        and _memo_key(child, ctx) not in ctx.memo
+    ):
+        left = _eval(child.left, ctx)
+        if not left:
+            return ctx.backend.empty(expr.attrs)
+        right = _eval(child.right, ctx)
+        if not right:
+            return ctx.backend.empty(expr.attrs)
+        side = semi_join_side(expr.attrs, left.attribute_set, right.attribute_set)
+        if side is not None:
+            operands = (left, right)
+            ctx.stats.semijoin_fastpaths += 1
+            if ctx.tracer is not None:
+                ctx.tracer.annotate(fastpath="semi_join")
+            return operands[side].semi_join(operands[1 - side]).project(expr.attrs)
+    # No fast path applies: a join child goes through _eval so its result
+    # is memoized for other sub-trees that share it.
     return _eval(child, ctx).project(expr.attrs)
 
 
-def _eval_difference(expr: Difference, ctx: _Context, left: Relation) -> Relation:
-    right = expr.right
-    if (
-        ctx.fastpath
-        and isinstance(right, Project)
-        and isinstance(right.child, Join)
-        and right._key() not in ctx.memo
-        and frozenset(right.attrs) == left.attribute_set
-    ):
-        # The Proposition 2.2 complement shape R - pi_{attr(R)}(R join S):
-        # equals the hash anti-join R ▷ S, computed without evaluating the
-        # join or the projection. Restricted to two-operand joins — with
-        # more operands, joining "the rest" could introduce a cross product
-        # the original tree order avoids.
-        operands = _join_operands(right.child)
-        if len(operands) == 2:
-            left_key = expr.left._key()
-            for index, operand in enumerate(operands):
-                if operand._key() == left_key:
-                    other = _eval(operands[1 - index], ctx)
-                    ctx.stats.antijoin_fastpaths += 1
-                    if ctx.tracer is not None:
-                        shared = left.attribute_set & other.attribute_set
-                        ctx.tracer.annotate(
-                            fastpath="anti_join",
-                            index_hit=other.has_join_index(shared),
-                        )
-                    return left.anti_join(other)
-    return left.difference(_eval(right, ctx))
+def _eval_difference(expr: Difference, ctx: _Context, left):
+    if ctx.fastpath:
+        partner = anti_join_partner(expr, left.attribute_set)
+        if partner is not None and _memo_key(expr.right, ctx) not in ctx.memo:
+            other = _eval(partner, ctx)
+            ctx.stats.antijoin_fastpaths += 1
+            if ctx.tracer is not None:
+                ctx.tracer.annotate(
+                    fastpath="anti_join",
+                    **ctx.backend.join_attributes(
+                        left.attribute_set & other.attribute_set, other
+                    ),
+                )
+            return left.anti_join(other)
+    return left.difference(_eval(expr.right, ctx))
 
 
-def _eval_node(expr: Expression, ctx: _Context) -> Relation:
+def _eval_node(expr: Expression, ctx: _Context):
+    backend = ctx.backend
     if isinstance(expr, RelationRef):
         relation = ctx.state.get(expr.name)
         if relation is None:
@@ -514,18 +615,16 @@ def _eval_node(expr: Expression, ctx: _Context) -> Relation:
                 f"relation {expr.name!r} is not bound in the evaluation state "
                 f"(bound: {sorted(ctx.state)})"
             )
-        return relation
+        return backend.read(relation)
 
     if isinstance(expr, Empty):
-        return Relation.empty(expr.attrs)
+        return backend.empty(expr.attrs)
 
     if isinstance(expr, Project):
         return _eval_project(expr, ctx)
 
     if isinstance(expr, Select):
-        child = _eval(expr.child, ctx)
-        predicate = expr.condition.compile(child.attributes)
-        return child.select(predicate)
+        return backend.select(_eval(expr.child, ctx), expr.condition)
 
     if isinstance(expr, Join):
         # Empty short-circuit: if one side is empty, the join is empty and
@@ -534,11 +633,22 @@ def _eval_node(expr: Expression, ctx: _Context) -> Relation:
         # updates — the delta relation binds to the empty set).
         left = _eval(expr.left, ctx)
         if not left:
-            return Relation.empty(expr.attributes(_scope(ctx)))
+            return backend.empty(expr.attributes(_scope(ctx)))
         right = _eval(expr.right, ctx)
         if not right:
-            return Relation.empty(expr.attributes(_scope(ctx)))
-        return _natural_join(left, right, ctx)
+            return backend.empty(expr.attributes(_scope(ctx)))
+        if ctx.tracer is not None:
+            ctx.tracer.annotate(
+                rows_in_left=len(left),
+                rows_in_right=len(right),
+                **backend.join_attributes(
+                    left.attribute_set & right.attribute_set, left, right
+                ),
+            )
+        result = backend.join(left, right)
+        ctx.stats.joins += 1
+        ctx.stats.rows_joined += len(result)
+        return result
 
     if isinstance(expr, Union):
         left = _eval(expr.left, ctx)
@@ -555,35 +665,3 @@ def _eval_node(expr: Expression, ctx: _Context) -> Relation:
         return _eval(expr.child, ctx).rename(expr.mapping)
 
     raise EvaluationError(f"unknown expression node {type(expr).__name__}")
-
-
-def evaluate_all(
-    expressions: Mapping[str, Expression],
-    state: State,
-    cache: Optional[Cache] = None,
-    *,
-    stats: Optional[EvalStats] = None,
-    fastpath: bool = True,
-    tracer=None,
-    engine: Optional[str] = None,
-) -> Dict[str, Relation]:
-    """Evaluate several named expressions over one state, sharing the memo.
-
-    Returns ``{name: result}`` in input order. ``cache``, ``stats``,
-    ``fastpath``, ``tracer``, and ``engine`` behave as in :func:`evaluate`.
-    """
-    if resolve_engine(engine) == ENGINE_COLUMNAR:
-        from repro.algebra.columnar_eval import evaluate_all_columnar
-
-        return evaluate_all_columnar(
-            expressions, state, cache, stats=stats, fastpath=fastpath, tracer=tracer
-        )
-    if stats is None:
-        stats = EvalStats()
-    if isinstance(cache, EvaluationCache):
-        ctx = _Context(state, {}, cache, stats, fastpath, tracer)
-    else:
-        memo: Dict[tuple, object] = cache if cache is not None else {}
-        _check_memo_state(memo, state)
-        ctx = _Context(state, memo, None, stats, fastpath, tracer)
-    return {name: _eval(expr, ctx) for name, expr in expressions.items()}

@@ -26,7 +26,6 @@ maintenance plan would have to read:
 
 from __future__ import annotations
 
-import os
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -47,11 +46,10 @@ from repro.schema.catalog import Catalog
 from repro.views.psj import View
 from repro.core.complement import WarehouseSpec
 from repro.core.maintenance import maintenance_expressions
+from repro.storage.engine import SANITIZER_ENV, env_flag
 
 if TYPE_CHECKING:
     from repro.obs.trace import Span
-
-SANITIZER_ENV = "REPRO_CHECK_INVARIANTS"
 
 KINDS = ("insert", "delete")
 
@@ -226,7 +224,7 @@ def sanitizer_enabled() -> bool:
     evaluator hot path (``scripts/check_hotpath.py`` rule R5 enforces
     the latter).
     """
-    return os.environ.get(SANITIZER_ENV, "") not in ("", "0")
+    return env_flag(SANITIZER_ENV)
 
 
 def static_refresh_reads(

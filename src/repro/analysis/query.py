@@ -54,7 +54,6 @@ per refresh.
 from __future__ import annotations
 
 import json
-import os
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -89,6 +88,7 @@ from repro.algebra.parser import parse
 from repro.algebra.rewriting import fold_occurrences
 from repro.algebra.simplify import simplify
 from repro.schema.catalog import Catalog
+from repro.storage.engine import QUERIES_ENV, env_flag
 from repro.storage.relation import Relation
 from repro.views.psj import View
 from repro.core.complement import WarehouseSpec, specify
@@ -110,10 +110,6 @@ PROVED = "PROVED"
 REFUTED = "REFUTED"
 UNKNOWN = "UNKNOWN"
 
-#: Arm the runtime query sanitizer: every ``Warehouse.answer`` traces the
-#: translated evaluation and cross-checks its reads (see module docstring).
-QUERIES_ENV = "REPRO_CHECK_QUERIES"
-
 _REPLAY_SEEDS = (0, 1, 2)
 _REPLAY_ROWS = 12
 _REPLAY_DOMAIN = 8
@@ -129,7 +125,7 @@ def queries_enabled() -> bool:
     :func:`repro.analysis.dataflow.sanitizer_enabled`) — never on the
     query-serving hot path (``scripts/check_hotpath.py`` rule R5).
     """
-    return os.environ.get(QUERIES_ENV, "") not in ("", "0")
+    return env_flag(QUERIES_ENV)
 
 
 # ----------------------------------------------------------------------

@@ -31,12 +31,10 @@ environment variable is read once per warehouse construction
 from __future__ import annotations
 
 import asyncio
-import os
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import WarehouseError
-
-RACES_ENV = "REPRO_CHECK_RACES"
+from repro.storage.engine import RACES_ENV, env_flag
 
 
 def races_enabled() -> bool:
@@ -46,7 +44,7 @@ def races_enabled() -> bool:
     :class:`~repro.core.sharding.ShardedWarehouse` construction, never on
     the refresh hot path.
     """
-    return os.environ.get(RACES_ENV, "") not in ("", "0")
+    return env_flag(RACES_ENV)
 
 
 def _current_worker() -> Optional[object]:

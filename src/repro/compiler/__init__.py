@@ -21,7 +21,6 @@ back to the interpreted path (counted by ``compiler.fallbacks``).
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 from typing import Optional
 
@@ -38,19 +37,11 @@ from repro.compiler.fuse import (
     fused_plan,
 )
 from repro.compiler.runtime import CompiledRefresh, RefreshCompiler
+from repro.storage.engine import COMPILE_ENV, env_flag
 
-#: Environment variable selecting the process-wide compile default.
-COMPILE_ENV = "REPRO_COMPILE"
-
-
-def _compile_from_environment() -> bool:
-    """Parse ``REPRO_COMPILE`` (unset/empty/``0`` = off, anything else on)."""
-    return os.environ.get(COMPILE_ENV, "") not in ("", "0")
-
-
-#: The process-wide default, read once at import (tests monkeypatch this
-#: module attribute rather than the environment).
-DEFAULT_COMPILE = _compile_from_environment()
+#: The process-wide default (``REPRO_COMPILE``), read once at import (tests
+#: monkeypatch this module attribute rather than the environment).
+DEFAULT_COMPILE = env_flag(COMPILE_ENV)
 
 
 def resolve_compile(flag: Optional[bool] = None) -> bool:

@@ -27,10 +27,11 @@ normalization, and caches one :class:`CompiledRefresh` per update shape.
 applied)`` contract, including the keep-the-identical-object rule for
 untouched relations.
 
-This module is a ``scripts/check_hotpath.py`` target: the untraced path
-reads no clocks and no environment and builds no spans; tracing lives
-only in the ``_run_traced`` twins, which emit the same ``reconstruct`` /
-``maintain`` / ``read`` span vocabulary as the interpreters so
+This module is a ``scripts/check_hotpath.py`` target: it reads no clocks
+and no environment, and opens spans only through
+:func:`repro.obs.trace.span_of` (nothing is built under ``tracer=None``).
+A traced compiled refresh emits the interpreter's ``normalize_update`` /
+``reconstruct`` / ``maintain`` / ``read`` span vocabulary, so
 ``Warehouse.explain()`` and the ``REPRO_CHECK_INVARIANTS`` sanitizer work
 unchanged on compiled refreshes.
 """
@@ -40,7 +41,7 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.errors import CompileError, WarehouseError
-from repro.algebra.evaluator import _join_operands
+from repro.algebra.evaluator import anti_join_partner, semi_join_side
 from repro.algebra.expressions import (
     Difference,
     Empty,
@@ -53,6 +54,7 @@ from repro.algebra.expressions import (
     Select,
     Union,
 )
+from repro.obs.trace import span_of
 from repro.storage.columnar import ColumnarTable
 from repro.storage.relation import Relation
 from repro.storage.update import Delta, Update
@@ -231,18 +233,17 @@ class _Builder:
         child = expr.child
         attrs = expr.attrs
         if isinstance(child, Join):
-            # pi_Z(L join R) with Z inside one operand's schema is a
-            # semi-join — the same fast path the evaluators decide per
-            # refresh, here decided once at compile time.
-            target = frozenset(attrs)
-            keep_side = other_side = None
-            if target <= child.left.attribute_set(self.scope):
-                keep_side, other_side = child.left, child.right
-            elif target <= child.right.attribute_set(self.scope):
-                keep_side, other_side = child.right, child.left
-            if keep_side is not None:
-                keep_fn, keep_deps = self.compile(keep_side)
-                other_fn, other_deps = self.compile(other_side)
+            # The semi-join fast path the interpreter decides per
+            # evaluation, here decided once at compile time.
+            side = semi_join_side(
+                attrs,
+                child.left.attribute_set(self.scope),
+                child.right.attribute_set(self.scope),
+            )
+            if side is not None:
+                sides = (child.left, child.right)
+                keep_fn, keep_deps = self.compile(sides[side])
+                other_fn, other_deps = self.compile(sides[1 - side])
                 empty = ColumnarTable.empty(attrs)
 
                 def compute(env, frame):
@@ -306,30 +307,19 @@ class _Builder:
     ) -> Tuple[TableFn, FrozenSet[str]]:
         key = expr._key()
         left_fn, left_deps = self.compile(expr.left)
-        right = expr.right
-        if (
-            isinstance(right, Project)
-            and isinstance(right.child, Join)
-            and frozenset(right.attrs) == expr.left.attribute_set(self.scope)
-        ):
-            # Proposition 2.2's complement shape L - pi_{attr(L)}(L join S)
-            # as a hash anti-join (two-operand joins only, matching the
-            # interpreters' restriction).
-            operands = _join_operands(right.child)
-            if len(operands) == 2:
-                left_key = expr.left._key()
-                for index, operand in enumerate(operands):
-                    if operand._key() == left_key:
-                        other_fn, other_deps = self.compile(operands[1 - index])
+        # Proposition 2.2's complement shape as a hash anti-join.
+        partner = anti_join_partner(expr, expr.left.attribute_set(self.scope))
+        if partner is not None:
+            other_fn, other_deps = self.compile(partner)
 
-                        def compute(env, frame):
-                            keep = left_fn(env, frame)
-                            if not keep:
-                                return keep
-                            return keep.anti_join(other_fn(env, frame))
+            def compute(env, frame):
+                keep = left_fn(env, frame)
+                if not keep:
+                    return keep
+                return keep.anti_join(other_fn(env, frame))
 
-                        return self._memoize(compute, left_deps | other_deps, key)
-        right_fn, right_deps = self.compile(right)
+            return self._memoize(compute, left_deps | other_deps, key)
+        right_fn, right_deps = self.compile(expr.right)
 
         def compute(env, frame):
             keep = left_fn(env, frame)
@@ -433,7 +423,7 @@ class CompiledRefresh:
         self.size = builder.size
 
     def run(
-        self, state: State, effective: Update
+        self, state: State, effective: Update, tracer=None
     ) -> Tuple[Dict[str, Relation], Dict[str, Delta]]:
         """Apply an effective update; returns ``(new_state, applied)``."""
         env: Dict[str, Relation] = dict(state)
@@ -447,40 +437,17 @@ class CompiledRefresh:
                 new_state[entry.name] = current
                 env[entry.new_name] = current
                 continue
-            inserts = entry.inserts(env, frame)
-            deletes = entry.deletes(env, frame)
-            if inserts or deletes:
-                value = current.difference(deletes).union(inserts)
-                applied[entry.name] = Delta(
-                    entry.name, inserts=inserts, deletes=deletes
-                )
-            else:
-                value = current
-            new_state[entry.name] = value
-            env[entry.new_name] = value
-        return new_state, applied
-
-    def _run_traced(
-        self, state: State, effective: Update, tracer
-    ) -> Tuple[Dict[str, Relation], Dict[str, Delta]]:
-        """:meth:`run`, emitting the interpreters' span vocabulary."""
-        env: Dict[str, Relation] = dict(state)
-        env.update(delta_bindings(effective, self.source_scope))
-        frame: List[object] = [None] * self.size
-        new_state: Dict[str, Relation] = {}
-        applied: Dict[str, Delta] = {}
-        for entry in self.entries:
-            current = state[entry.name]
-            if entry.kind == "pruned":
-                new_state[entry.name] = current
-                env[entry.new_name] = current
-                continue
-            with tracer.span(
-                "maintain", relation=entry.name, engine="compiled"
+            with span_of(
+                tracer, "maintain", relation=entry.name, engine="compiled"
             ) as span:
-                for name in entry.reads:
-                    with tracer.span("read", relation=name, engine="compiled"):
-                        pass
+                if tracer is not None:
+                    # Closures have no per-operator spans; the read set the
+                    # sanitizer and explain() look for is emitted up front.
+                    for name in entry.reads:
+                        with span_of(
+                            tracer, "read", relation=name, engine="compiled"
+                        ):
+                            pass
                 inserts = entry.inserts(env, frame)
                 deletes = entry.deletes(env, frame)
                 span.set(
@@ -596,41 +563,15 @@ class RefreshCompiler:
             self.plan_hits += 1
         return program
 
-    def _reconstruct(
-        self, state: State, update: Update
-    ) -> Dict[str, Relation]:
-        frame: List[object] = [None] * self._inverse_size
-        reconstructed: Dict[str, Relation] = {}
-        for delta in update:
-            runner = self._inverses.get(delta.relation)
-            if runner is None:
-                raise WarehouseError(
-                    f"update touches unknown relation {delta.relation!r}"
-                )
-            reconstructed[delta.relation] = runner(state, frame)
-        return reconstructed
-
     def refresh(
         self, state: State, update: Update, tracer=None
     ) -> Tuple[Dict[str, Relation], Dict[str, Delta]]:
         """Drop-in for :func:`~repro.core.maintenance.refresh_state`."""
         self.refreshes += 1
-        if tracer is not None:
-            return self._run_traced(state, update, tracer)
-        effective = update.normalized(self._reconstruct(state, update))
-        if effective.is_empty():
-            return dict(state), {}
-        program = self.program_for(
-            frozenset(effective.relations()), self._mode(effective)
-        )
-        return program.run(state, effective)
-
-    def _run_traced(
-        self, state: State, update: Update, tracer
-    ) -> Tuple[Dict[str, Relation], Dict[str, Delta]]:
         frame: List[object] = [None] * self._inverse_size
         reconstructed: Dict[str, Relation] = {}
-        with tracer.span(
+        with span_of(
+            tracer,
             "normalize_update",
             relations=sorted(update.relations()),
             engine="compiled",
@@ -641,17 +582,17 @@ class RefreshCompiler:
                     raise WarehouseError(
                         f"update touches unknown relation {delta.relation!r}"
                     )
-                with tracer.span("reconstruct", relation=delta.relation) as inner:
+                with span_of(tracer, "reconstruct", relation=delta.relation) as inner:
                     result = runner(state, frame)
-                    inner.attributes["rows_out"] = len(result)
+                    inner.set(rows_out=len(result))
                 reconstructed[delta.relation] = result
             effective = update.normalized(reconstructed)
-            span.attributes["effective_rows"] = sum(
-                len(d.inserts) + len(d.deletes) for d in effective
+            span.set(
+                effective_rows=sum(len(d.inserts) + len(d.deletes) for d in effective)
             )
         if effective.is_empty():
             return dict(state), {}
         program = self.program_for(
             frozenset(effective.relations()), self._mode(effective)
         )
-        return program._run_traced(state, effective, tracer)
+        return program.run(state, effective, tracer)

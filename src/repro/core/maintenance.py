@@ -41,6 +41,7 @@ from repro.algebra.expressions import Empty, Expression
 from repro.algebra.expressions import RelationRef
 from repro.algebra.rewriting import fold_occurrences, substitute
 from repro.algebra.simplify import simplify
+from repro.obs.trace import span_of
 from repro.storage.relation import Relation
 from repro.storage.update import Delta, Update
 from repro.core.complement import WarehouseSpec
@@ -170,27 +171,17 @@ def normalize_update(
     for delta in update:
         if delta.relation not in spec.inverses:
             raise WarehouseError(f"update touches unknown relation {delta.relation!r}")
-        if tracer is not None:
-            with tracer.span("reconstruct", relation=delta.relation) as span:
-                result = evaluate(
-                    spec.inverses[delta.relation],
-                    warehouse,
-                    cache=memo,
-                    stats=stats,
-                    fastpath=fastpath,
-                    tracer=tracer,
-                    engine=engine,
-                )
-                span.attributes["rows_out"] = len(result)
-        else:
+        with span_of(tracer, "reconstruct", relation=delta.relation) as span:
             result = evaluate(
                 spec.inverses[delta.relation],
                 warehouse,
                 cache=memo,
                 stats=stats,
                 fastpath=fastpath,
+                tracer=tracer,
                 engine=engine,
             )
+            span.set(rows_out=len(result))
         reconstructed[delta.relation] = result
     return update.normalized(reconstructed)
 
@@ -223,19 +214,13 @@ def refresh_state(
     span tree: ``normalize_update``, then one ``maintain`` span per
     warehouse relation wrapping its operator spans.
     """
-    if tracer is not None:
-        with tracer.span("normalize_update", relations=sorted(update.relations())) as span:
-            effective = normalize_update(
-                spec, warehouse, update, cache=cache, stats=stats,
-                fastpath=fastpath, tracer=tracer, engine=engine,
-            )
-            span.attributes["effective_rows"] = sum(
-                len(d.inserts) + len(d.deletes) for d in effective
-            )
-    else:
-        effective = normalize_update(
-            spec, warehouse, update, cache=cache, stats=stats, fastpath=fastpath,
-            engine=engine,
+    options = dict(stats=stats, fastpath=fastpath, tracer=tracer, engine=engine)
+    with span_of(
+        tracer, "normalize_update", relations=sorted(update.relations())
+    ) as span:
+        effective = normalize_update(spec, warehouse, update, cache=cache, **options)
+        span.set(
+            effective_rows=sum(len(d.inserts) + len(d.deletes) for d in effective)
         )
     if effective.is_empty():
         return dict(warehouse), {}
@@ -251,26 +236,10 @@ def refresh_state(
     applied: Dict[str, Delta] = {}
     new_state: Dict[str, Relation] = {}
     for name, exprs in plan.expressions.items():
-        if tracer is not None:
-            with tracer.span("maintain", relation=name) as span:
-                inserts = evaluate(
-                    exprs.inserts, combined, cache=memo, stats=stats,
-                    fastpath=fastpath, tracer=tracer, engine=engine,
-                )
-                deletes = evaluate(
-                    exprs.deletes, combined, cache=memo, stats=stats,
-                    fastpath=fastpath, tracer=tracer, engine=engine,
-                )
-                span.set(rows_inserted=len(inserts), rows_deleted=len(deletes))
-        else:
-            inserts = evaluate(
-                exprs.inserts, combined, cache=memo, stats=stats,
-                fastpath=fastpath, engine=engine,
-            )
-            deletes = evaluate(
-                exprs.deletes, combined, cache=memo, stats=stats,
-                fastpath=fastpath, engine=engine,
-            )
+        with span_of(tracer, "maintain", relation=name) as span:
+            inserts = evaluate(exprs.inserts, combined, cache=memo, **options)
+            deletes = evaluate(exprs.deletes, combined, cache=memo, **options)
+            span.set(rows_inserted=len(inserts), rows_deleted=len(deletes))
         current = warehouse[name]
         if inserts or deletes:
             new_state[name] = current.difference(deletes).union(inserts)

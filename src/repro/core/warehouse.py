@@ -26,7 +26,7 @@ from repro.algebra.expressions import Expression
 from repro.algebra.parser import parse
 from repro.obs.explain import explain_refresh
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import RingBufferCollector, Span, TraceCollector, Tracer
+from repro.obs.trace import RingBufferCollector, Span, TraceCollector, Tracer, span_of
 from repro.schema.catalog import Catalog
 from repro.storage.database import Database
 from repro.storage.relation import Relation
@@ -44,6 +44,7 @@ from repro.core.translation import (
     translate_cached,
     translate_query,
     translation_digest,
+    translation_read_set,
 )
 
 QueryLike = TypingUnion[str, Expression]
@@ -114,13 +115,13 @@ class Warehouse:
         self._stats = EvalStats()
         self._last_refresh_stats = EvalStats()
         # Observability: metrics are always on (a handful of counter bumps
-        # per refresh); tracing is opt-in via enable_tracing() and the
-        # engine takes the span-free path while self._tracer is None.
+        # per refresh); tracing is opt-in via enable_tracing() and no span
+        # is built while self._tracer is None.
         self._metrics = MetricsRegistry()
         self._tracer: Optional[Tracer] = None
         self._trace_buffer: Optional[RingBufferCollector] = None
         # Sanitizer mode (REPRO_CHECK_INVARIANTS=1): every apply() traces
-        # its refresh (with a throwaway buffer if tracing is off) and
+        # its refresh (with a private tracer if tracing is off) and
         # cross-checks the runtime source reads against the static
         # dataflow analysis. Read once here — never on the evaluator hot
         # path (scripts/check_hotpath.py rule R5).
@@ -229,6 +230,13 @@ class Warehouse:
                 "tracing enabled first"
             )
         return explain_refresh(root, max_depth=max_depth)
+
+    def _tracer_for(self, sanitize: bool) -> Optional[Tracer]:
+        """The tracer to run one operation under: the live one — or, when a
+        sanitizer mode needs the operation's span tree (to check runtime
+        reads against the static read set) and tracing is off, a private
+        tracer that delivers to no collector."""
+        return Tracer() if sanitize and self._tracer is None else self._tracer
 
     def _record_refresh_metrics(
         self, elapsed: float, applied: Dict[str, Delta], stats: EvalStats
@@ -377,15 +385,10 @@ class Warehouse:
         self.validate()
         state = source.state() if isinstance(source, Database) else dict(source)
         started = perf_counter()
-        if self._tracer is not None:
-            with self._tracer.span("initialize"):
-                self._state = evaluate_all(
-                    self.spec.definitions_over_sources(), state,
-                    tracer=self._tracer, engine=self.engine,
-                )
-        else:
+        with span_of(self._tracer, "initialize"):
             self._state = evaluate_all(
-                self.spec.definitions_over_sources(), state, engine=self.engine
+                self.spec.definitions_over_sources(), state,
+                tracer=self._tracer, engine=self.engine,
             )
         self._version += 1
         self._snapshot = None
@@ -460,43 +463,24 @@ class Warehouse:
         The optimized translation is cached per query shape
         (:class:`~repro.core.translation.TranslationCache`); under
         ``REPRO_CHECK_QUERIES=1`` the evaluation is traced (with a
-        throwaway buffer if tracing is off) and its runtime reads are
+        private tracer if tracing is off) and its runtime reads are
         cross-checked against the plan's static read set.
         """
         self._metrics.counter("warehouse.queries").inc()
         expression = self._as_expression(query)
         plan = translate_cached(self.spec, expression, self._translation_cache)
-        tracer = self._tracer
-        sanitize_buffer = None
+        tracer = self._tracer_for(self._check_queries)
+        with span_of(tracer, "answer", query=str(expression)) as root:
+            result = evaluate(plan, self.state, tracer=tracer, engine=self.engine)
         if self._check_queries:
-            sanitize_buffer = RingBufferCollector(capacity=1)
-            if tracer is None:
-                tracer = Tracer([sanitize_buffer])
-            else:
-                tracer.collectors.append(sanitize_buffer)
-        try:
-            if tracer is not None:
-                with tracer.span("answer", query=str(expression)):
-                    result = evaluate(
-                        plan, self.state, tracer=tracer, engine=self.engine
-                    )
-            else:
-                result = evaluate(plan, self.state, engine=self.engine)
-        finally:
-            if sanitize_buffer is not None and self._tracer is not None:
-                self._tracer.collectors.remove(sanitize_buffer)
-        if sanitize_buffer is not None:
-            root = sanitize_buffer.last("answer")
-            if root is not None:
-                from repro.analysis.query import check_translation_reads
-                from repro.core.translation import translation_read_set
+            from repro.analysis.query import check_translation_reads
 
-                # The static read set is recomputed from the spec, not
-                # taken from the cached plan — a stale or corrupted plan
-                # must not self-certify.
-                check_translation_reads(
-                    self.spec, translation_read_set(self.spec, expression), root
-                )
+            # The static read set is recomputed from the spec, not taken
+            # from the cached plan — a stale or corrupted plan must not
+            # self-certify.
+            check_translation_reads(
+                self.spec, translation_read_set(self.spec, expression), root
+            )
         return result
 
     def reconstruct(self, relation: str) -> Relation:
@@ -675,49 +659,23 @@ class Warehouse:
         )
         stats = EvalStats()
         started = perf_counter()
-        tracer = self._tracer
-        sanitize_buffer = None
+        tracer = self._tracer_for(self._sanitize)
+        with span_of(tracer, "refresh", relations=sorted(update.relations())) as root:
+            if compiler is not None:
+                new_state, applied = compiler.refresh(
+                    self.state, update, tracer=tracer
+                )
+            else:
+                new_state, applied = refresh_state(
+                    self.spec, self.state, update, plan,
+                    cache=self._cache, stats=stats, tracer=tracer,
+                    engine=self.engine,
+                )
+            root.set(relations_touched=len(applied))
         if self._sanitize:
-            # Capture the refresh span tree even when tracing is off, so
-            # the runtime read set can be checked against the static one.
-            sanitize_buffer = RingBufferCollector(capacity=1)
-            if tracer is None:
-                tracer = Tracer([sanitize_buffer])
-            else:
-                tracer.collectors.append(sanitize_buffer)
-        try:
-            if tracer is not None:
-                with tracer.span(
-                    "refresh", relations=sorted(update.relations())
-                ) as span:
-                    if compiler is not None:
-                        new_state, applied = compiler.refresh(
-                            self.state, update, tracer=tracer
-                        )
-                    else:
-                        new_state, applied = refresh_state(
-                            self.spec, self.state, update, plan,
-                            cache=self._cache, stats=stats, tracer=tracer,
-                            engine=self.engine,
-                        )
-                    span.set(relations_touched=len(applied))
-            else:
-                if compiler is not None:
-                    new_state, applied = compiler.refresh(self.state, update)
-                else:
-                    new_state, applied = refresh_state(
-                        self.spec, self.state, update, plan,
-                        cache=self._cache, stats=stats, engine=self.engine,
-                    )
-        finally:
-            if sanitize_buffer is not None and self._tracer is not None:
-                self._tracer.collectors.remove(sanitize_buffer)
-        if sanitize_buffer is not None:
-            root = sanitize_buffer.last("refresh")
-            if root is not None:
-                from repro.analysis.dataflow import check_refresh_reads
+            from repro.analysis.dataflow import check_refresh_reads
 
-                check_refresh_reads(self.spec, update.relations(), root)
+            check_refresh_reads(self.spec, update.relations(), root)
         self._last_refresh_stats = stats
         self._stats.merge(stats)
         self._state = new_state

@@ -8,9 +8,11 @@ spans. Spans form trees: the maintenance engine opens a ``refresh`` span,
 and the evaluator opens one span per operator it actually computes.
 
 Tracing is strictly opt-in. The engine holds ``tracer=None`` by default
-and every instrumented code path guards on that, so the disabled path
-allocates no spans and stays within noise of the untraced engine
-(asserted by ``tests/obs/test_zero_overhead.py``). When enabled, finished
+and every instrumented call site opens its span through :func:`span_of`,
+which hands back the one shared do-nothing :data:`NULL_SPAN` for a
+``None`` tracer — so each site is written once, and the disabled path
+allocates no spans and reads no clock (asserted by
+``tests/obs/test_zero_overhead.py``). When enabled, finished
 root spans are handed to one or more :class:`TraceCollector`\\ s — an
 in-memory :class:`RingBufferCollector` by default, optionally a
 :class:`JsonlSink` that streams every span to a JSON-lines file for
@@ -227,8 +229,8 @@ class Tracer:
     (injectable for deterministic tests), and hands finished *root* spans
     to every collector.
 
-    The engine treats ``tracer=None`` as "tracing disabled" — there is no
-    null-object tracer on the hot path, so disabling really is free.
+    The engine treats ``tracer=None`` as "tracing disabled"; call sites go
+    through :func:`span_of`, so disabling builds nothing.
     """
 
     def __init__(
@@ -286,3 +288,32 @@ class Tracer:
 
     def __repr__(self) -> str:
         return f"Tracer({len(self._stack)} open, {len(self.collectors)} collectors)"
+
+
+class _NullSpan:
+    """What :func:`span_of` yields while tracing is off: accepts and drops."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        return None
+
+    def set(self, **attributes: object) -> "_NullSpan":
+        return self
+
+
+#: The single do-nothing span of the process; it holds no state.
+NULL_SPAN = _NullSpan()
+
+
+def span_of(tracer: Optional[Tracer], name: str, **attributes: object):
+    """The span seam: ``tracer.span(name, ...)``, or :data:`NULL_SPAN`.
+
+    Lets an instrumented site be one ``with span_of(tracer, ...) as span:``
+    block whether or not tracing is on; result attributes go through
+    ``span.set(...)``, which both kinds of span accept.
+    """
+    return NULL_SPAN if tracer is None else tracer.span(name, **attributes)

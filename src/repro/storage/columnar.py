@@ -27,10 +27,10 @@ equality of every kernel against the tuple-set implementation.
 
 Engine selection
 ----------------
-``REPRO_ENGINE=columnar`` (read once at import; see :func:`resolve_engine`)
-routes :func:`repro.algebra.evaluator.evaluate` through the columnar
-kernels by default. Callers can also pass ``engine="columnar"`` explicitly
-(e.g. ``Warehouse(spec, engine="columnar")``).
+These kernels are the default engine of
+:func:`repro.algebra.evaluator.evaluate`; ``REPRO_ENGINE`` and an explicit
+``engine=`` choose between them and the tuple reference
+(:mod:`repro.storage.engine`).
 """
 
 from __future__ import annotations

@@ -1,21 +1,25 @@
-"""Physical execution engine selection (``REPRO_ENGINE``).
+"""Process configuration read from the environment, in one leaf module.
 
-Kept in its own leaf module (imports only the standard library and
-:mod:`repro.errors`) so both the evaluator and the columnar storage layer
-can resolve the engine without creating an import cycle between
-``repro.algebra`` and ``repro.storage``.
+It imports only the standard library and :mod:`repro.errors`, so the
+evaluator, the storage layer, the compiler and the analysis package can
+all resolve their settings here without an import cycle. The five
+variables the program reads:
 
-Two engines exist:
+* ``REPRO_ENGINE`` — the default physical engine (:func:`resolve_engine`):
+  ``"columnar"``, dictionary-coded batch kernels
+  (:mod:`repro.storage.columnar`; the default), or ``"tuple"``, the
+  frozenset operators on :class:`~repro.storage.relation.Relation` (the
+  differential reference). Both run under the one interpreter of
+  :mod:`repro.algebra.evaluator`. Read **once at import**; tests that
+  flip the process default monkeypatch :data:`DEFAULT_ENGINE`.
+* ``REPRO_COMPILE`` — plan compilation by default (:mod:`repro.compiler`,
+  read once at its import).
+* ``REPRO_CHECK_INVARIANTS`` / ``REPRO_CHECK_QUERIES`` /
+  ``REPRO_CHECK_RACES`` — the runtime sanitizers of :mod:`repro.analysis`,
+  each read once per warehouse construction.
 
-* ``"tuple"`` — the frozenset operators on
-  :class:`~repro.storage.relation.Relation` (the PR-1 engine);
-* ``"columnar"`` — dictionary-coded batch kernels
-  (:mod:`repro.storage.columnar`, dispatched by
-  :mod:`repro.algebra.columnar_eval`).
-
-The environment variable is read **once at import** — never on the
-evaluator hot path (``scripts/check_hotpath.py`` rule R5). Tests that need
-to flip the process default monkeypatch :data:`DEFAULT_ENGINE`.
+The four on/off variables share :func:`env_flag`. None is ever read on the
+evaluator hot path (``scripts/check_hotpath.py`` rule R5).
 """
 
 from __future__ import annotations
@@ -26,23 +30,18 @@ from typing import Optional
 from repro.errors import EvaluationError
 
 ENGINE_ENV = "REPRO_ENGINE"
+COMPILE_ENV = "REPRO_COMPILE"
+SANITIZER_ENV = "REPRO_CHECK_INVARIANTS"
+QUERIES_ENV = "REPRO_CHECK_QUERIES"
+RACES_ENV = "REPRO_CHECK_RACES"
+
 ENGINE_TUPLE = "tuple"
 ENGINE_COLUMNAR = "columnar"
 
 
-def _engine_from_environment() -> str:
-    """The engine the environment selects (anything but tuple means columnar).
-
-    The columnar kernels have been the production path since the sharded
-    integrator landed; the tuple engine remains as the differential
-    reference, opted into with ``REPRO_ENGINE=tuple``.
-    """
-    value = os.environ.get(ENGINE_ENV, "").strip().lower()
-    return ENGINE_TUPLE if value == ENGINE_TUPLE else ENGINE_COLUMNAR
-
-
-#: The process default, read once at import (tests may monkeypatch it).
-DEFAULT_ENGINE = _engine_from_environment()
+def env_flag(name: str) -> bool:
+    """Whether the on/off variable ``name`` is set (unset/empty/``0`` = off)."""
+    return os.environ.get(name, "") not in ("", "0")
 
 
 def resolve_engine(engine: Optional[str]) -> str:
@@ -50,7 +49,7 @@ def resolve_engine(engine: Optional[str]) -> str:
 
     Raises :class:`~repro.errors.EvaluationError` for unknown names, so a
     typo in an explicit ``engine=`` argument fails loudly instead of
-    silently falling back to the tuple path.
+    silently falling back to the default.
 
     Examples
     --------
@@ -67,3 +66,18 @@ def resolve_engine(engine: Optional[str]) -> str:
             f"(expected {ENGINE_TUPLE!r} or {ENGINE_COLUMNAR!r})"
         )
     return engine
+
+
+def _engine_from_environment() -> str:
+    """The engine ``REPRO_ENGINE`` selects (unset or empty means columnar).
+
+    The tuple engine is opted into with ``REPRO_ENGINE=tuple``. Matching
+    ignores case and surrounding spaces; any other value raises, so a CI
+    job meant to pin the reference engine cannot silently run the default.
+    """
+    value = os.environ.get(ENGINE_ENV, "").strip().lower()
+    return resolve_engine(value) if value else ENGINE_COLUMNAR
+
+
+#: The process default, read once at import (tests may monkeypatch it).
+DEFAULT_ENGINE = _engine_from_environment()

@@ -142,6 +142,40 @@ class TestEvaluationCache:
         cache.clear()
         assert len(cache) == 0
 
+    def test_shared_cache_never_crosses_engines(self, state):
+        """One cache, both engines by turns: each is served only its own kind.
+
+        A columnar table handed to the tuple walk (or a relation to the
+        columnar one) would fail on the first kernel call, or surface as a
+        non-``Relation`` result — so correct results after alternation,
+        over a changing state, show the tagged keys keep the two apart.
+        """
+        from repro.storage.columnar import ColumnarTable
+
+        cache = EvaluationCache()
+        texts = [
+            "Sale join Emp",
+            "pi[clerk](Sale join Emp)",
+            "Emp minus pi[clerk, age](Emp join Sale)",
+            "sigma[age > 23](Emp) union sigma[age = 23](Emp)",
+        ]
+        current = dict(state)
+        for round_ in range(3):
+            for engine in ("tuple", "columnar", "tuple", "columnar"):
+                for text in texts:
+                    expected = evaluate(parse(text), current, engine="tuple")
+                    got = evaluate(parse(text), current, cache=cache, engine=engine)
+                    assert isinstance(got, Relation)
+                    assert got == expected, (round_, engine, text)
+            current["Sale"] = current["Sale"].union(
+                Relation(("item", "clerk"), [(f"item{round_}", "Paula")])
+            )
+        stored = {
+            (key[0] == "@columnar", type(result))
+            for key, (result, _version) in cache._entries.items()
+        }
+        assert stored == {(True, ColumnarTable), (False, Relation)}
+
 
 class TestFastPathEquivalence:
     EXPRESSIONS = [

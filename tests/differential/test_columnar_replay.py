@@ -107,7 +107,22 @@ class TestEngineDefaultWiring:
         with pytest.raises(EvaluationError):
             Warehouse(spec, engine="vectorised")
 
-    def test_environment_parsing(self):
+    def test_environment_parsing(self, monkeypatch):
+        from repro.errors import EvaluationError
         from repro.storage.engine import _engine_from_environment
 
         assert _engine_from_environment() in ("tuple", "columnar")
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert _engine_from_environment() == "columnar"
+        for value, engine in [
+            ("", "columnar"),
+            ("columnar", "columnar"),
+            ("tuple", "tuple"),
+            (" Tuple ", "tuple"),
+        ]:
+            monkeypatch.setenv("REPRO_ENGINE", value)
+            assert _engine_from_environment() == engine
+        # A typo must not silently select the default engine.
+        monkeypatch.setenv("REPRO_ENGINE", "tupel")
+        with pytest.raises(EvaluationError, match="unknown evaluation engine 'tupel'"):
+            _engine_from_environment()

@@ -149,3 +149,79 @@ class TestMetricsEndToEnd:
         assert metrics.value("integrator.updates.Sale") == 2
         assert "integrator.updates.Emp" not in metrics
         assert metrics.value("warehouse.refreshes") == 2
+
+
+def _figure1_lifecycle(engine):
+    catalog = Catalog()
+    catalog.relation("Sale", ("item", "clerk"))
+    catalog.relation("Emp", ("clerk", "age"), key=("clerk",))
+    database = Database(catalog)
+    database.load("Sale", [("TV set", "Mary"), ("VCR", "Mary"), ("PC", "John")])
+    database.load("Emp", [("Mary", 23), ("John", 25), ("Paula", 32)])
+    warehouse = Warehouse.specify(
+        catalog, [View("Sold", parse("Sale join Emp"))], method="prop22",
+        engine=engine, compile_plans=False,
+    )
+    warehouse.enable_tracing()
+    warehouse.initialize(database)
+    warehouse.insert("Sale", [("Computer", "Paula")])
+    warehouse.delete("Sale", [("TV set", "Mary")])
+    warehouse.answer("pi[clerk](Sale) union pi[clerk](Emp)")
+    return warehouse
+
+
+def _tpcd_lifecycle(engine):
+    import random
+
+    from repro.workloads.tpcd import order_insert_rows, tpcd_instance
+
+    instance = tpcd_instance(scale=1.0, seed=7)
+    warehouse = Warehouse.specify(
+        instance.catalog, instance.views, engine=engine, compile_plans=False
+    )
+    warehouse.enable_tracing()
+    warehouse.initialize(instance.database)
+    orders, lines = order_insert_rows(random.Random(3), instance.database, 2)
+    warehouse.insert("Orders", orders)
+    warehouse.insert("Lineitem", lines)
+    warehouse.delete("Lineitem", lines[:2])
+    warehouse.answer("pi[orderkey, cname](Orders join Customer)")
+    return warehouse
+
+
+class TestOneInterpreter:
+    """Both engines are one walk: same spans, same counters, by construction."""
+
+    ENGINE_ONLY = ("engine", "index_hit")
+
+    def _shape(self, span):
+        attributes = {
+            key: value
+            for key, value in span.attributes.items()
+            if key not in self.ENGINE_ONLY
+        }
+        return span.name, attributes, [self._shape(c) for c in span.children]
+
+    @pytest.mark.parametrize("lifecycle", [_figure1_lifecycle, _tpcd_lifecycle])
+    def test_engines_trace_and_count_alike(self, lifecycle):
+        tuple_wh = lifecycle("tuple")
+        columnar_wh = lifecycle("columnar")
+        tuple_roots = tuple_wh._trace_buffer.roots
+        columnar_roots = columnar_wh._trace_buffer.roots
+        assert [r.name for r in tuple_roots] == (
+            ["initialize"] + ["refresh"] * (len(tuple_roots) - 2) + ["answer"]
+        )
+        assert [self._shape(r) for r in tuple_roots] == [
+            self._shape(r) for r in columnar_roots
+        ]
+        # The trees are not trivially equal: operators ran, fast paths fired.
+        operators = [s for root in columnar_roots for s in root.walk()]
+        assert any(s.attributes.get("fastpath") for s in operators)
+        assert all(
+            s.attributes["engine"] == "columnar"
+            for s in operators
+            if "rows_out" in s.attributes and s.name != "reconstruct"
+        )
+        assert tuple_wh.eval_stats.snapshot() == columnar_wh.eval_stats.snapshot()
+        assert tuple_wh.eval_stats.nodes_evaluated > 0
+        assert tuple_wh.state == columnar_wh.state

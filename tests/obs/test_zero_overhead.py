@@ -1,10 +1,11 @@
 """The disabled-tracing path must not allocate a single Span.
 
-The evaluator and maintenance engine branch to their traced twins only when a
-tracer is attached; with the default ``tracer=None`` the hot path is the same
-code PR 1 benchmarked. These tests make that guarantee explicit: we poison
-``Span.__init__`` and run a full initialize + refresh — if any layer created a
-span, the workload would blow up.
+Every instrumented site opens its span through ``repro.obs.trace.span_of``,
+which hands back one shared do-nothing object while ``tracer=None`` (the
+default). These tests make that guarantee explicit: we poison
+``Span.__init__`` and run a full initialize + refresh + answer under every
+execution configuration — if any layer created a span, the workload would
+blow up.
 """
 
 from __future__ import annotations
@@ -29,10 +30,17 @@ def test_tracing_is_off_by_default(figure1_catalog, figure1_database, sold_view)
     assert warehouse.tracer is None
 
 
+@pytest.mark.parametrize(
+    "configuration",
+    [{"engine": "tuple"}, {"engine": "columnar"}, {"compile_plans": True}],
+    ids=["tuple", "columnar", "compiled"],
+)
 def test_warehouse_lifecycle_allocates_no_spans(
-    poisoned_span, figure1_catalog, figure1_database, sold_view
+    poisoned_span, figure1_catalog, figure1_database, sold_view, configuration
 ):
-    warehouse = Warehouse.specify(figure1_catalog, [sold_view], method="prop22")
+    warehouse = Warehouse.specify(
+        figure1_catalog, [sold_view], method="prop22", **configuration
+    )
     warehouse.initialize(figure1_database)
     warehouse.insert("Sale", [("Computer", "Paula")])
     warehouse.delete("Sale", [("TV set", "Mary")])
