@@ -22,8 +22,8 @@ MODULES = [
     "repro.analysis.diagnostics", "repro.analysis.typecheck",
     "repro.analysis.satisfiability", "repro.analysis.lint",
     "repro.analysis.specfile", "repro.analysis.report",
-    "repro.analysis.dataflow", "repro.analysis.counterexample",
-    "repro.analysis.prover", "repro.analysis.digest",
+    "repro.analysis.dataflow", "repro.analysis.digest",
+    "repro.analysis.kernel", "repro.analysis.prover",
     "repro.analysis.concurrency", "repro.analysis.concurrency_lint",
     "repro.analysis.races",
     "repro.analysis.query", "repro.analysis.query_lint",

@@ -16,39 +16,33 @@ Commands
     hygiene). ``--format json`` emits the CI artifact format; ``--strict``
     fails on INFO-level findings too. Exit status: 0 clean, 1 findings,
     2 unreadable input. The diagnostic catalog is docs/lint.md.
-``prove FILE [FILE ...]``
-    Statically decide independence per spec file: PROVED emits a
-    machine-checkable certificate (Equation (4) inversions + the facts
-    they rest on), REFUTED a shrunk two-database witness of
-    non-injectivity (Proposition 2.1), UNKNOWN neither. ``--certificates
-    DIR`` writes one JSON document per file (the CI artifact);
-    ``--strict`` makes UNKNOWN a failure. Exit status: 0 every verdict
-    matches its spec's expectation, 1 otherwise, 2 unreadable input.
-``prove-sharding FILE [FILE ...]``
-    Statically decide each spec file's sharded configuration (its
-    ``"sharding"`` section): PROVED emits a self-validating certificate
-    (assembly modes, co-partitioned groups, per-update-shape footprints,
-    batch commutativity — digest-compatible with the compiled-plan
-    cache), REFUTED a minimal counterexample (an interleaving that
-    diverges, or a source state whose global image no shard assembly
-    rebuilds), UNKNOWN neither. The W01xx concurrency lint over the
-    runtime sources rides along. ``--certificates DIR`` writes one JSON
-    document per file; ``--strict`` makes UNKNOWN a failure. Exit
-    status: 0 every verdict matches its spec's expectation and the lint
-    is clean, 1 otherwise, 2 unreadable input.
-``prove-query FILE [FILE ...]``
-    Statically decide each spec file's declared queries (its
-    ``"queries"`` section, or synthesized identity queries): PROVED
-    emits a self-validating translation certificate (the rewritten
-    ``Q ∘ W^{-1}``, the Equation (4) inversions or view folds it leans
-    on, a static read set with zero source relations, and a
-    kernel-level cost estimate — digest-compatible with the serving
-    path's translated-plan cache), REFUTED a minimal replay-verified
-    two-database witness where warehouse state underdetermines the
-    answer, UNKNOWN neither. ``--certificates DIR`` writes one JSON
-    document per file; ``--strict`` makes UNKNOWN a failure unless the
-    spec pinned ``"expect": "unknown"``. Exit status: 0 every verdict
-    matches its expectation, 1 otherwise, 2 unreadable input.
+``prove`` / ``prove-sharding`` / ``prove-query FILE [FILE ...]``
+    The three static provers behind one verdict CLI (docs/prover.md,
+    "The certificate kernel"). Each decides its question per spec file:
+    PROVED emits a self-validating, machine-checkable certificate,
+    REFUTED a minimal replay-verified witness, UNKNOWN neither.
+    ``--certificates DIR`` writes one JSON document per file (the CI
+    artifact; two files sharing a stem are refused); ``--strict`` makes
+    UNKNOWN a failure. Exit status: 0 every verdict matches its
+    expectation, 1 otherwise, 2 unreadable input.
+
+    * ``prove`` — independence: the certificate holds the Equation (4)
+      inversions and the facts they rest on, the witness is a shrunk
+      two-database pair showing non-injectivity (Proposition 2.1).
+    * ``prove-sharding`` — the ``"sharding"`` section: assembly modes,
+      co-partitioned groups, per-update-shape footprints and batch
+      commutativity (digest-compatible with the compiled-plan cache);
+      the witness is an interleaving that diverges, or a source state
+      whose global image no shard assembly rebuilds. The W01xx
+      concurrency lint over the runtime sources rides along (exit 1
+      when it finds errors; ``--no-lint`` skips it).
+    * ``prove-query`` — the ``"queries"`` section (or synthesized
+      identity queries): the rewritten ``Q ∘ W^{-1}``, the inversions or
+      view folds it leans on, a static read set with zero source
+      relations and a kernel-level cost estimate (digest-compatible
+      with the translated-plan cache); the witness is a two-database
+      pair where warehouse state underdetermines the answer. A query
+      that pinned ``"expect": "unknown"`` passes ``--strict``.
 ``compile FILE [FILE ...]``
     Run the plan compiler (``repro.compiler``, docs/compiler.md) on spec
     files: certify each spec against the prover's PROVED certificate and
@@ -87,9 +81,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Any, Callable, List, Mapping, NamedTuple, Optional
 
 from repro import Catalog, Database, View, Warehouse, parse, specify
+from repro.analysis import kernel
+from repro.analysis.concurrency import prove_sharding_file
+from repro.analysis.kernel import FileResult
+from repro.analysis.prover import prove_file
+from repro.analysis.query import prove_queries_file
 from repro.core.minimality import is_minimal_certificate
 from repro.core.selfmaint import self_maintenance_analysis
 from repro.storage.persist import catalog_from_dict
@@ -167,105 +166,90 @@ def _cmd_lint(args) -> int:
     return exit_code(reports, strict=args.strict)
 
 
-def _cmd_prove(args) -> int:
-    from pathlib import Path
+class _Prover(NamedTuple):
+    """One row of the verdict-CLI table: what a prover subcommand adds."""
 
-    from repro.analysis.prover import (
-        certificate_json,
-        prove_exit_code,
+    prove_file: Callable[..., FileResult]  # decides one spec file
+    suffix: str  # certificate file suffix under --certificates
+    help: str
+    flags: Mapping[str, Mapping[str, Any]] = {}  # argparse flags beyond the shared
+
+
+_PROVERS = {
+    "prove": _Prover(
         prove_file,
-        render_json,
-        render_text,
-    )
-
-    results = [
-        prove_file(path, method=args.method, max_model_size=args.max_model_size)
-        for path in args.files
-    ]
-    if args.certificates:
-        directory = Path(args.certificates)
-        directory.mkdir(parents=True, exist_ok=True)
-        for result in results:
-            name = Path(result.path).stem + ".cert.json"
-            (directory / name).write_text(certificate_json(result))
-    if args.format == "json":
-        output = render_json(results, strict=args.strict)
-    else:
-        output = render_text(results, strict=args.strict)
-    print(output)
-    return prove_exit_code(results, strict=args.strict)
-
-
-def _cmd_prove_sharding(args) -> int:
-    from pathlib import Path
-
-    from repro.analysis.concurrency import (
+        ".cert.json",
+        "statically prove or refute spec independence (docs/prover.md)",
+        {
+            "--max-model-size": dict(
+                type=int,
+                default=None,
+                metavar="N",
+                help="max rows per relation in the counterexample search "
+                "(default: the spec file's prover.max_model_size, or 2)",
+            )
+        },
+    ),
+    "prove-sharding": _Prover(
         prove_sharding_file,
-        render_sharding_json,
-        render_sharding_text,
-        sharding_certificate_json,
-        sharding_exit_code,
-    )
+        ".sharding.json",
+        "statically prove or refute sharded-layout soundness "
+        "(docs/integrator.md)",
+        {
+            "--no-lint": dict(
+                action="store_true",
+                help="skip the W01xx concurrency lint over the runtime sources",
+            )
+        },
+    ),
+    "prove-query": _Prover(
+        prove_queries_file,
+        ".query.json",
+        "statically prove or refute warehouse-answerability of "
+        "declared queries (docs/translation.md)",
+    ),
+}
+
+
+def _cmd_prove(args) -> int:
     from repro.analysis.concurrency_lint import lint_concurrency
     from repro.analysis.diagnostics import has_errors, sort_diagnostics
 
-    results = [
-        prove_sharding_file(path, method=args.method) for path in args.files
-    ]
-    findings = (
-        [] if args.no_lint else sort_diagnostics(lint_concurrency())
-    )
+    prover = _PROVERS[args.command]
+    options = {"method": args.method}
+    if "--max-model-size" in prover.flags:
+        options["max_model_size"] = args.max_model_size
+    results = [prover.prove_file(path, **options) for path in args.files]
+    # prove-sharding's rider: the W01xx lint over the runtime sources
+    # (findings stay None for the commands that have no such rider).
+    findings = None
+    if "--no-lint" in prover.flags:
+        findings = [] if args.no_lint else sort_diagnostics(lint_concurrency())
     if args.certificates:
-        directory = Path(args.certificates)
-        directory.mkdir(parents=True, exist_ok=True)
-        for result in results:
-            name = Path(result.path).stem + ".sharding.json"
-            (directory / name).write_text(sharding_certificate_json(result))
+        try:
+            kernel.write_documents(results, args.certificates, prover.suffix)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.format == "json":
-        document = json.loads(render_sharding_json(results, strict=args.strict))
-        document["lint"] = [d.to_dict() for d in findings]
-        document["ok"] = document["ok"] and not has_errors(findings)
-        print(json.dumps(document, indent=1, sort_keys=True))
+        document = kernel.report_document(results, strict=args.strict)
+        if findings is not None:
+            document["lint"] = [d.to_dict() for d in findings]
+            document["ok"] = document["ok"] and not has_errors(findings)
+        print(kernel.document_json(document))
     else:
-        print(render_sharding_text(results, strict=args.strict))
+        print(kernel.render_text(results, strict=args.strict))
         if findings:
             print()
             print("concurrency lint (W01xx):")
             for diagnostic in findings:
                 print("  " + diagnostic.render())
-        elif not args.no_lint:
+        elif findings is not None and not args.no_lint:
             print("concurrency lint (W01xx): clean")
-    code = sharding_exit_code(results, strict=args.strict)
-    if code == 0 and has_errors(findings):
+    code = kernel.exit_code(results, strict=args.strict)
+    if code == 0 and findings and has_errors(findings):
         code = 1
     return code
-
-
-def _cmd_prove_query(args) -> int:
-    from pathlib import Path
-
-    from repro.analysis.query import (
-        prove_queries_file,
-        query_certificate_json,
-        query_exit_code,
-        render_queries_json,
-        render_queries_text,
-    )
-
-    results = [
-        prove_queries_file(path, method=args.method) for path in args.files
-    ]
-    if args.certificates:
-        directory = Path(args.certificates)
-        directory.mkdir(parents=True, exist_ok=True)
-        for result in results:
-            name = Path(result.path).stem + ".query.json"
-            (directory / name).write_text(query_certificate_json(result))
-    if args.format == "json":
-        print(render_queries_json(results, strict=args.strict))
-    else:
-        print(render_queries_text(results, strict=args.strict))
-    return query_exit_code(results, strict=args.strict)
 
 
 def _cmd_compile(args) -> int:
@@ -419,98 +403,32 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="comma-separated diagnostic codes to suppress (repeatable)",
     )
 
-    prove_parser = commands.add_parser(
-        "prove",
-        help="statically prove or refute spec independence (docs/prover.md)",
-    )
-    prove_parser.add_argument("files", nargs="+", help="spec JSON file(s)")
-    prove_parser.add_argument(
-        "--method",
-        choices=("thm22", "prop22", "trivial"),
-        default="thm22",
-        help="complement construction method (default: thm22)",
-    )
-    prove_parser.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
-    prove_parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat UNKNOWN verdicts as failures",
-    )
-    prove_parser.add_argument(
-        "--max-model-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max rows per relation in the counterexample search "
-        "(default: the spec file's prover.max_model_size, or 2)",
-    )
-    prove_parser.add_argument(
-        "--certificates",
-        default=None,
-        metavar="DIR",
-        help="write one certificate JSON per input file into DIR",
-    )
-
-    sharding_parser = commands.add_parser(
-        "prove-sharding",
-        help="statically prove or refute sharded-layout soundness "
-        "(docs/integrator.md)",
-    )
-    sharding_parser.add_argument("files", nargs="+", help="spec JSON file(s)")
-    sharding_parser.add_argument(
-        "--method",
-        choices=("thm22", "prop22", "trivial"),
-        default="thm22",
-        help="complement construction method (default: thm22)",
-    )
-    sharding_parser.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
-    sharding_parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat UNKNOWN verdicts as failures",
-    )
-    sharding_parser.add_argument(
-        "--certificates",
-        default=None,
-        metavar="DIR",
-        help="write one sharding certificate JSON per input file into DIR",
-    )
-    sharding_parser.add_argument(
-        "--no-lint",
-        action="store_true",
-        help="skip the W01xx concurrency lint over the runtime sources",
-    )
-
-    query_parser = commands.add_parser(
-        "prove-query",
-        help="statically prove or refute warehouse-answerability of "
-        "declared queries (docs/translation.md)",
-    )
-    query_parser.add_argument("files", nargs="+", help="spec JSON file(s)")
-    query_parser.add_argument(
-        "--method",
-        choices=("thm22", "prop22", "trivial"),
-        default="thm22",
-        help="complement construction method (default: thm22)",
-    )
-    query_parser.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
-    query_parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat UNKNOWN verdicts as failures (unless expected)",
-    )
-    query_parser.add_argument(
-        "--certificates",
-        default=None,
-        metavar="DIR",
-        help="write one query certificate JSON per input file into DIR",
-    )
+    for command, prover in _PROVERS.items():
+        prove_parser = commands.add_parser(command, help=prover.help)
+        prove_parser.add_argument("files", nargs="+", help="spec JSON file(s)")
+        prove_parser.add_argument(
+            "--method",
+            choices=("thm22", "prop22", "trivial"),
+            default="thm22",
+            help="complement construction method (default: thm22)",
+        )
+        prove_parser.add_argument(
+            "--format", choices=("text", "json"), default="text"
+        )
+        prove_parser.add_argument(
+            "--strict",
+            action="store_true",
+            help="treat UNKNOWN verdicts as failures "
+            '(unless a query pinned "expect": "unknown")',
+        )
+        prove_parser.add_argument(
+            "--certificates",
+            default=None,
+            metavar="DIR",
+            help="write one certificate JSON per input file into DIR",
+        )
+        for flag, spec in prover.flags.items():
+            prove_parser.add_argument(flag, **spec)
 
     compile_parser = commands.add_parser(
         "compile",
@@ -557,8 +475,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "spec": _cmd_spec,
         "lint": _cmd_lint,
         "prove": _cmd_prove,
-        "prove-sharding": _cmd_prove_sharding,
-        "prove-query": _cmd_prove_query,
+        "prove-sharding": _cmd_prove,
+        "prove-query": _cmd_prove,
         "compile": _cmd_compile,
         "tpcd": _cmd_tpcd,
         "obs": _cmd_obs,

@@ -7,7 +7,6 @@ address of a node is its **path**: the sequence of child indices from the
 root. This module provides the shared traversal and formatting helpers:
 
 * :func:`walk_with_path` — pre-order traversal yielding ``(path, node)``;
-* :func:`node_at` — resolve a path back to its node;
 * :func:`format_path` — render a path with the operator slot names
   (``left``/``right``/``child``), e.g. ``root.left.child``.
 
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 from typing import Iterator, List, Tuple
 
-from repro.errors import ExpressionError
 from repro.algebra.expressions import (
     Difference,
     Expression,
@@ -56,19 +54,6 @@ def walk_with_path(expression: Expression) -> Iterator[Tuple[Path, Expression]]:
         children = node.children()
         for index in range(len(children) - 1, -1, -1):
             stack.append((path + (index,), children[index]))
-
-
-def node_at(expression: Expression, path: Path) -> Expression:
-    """The node addressed by ``path`` (as produced by :func:`walk_with_path`)."""
-    node = expression
-    for index in path:
-        children = node.children()
-        if index >= len(children):
-            raise ExpressionError(
-                f"path {path} does not address a node of {expression}"
-            )
-        node = children[index]
-    return node
 
 
 def format_path(expression: Expression, path: Path) -> str:

@@ -13,9 +13,14 @@ decides those preconditions *statically*, before any data flows:
 * :mod:`~repro.analysis.satisfiability` — static condition analysis;
 * :mod:`~repro.analysis.report` / :mod:`~repro.analysis.specfile` — the
   ``python -m repro lint`` engine and its JSON spec-file format;
+* :mod:`~repro.analysis.kernel` — the certificate kernel under the three
+  provers: verdict vocabulary, the bounded determinacy search and its
+  shrinker, the certificate-validation scaffold, and the one result
+  presentation (:func:`exit_code`, text, JSON) behind ``prove``,
+  ``prove-sharding`` and ``prove-query``;
 * :mod:`~repro.analysis.prover` — the ``python -m repro prove`` decision
-  layer: symbolic inversion certificates, bounded counterexample search
-  (:mod:`~repro.analysis.counterexample`), and the plan-dataflow analysis
+  layer: symbolic inversion certificates, bounded counterexample search,
+  and the plan-dataflow analysis
   (:mod:`~repro.analysis.dataflow`) with its ``REPRO_CHECK_INVARIANTS``
   runtime sanitizer;
 * :mod:`~repro.analysis.query` — the ``python -m repro prove-query``
@@ -28,6 +33,11 @@ The diagnostic catalog is documented in ``docs/lint.md``; every code has a
 stable meaning, a paper reference, and a triggering test.
 """
 
+# repro.core's package import reaches repro.analysis.concurrency (through
+# core.sharding) and, from there, most of this package: run it first,
+# while no module below is half-imported.
+import repro.core  # noqa: F401
+
 from repro.analysis.diagnostics import (
     CATALOG,
     Diagnostic,
@@ -35,15 +45,9 @@ from repro.analysis.diagnostics import (
     SourceSpan,
     filter_ignored,
     has_errors,
-    max_severity,
     sort_diagnostics,
 )
-from repro.analysis.counterexample import (
-    SearchOutcome,
-    Witness,
-    search_counterexample,
-    verify_witness,
-)
+from repro.analysis.kernel import SearchOutcome, Witness
 from repro.analysis.dataflow import (
     DataflowReport,
     UpdateShape,
@@ -58,9 +62,10 @@ from repro.analysis.prover import (
     ProofResult,
     build_certificate,
     check_certificate,
-    prove_exit_code,
     prove_file,
     prove_target,
+    search_counterexample,
+    verify_witness,
 )
 from repro.analysis.query import (
     CostEstimate,
@@ -74,7 +79,6 @@ from repro.analysis.query import (
     prove_queries_file,
     prove_queries_target,
     queries_enabled,
-    query_exit_code,
     search_query_counterexample,
     verify_query_witness,
 )
@@ -135,15 +139,12 @@ __all__ = [
     "lint_spec",
     "lint_views",
     "load_target",
-    "max_severity",
-    "prove_exit_code",
     "prove_file",
     "prove_queries_file",
     "prove_queries_target",
     "prove_target",
     "psj_parts",
     "queries_enabled",
-    "query_exit_code",
     "render_json",
     "render_text",
     "sanitizer_enabled",

@@ -43,9 +43,8 @@ certificates hashed with the same canonical digest as the PR-7 plan cache
   ``REPRO_CHECK_RACES=1`` sanitizer (:mod:`repro.analysis.races`)
   cross-checks at runtime.
 
-Certificates are digest-compatible with the compiled-plan cache:
-:func:`sharding_certificate_digest` is the same function as
-:func:`repro.compiler.certificate.certificate_digest`, and
+Certificates are digest-compatible with the compiled-plan cache: both
+hash with :func:`repro.analysis.digest.canonical_digest`, and
 :meth:`repro.core.sharding.ShardedWarehouse.recertify` evicts compiled
 plans whenever the sharding digest changes — a refuted commutativity claim
 therefore invalidates every compiled refresh closure.
@@ -54,7 +53,6 @@ therefore invalidates every compiled refresh closure.
 from __future__ import annotations
 
 import itertools
-import json
 from typing import (
     Dict,
     FrozenSet,
@@ -81,53 +79,42 @@ from repro.algebra.expressions import (
     Select,
     Union,
 )
-from repro.algebra.parser import parse
 from repro.schema.catalog import Catalog
 from repro.storage.relation import Relation
 from repro.core.complement import WarehouseSpec, specify
 from repro.core.maintenance import maintenance_expressions
 from repro.core.routing import ShardRouting
 from repro.analysis.dataflow import KINDS, UpdateShape
-from repro.analysis.digest import canonical_digest
+from repro.analysis.kernel import (
+    CERTIFICATE_VERSION,
+    PROVED,
+    REFUTED,
+    UNKNOWN,
+    UNSHARDED,
+    Reader,
+    Rows,
+    State,
+    Verdict,
+    _json_rows,
+    _row_key,
+    _sorted_rows,
+    evidence,
+    load_or_error,
+    met,
+    replay_states,
+    tally,
+)
 from repro.analysis.report import display_path
-from repro.analysis.specfile import LintTarget, RoutingSpec, load_target
-
-SHARDING_CERTIFICATE_VERSION = 1
-
-PROVED = "PROVED"
-REFUTED = "REFUTED"
-UNKNOWN = "UNKNOWN"
-#: Spec files without a ``"sharding"`` section: nothing to decide.
-UNSHARDED = "UNSHARDED"
+from repro.analysis.specfile import LintTarget, RoutingSpec
 
 # How a warehouse relation's global image assembles from its shard images.
 ASSEMBLE_REPLICATED = "replicated"  # independent of routed facts: any shard
 ASSEMBLE_UNION = "union"  # E(∪ᵢRᵢ) = ∪ᵢ E(Rᵢ)
 ASSEMBLE_INTERSECT = "intersect"  # E(∪ᵢRᵢ) = ∩ᵢ E(Rᵢ)
 
-_REPLAY_SEEDS = (0, 1, 2)
-_REPLAY_ROWS = 12
-_REPLAY_DOMAIN = 8
 _SEARCH_BUDGET = 5000
 
-Rows = Tuple[Tuple[object, ...], ...]
 Scope = Mapping[str, Tuple[str, ...]]
-
-
-def _sort_key(value: object) -> Tuple[str, str]:
-    return (type(value).__name__, repr(value))
-
-
-def _row_key(row: Tuple[object, ...]) -> Tuple[Tuple[str, str], ...]:
-    return tuple(_sort_key(value) for value in row)
-
-
-def _sorted_rows(rows: Iterable[Tuple[object, ...]]) -> Rows:
-    return tuple(sorted(rows, key=_row_key))
-
-
-def _json_rows(rows: Iterable[Tuple[object, ...]]) -> List[List[object]]:
-    return [list(row) for row in _sorted_rows(rows)]
 
 
 # ----------------------------------------------------------------------
@@ -980,17 +967,6 @@ def verify_sharding_witness(
 # ----------------------------------------------------------------------
 
 
-def sharding_certificate_digest(document: Mapping[str, object]) -> str:
-    """SHA-256 over the canonical JSON form — the plan-cache digest.
-
-    Identical to :func:`repro.compiler.certificate.certificate_digest`
-    (both delegate to :func:`repro.analysis.digest.canonical_digest`), so
-    sharding certificates and compiled-plan cache keys are
-    digest-compatible by construction.
-    """
-    return canonical_digest(document)
-
-
 def _plan_cache_key(spec: WarehouseSpec) -> Optional[str]:
     """The compiled-plan cache digest this layout composes with, if any."""
     from repro.compiler.certificate import certify
@@ -1024,7 +1000,7 @@ def build_sharding_certificate(
         for name in sorted(spec.warehouse_names())
     }
     return {
-        "version": SHARDING_CERTIFICATE_VERSION,
+        "version": CERTIFICATE_VERSION,
         "kind": "sharding",
         "shards": shard_count,
         "routings": [routings[name].to_dict() for name in sorted(routings)],
@@ -1057,24 +1033,40 @@ def build_sharding_certificate(
     }
 
 
-def _parse_certificate_routings(
-    certificate: Mapping[str, object]
-) -> Dict[str, ShardRouting]:
+def _routing_problems(
+    catalog: Catalog, routings: Mapping[str, ShardRouting]
+) -> List[str]:
+    """Routings must name catalog relations and route on their attributes."""
+    problems: List[str] = []
+    for name, routing in routings.items():
+        if name not in catalog:
+            problems.append(f"routed relation {name!r} not in catalog")
+        elif routing.attribute not in catalog[name].attributes:
+            problems.append(
+                f"routing attribute {routing.attribute!r} is not an "
+                f"attribute of {name!r}"
+            )
+    return problems
+
+
+def _parse_certificate_routings(reader: Reader) -> Dict[str, ShardRouting]:
     routings: Dict[str, ShardRouting] = {}
-    raw = certificate.get("routings")
-    if not isinstance(raw, Sequence) or isinstance(raw, str):
-        raise WarehouseError("certificate 'routings' is not a list")
-    for entry in raw:
+    for entry in reader.sequence("routings"):
         if not isinstance(entry, Mapping):
-            raise WarehouseError(f"malformed routing entry {entry!r}")
+            reader.problems.append(f"malformed routing entry {entry!r}")
+            continue
         boundaries = entry.get("boundaries")
         shards = entry.get("shards")
-        routing = ShardRouting(
-            str(entry.get("relation")),
-            str(entry.get("attribute")),
-            boundaries=list(boundaries) if isinstance(boundaries, Sequence) and not isinstance(boundaries, str) else None,
-            shards=int(shards) if isinstance(shards, int) else None,
-        )
+        try:
+            routing = ShardRouting(
+                str(entry.get("relation")),
+                str(entry.get("attribute")),
+                boundaries=list(boundaries) if isinstance(boundaries, list) else None,
+                shards=shards if isinstance(shards, int) else None,
+            )
+        except WarehouseError as exc:
+            reader.problems.append(f"certificate failed to parse back: {exc}")
+            continue
         routings[routing.relation] = routing
     return routings
 
@@ -1084,49 +1076,41 @@ def check_sharding_certificate(
 ) -> List[str]:
     """Independently validate a sharding certificate; returns problems.
 
-    Structural checks: routings parse back, name catalog relations, and
-    route on declared attributes; the recorded assembly modes and
-    co-partitioned groups match a fresh classification of the re-parsed
-    warehouse mapping. Numeric replay: for several seeded random
-    constraint-satisfying databases, the global image of every warehouse
-    relation must equal its recorded assembly of the per-shard images.
-    Commutativity facts replay too: disjoint pairs must really be
-    disjoint, refuted pairs' interleaving witnesses must diverge.
+    Structural checks: routings parse back, name catalog relations, route
+    on declared attributes and agree with the recorded shard count; the
+    recorded assembly modes and co-partitioned groups match a fresh
+    classification of the re-parsed warehouse mapping. Numeric replay:
+    for several seeded random constraint-satisfying databases, the global
+    image of every warehouse relation must equal its recorded assembly of
+    the per-shard images. Commutativity facts replay too: disjoint pairs
+    must really be disjoint, refuted pairs' interleaving witnesses must
+    diverge.
     """
-    from repro.workloads.generator import random_database
-
     problems: List[str] = []
-    warehouse_raw = certificate.get("warehouse")
-    if not isinstance(warehouse_raw, Mapping):
-        return ["certificate lacks a 'warehouse' section"]
-    try:
-        definitions = {
-            str(name): parse(str(text)) for name, text in warehouse_raw.items()
-        }
-        routings = _parse_certificate_routings(certificate)
-    except ReproError as exc:
-        return [f"certificate failed to parse back: {exc}"]
+    reader = Reader(certificate, problems)
+    definitions = reader.expressions("warehouse")
+    routings = _parse_certificate_routings(reader)
+    if problems:
+        return problems
 
-    scope: Dict[str, Tuple[str, ...]] = {
-        schema.name: tuple(schema.attributes) for schema in catalog.schemas()
-    }
+    shards = certificate.get("shards")
+    if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
+        return [f"certificate 'shards' is not a positive integer: {shards!r}"]
+    problems.extend(_routing_problems(catalog, routings))
     for name, routing in routings.items():
-        if name not in catalog:
-            problems.append(f"routed relation {name!r} not in catalog")
-        elif routing.attribute not in scope[name]:
+        if routing.shards != shards:
             problems.append(
-                f"routing attribute {routing.attribute!r} is not an "
-                f"attribute of {name!r}"
+                f"routing of {name!r} maps onto {routing.shards} shard(s), "
+                f"the certificate records {shards}"
             )
     if problems:
         return problems
 
-    assembly_raw = certificate.get("assembly")
-    assembly: Dict[str, str] = (
-        {str(k): str(v) for k, v in assembly_raw.items()}
-        if isinstance(assembly_raw, Mapping)
-        else {}
-    )
+    assembly = {
+        name: str(mode)
+        for name, mode in reader.mapping("assembly", optional=True).items()
+    }
+    scope = {schema.name: schema.attributes for schema in catalog.schemas()}
     try:
         report = classify_assembly(definitions, scope, routings)
     except UnshardableError as exc:
@@ -1137,69 +1121,55 @@ def check_sharding_certificate(
                 f"recorded assembly of {name!r} is {assembly.get(name)!r}, "
                 f"re-derived {mode!r}"
             )
-    recorded_groups = certificate.get("co_partitioned")
+    recorded_groups = [
+        list(group) if isinstance(group, (list, tuple)) else group
+        for group in reader.sequence("co_partitioned", optional=True)
+    ]
     derived_groups = [list(group) for group in report.co_partitioned]
-    if sorted(map(tuple, recorded_groups or [])) != sorted(  # type: ignore[arg-type]
-        map(tuple, derived_groups)
+    if len(recorded_groups) != len(derived_groups) or any(
+        group not in recorded_groups for group in derived_groups
     ):
         problems.append(
             f"recorded co-partitioned groups {recorded_groups!r} do not "
             f"match re-derived {derived_groups!r}"
         )
 
-    commutativity = certificate.get("commutativity")
-    if isinstance(commutativity, Mapping):
-        sources = commutativity.get("sources")
-        pairs = commutativity.get("pairs")
-        if isinstance(pairs, Sequence):
-            for entry in pairs:
-                if not isinstance(entry, Mapping):
-                    problems.append(f"malformed commutativity pair {entry!r}")
-                    continue
-                verdict = entry.get("verdict")
-                shared = entry.get("shared")
-                if verdict == "commute":
-                    if shared:
-                        problems.append(
-                            f"pair {entry.get('pair')!r} claims commutativity "
-                            f"but shares relation(s) {shared!r}"
-                        )
-                elif verdict == "refuted":
-                    witness_raw = entry.get("witness")
-                    if not isinstance(witness_raw, Mapping):
-                        problems.append(
-                            f"refuted pair {entry.get('pair')!r} has no witness"
-                        )
-                        continue
-                    problems.extend(_check_interleaving(witness_raw))
-        if isinstance(sources, Mapping):
-            for name, owned in sources.items():
-                unknown = [
-                    rel for rel in owned  # type: ignore[union-attr]
-                    if str(rel) not in catalog
-                ]
-                if unknown:
-                    problems.append(
-                        f"source {name!r} owns unknown relation(s) {unknown}"
-                    )
+    commutativity = Reader(
+        reader.mapping("commutativity", optional=True), problems, "commutativity"
+    )
+    for entry in commutativity.sequence("pairs", optional=True):
+        if not isinstance(entry, Mapping):
+            problems.append(f"malformed commutativity pair {entry!r}")
+            continue
+        verdict = entry.get("verdict")
+        if verdict == "commute":
+            if entry.get("shared"):
+                problems.append(
+                    f"pair {entry.get('pair')!r} claims commutativity "
+                    f"but shares relation(s) {entry.get('shared')!r}"
+                )
+        elif verdict == "refuted":
+            witness_raw = entry.get("witness")
+            if not isinstance(witness_raw, Mapping):
+                problems.append(
+                    f"refuted pair {entry.get('pair')!r} has no witness"
+                )
+                continue
+            problems.extend(_check_interleaving(witness_raw))
+    sources = Reader(
+        commutativity.mapping("sources", optional=True), problems, "source"
+    )
+    for name in sources.document:
+        unknown = [rel for rel in sources.sequence(name) if str(rel) not in catalog]
+        if unknown:
+            problems.append(f"source {name!r} owns unknown relation(s) {unknown}")
     if problems:
         return problems
 
-    # Numeric replay: on random constraint-satisfying states, every
-    # warehouse relation's recorded assembly must rebuild the global image.
-    shards_raw = certificate.get("shards")
-    shards = int(shards_raw) if isinstance(shards_raw, int) else 1
-    for seed in _REPLAY_SEEDS:
-        state = random_database(
-            seed, catalog, rows_per_relation=_REPLAY_ROWS, domain_size=_REPLAY_DOMAIN
-        ).state()
-        try:
-            global_images = evaluate_all(definitions, state)
-            slices = _slice_state(state, routings, shards)
-            shard_images = [evaluate_all(definitions, part) for part in slices]
-        except (ReproError, WarehouseError) as exc:
-            problems.append(f"replay (seed {seed}) failed: {exc}")
-            continue
+    def assembles(state: State, image: State) -> Iterable[str]:
+        # Every relation's recorded assembly must rebuild the global image.
+        slices = _slice_state(state, routings, shards)
+        shard_images = [evaluate_all(definitions, part) for part in slices]
         for name in sorted(definitions):
             mode = assembly.get(name, ASSEMBLE_REPLICATED)
             images = [img[name] for img in shard_images]
@@ -1209,38 +1179,38 @@ def check_sharding_certificate(
                 assembled = _intersect_rows(images)
             else:
                 assembled = images[0]
-            if assembled != global_images[name]:
-                problems.append(
-                    f"replay (seed {seed}): {mode} assembly of {name!r} does "
-                    "not match the global image"
-                )
-    return problems
+            if assembled != image[name]:
+                yield f"{mode} assembly of {name!r} does not match the global image"
+
+    return replay_states(catalog, definitions, assembles)
 
 
 def _check_interleaving(witness: Mapping[str, object]) -> List[str]:
     """Re-run a serialized interleaving witness; must diverge as recorded."""
-    try:
-        first = witness.get("first")
-        second = witness.get("second")
-        assert isinstance(first, Mapping) and isinstance(second, Mapping)
-        rebuilt = InterleavingWitness(
-            relation=str(witness.get("relation")),
-            attributes=tuple(
-                str(a) for a in witness.get("attributes", ())  # type: ignore[union-attr]
-            ),
-            start=tuple(tuple(row) for row in witness.get("start", ())),  # type: ignore[union-attr]
-            first_inserts=tuple(tuple(r) for r in first.get("inserts", ())),
-            first_deletes=tuple(tuple(r) for r in first.get("deletes", ())),
-            second_inserts=tuple(tuple(r) for r in second.get("inserts", ())),
-            second_deletes=tuple(tuple(r) for r in second.get("deletes", ())),
-            first_then_second=tuple(
-                tuple(row) for row in witness.get("first_then_second", ())  # type: ignore[union-attr]
-            ),
-            second_then_first=tuple(
-                tuple(row) for row in witness.get("second_then_first", ())  # type: ignore[union-attr]
-            ),
-        )
-    except (TypeError, AssertionError):
+    malformed: List[str] = []
+    top = Reader(witness, malformed, "witness")
+
+    def rows(reader: Reader, key: str) -> Rows:
+        listed = reader.sequence(key, optional=True)
+        found = [tuple(row) for row in listed if isinstance(row, (list, tuple))]
+        if len(found) != len(listed):
+            malformed.append(f"witness {key!r} holds a non-row")
+        return tuple(found)
+
+    first = Reader(top.mapping("first"), malformed, "witness")
+    second = Reader(top.mapping("second"), malformed, "witness")
+    rebuilt = InterleavingWitness(
+        relation=str(witness.get("relation")),
+        attributes=tuple(str(a) for a in top.sequence("attributes", optional=True)),
+        start=rows(top, "start"),
+        first_inserts=rows(first, "inserts"),
+        first_deletes=rows(first, "deletes"),
+        second_inserts=rows(second, "inserts"),
+        second_deletes=rows(second, "deletes"),
+        first_then_second=rows(top, "first_then_second"),
+        second_then_first=rows(top, "second_then_first"),
+    )
+    if malformed:
         return [f"malformed interleaving witness {witness!r}"]
     one, other = replay_interleaving(rebuilt)
     problems: List[str] = []
@@ -1274,31 +1244,35 @@ class ShardingProofResult(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        """Whether the verdict matches the spec's declared expectation."""
-        if self.error is not None:
-            return False
-        if self.verdict == UNSHARDED:
-            return True
-        return self.verdict.lower() == self.expect
+        """Whether the verdict matches the spec's declared expectation.
+
+        Unsharded files always do: there is nothing to decide.
+        """
+        return met(self)
+
+    def verdicts(self) -> Sequence[Verdict]:
+        """A spec-level result is its own one decided question."""
+        return (self,)
+
+    def counts(self) -> Dict[str, int]:
+        """Verdict counts for summaries."""
+        return tally([self.verdict], UNSHARDED)
+
+    def line(self) -> str:
+        """The one-line text form."""
+        return f"{display_path(self.path)}: {self.verdict} — {self.detail}"
 
     def document(self) -> Dict[str, object]:
         """The per-file JSON document (written as the certificate artifact)."""
-        out: Dict[str, object] = {
-            "version": SHARDING_CERTIFICATE_VERSION,
-            "kind": "sharding",
-            "spec": display_path(self.path),
-            "verdict": self.verdict,
-            "expect": self.expect,
-            "detail": self.detail,
-        }
-        if self.certificate is not None:
-            out["certificate"] = self.certificate
-            out["digest"] = sharding_certificate_digest(self.certificate)
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.error is not None:
-            out["error"] = self.error
-        return out
+        return dict(
+            version=CERTIFICATE_VERSION,
+            kind="sharding",
+            spec=display_path(self.path),
+            verdict=self.verdict,
+            expect=self.expect,
+            detail=self.detail,
+            **evidence(self),
+        )
 
 
 def _routings_from_specs(
@@ -1334,30 +1308,21 @@ def prove_sharding_target(
         return ShardingProofResult(
             target.path, UNSHARDED, "no sharding section; nothing to decide"
         )
+
+    def invalid(error: str) -> ShardingProofResult:
+        return ShardingProofResult(
+            target.path, UNKNOWN, "routing configuration is invalid",
+            expect=expect, error=error,
+        )
+
+    catalog = target.catalog
     try:
         routings = _routings_from_specs(options.routings)
     except WarehouseError as exc:
-        return ShardingProofResult(
-            target.path, UNKNOWN, "routing configuration is invalid",
-            expect=expect, error=str(exc),
-        )
-    catalog = target.catalog
-    for name, routing in routings.items():
-        if name not in catalog:
-            return ShardingProofResult(
-                target.path, UNKNOWN, "routing configuration is invalid",
-                expect=expect,
-                error=f"routed relation {name!r} not in catalog",
-            )
-        if routing.attribute not in catalog[name].attributes:
-            return ShardingProofResult(
-                target.path, UNKNOWN, "routing configuration is invalid",
-                expect=expect,
-                error=(
-                    f"routing attribute {routing.attribute!r} is not an "
-                    f"attribute of {name!r}"
-                ),
-            )
+        return invalid(str(exc))
+    misrouted = _routing_problems(catalog, routings)
+    if misrouted:
+        return invalid(misrouted[0])
     try:
         spec = specify(catalog, target.views, method=method)
     except ReproError as exc:
@@ -1380,11 +1345,7 @@ def prove_sharding_target(
         }
     )
     if unknown_owned:
-        return ShardingProofResult(
-            target.path, UNKNOWN, "routing configuration is invalid",
-            expect=expect,
-            error=f"sharding.sources owns unknown relation(s) {unknown_owned}",
-        )
+        return invalid(f"sharding.sources owns unknown relation(s) {unknown_owned}")
     commutativity = decide_source_commutativity(catalog, ownership)
     refuted_pairs = [result for result in commutativity if not result.commutes]
 
@@ -1446,89 +1407,9 @@ def prove_sharding_target(
 
 def prove_sharding_file(path: str, method: str = "thm22") -> ShardingProofResult:
     """Load and decide one spec file; load failures become error results."""
-    try:
-        target = load_target(path)
-    except (OSError, ValueError, ReproError) as exc:
+    target = load_or_error(path)
+    if isinstance(target, str):
         return ShardingProofResult(
-            path, UNKNOWN, "spec file could not be loaded", error=str(exc)
+            path, UNKNOWN, "spec file could not be loaded", error=target
         )
     return prove_sharding_target(target, method=method)
-
-
-# ----------------------------------------------------------------------
-# Rendering and exit codes
-# ----------------------------------------------------------------------
-
-
-def sharding_exit_code(
-    results: Sequence[ShardingProofResult], strict: bool = False
-) -> int:
-    """Process verdict: 0 all expectations met, 1 mismatch, 2 load error.
-
-    Unsharded files always pass (there is nothing to decide). Without
-    ``strict``, an UNKNOWN verdict fails only when the spec expected
-    ``refuted``; with ``strict`` every UNKNOWN fails — CI requires a
-    decisive verdict for every shipped sharded spec.
-    """
-    if any(result.error is not None for result in results):
-        return 2
-    for result in results:
-        if result.verdict == UNSHARDED:
-            continue
-        if result.verdict == UNKNOWN:
-            if strict or result.expect == "refuted":
-                return 1
-        elif not result.ok:
-            return 1
-    return 0
-
-
-def render_sharding_text(
-    results: Sequence[ShardingProofResult], strict: bool = False
-) -> str:
-    """Human-readable rendering for ``--format text``."""
-    lines: List[str] = []
-    for result in results:
-        status = "" if result.ok else "  [unexpected]"
-        if result.verdict == UNKNOWN and not strict and result.expect != "refuted":
-            status = ""
-        lines.append(
-            f"{display_path(result.path)}: {result.verdict} — {result.detail}{status}"
-        )
-        if result.error is not None:
-            lines.append(f"  error: {result.error}")
-    code = sharding_exit_code(results, strict=strict)
-    verdicts = [result.verdict for result in results]
-    lines.append(
-        f"{'FAIL' if code else 'OK'}: {len(results)} file(s), "
-        f"{verdicts.count(PROVED)} proved, {verdicts.count(REFUTED)} refuted, "
-        f"{verdicts.count(UNKNOWN)} unknown, "
-        f"{verdicts.count(UNSHARDED)} unsharded"
-    )
-    return "\n".join(lines)
-
-
-def render_sharding_json(
-    results: Sequence[ShardingProofResult], strict: bool = False
-) -> str:
-    """Machine-readable rendering for ``--format json`` (the CI artifact)."""
-    document = {
-        "version": SHARDING_CERTIFICATE_VERSION,
-        "kind": "sharding",
-        "strict": strict,
-        "ok": sharding_exit_code(results, strict=strict) == 0,
-        "summary": {
-            "files": len(results),
-            "proved": sum(1 for r in results if r.verdict == PROVED),
-            "refuted": sum(1 for r in results if r.verdict == REFUTED),
-            "unknown": sum(1 for r in results if r.verdict == UNKNOWN),
-            "unsharded": sum(1 for r in results if r.verdict == UNSHARDED),
-        },
-        "results": [result.document() for result in results],
-    }
-    return json.dumps(document, indent=1, sort_keys=True)
-
-
-def sharding_certificate_json(result: ShardingProofResult) -> str:
-    """One result's certificate document as deterministic JSON text."""
-    return json.dumps(result.document(), indent=1, sort_keys=True) + "\n"

@@ -347,13 +347,6 @@ def make(
     )
 
 
-def max_severity(diagnostics: Sequence[Diagnostic]) -> Optional[Severity]:
-    """The highest severity present, or ``None`` for an empty list."""
-    if not diagnostics:
-        return None
-    return max(d.severity for d in diagnostics)
-
-
 def has_errors(diagnostics: Sequence[Diagnostic]) -> bool:
     """Whether any diagnostic is an :data:`Severity.ERROR`."""
     return any(d.severity is Severity.ERROR for d in diagnostics)

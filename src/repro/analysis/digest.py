@@ -1,12 +1,13 @@
 """Canonical JSON digests shared by every certificate consumer.
 
-Both the plan compiler's certificate cache key
-(:func:`repro.compiler.certificate.certificate_digest`) and the sharding
-prover's certificates (:mod:`repro.analysis.concurrency`) hash their
+The plan compiler's certificate cache key
+(:func:`repro.compiler.certificate.certify`), the translated-plan cache key
+(:func:`repro.core.translation.translation_digest`) and the provers'
+certificate documents (:func:`repro.analysis.kernel.evidence`) hash their
 evidence the same way: SHA-256 over the *canonical* JSON form — sorted
 keys, minimal separators — so a digest is insensitive to dict ordering
 and whitespace but changes whenever any recorded fact changes. Keeping
-the function in one leaf module guarantees the two caches stay
+the function in one import-cycle-free leaf module guarantees they stay
 digest-compatible: a sharding certificate and a plan-cache key computed
 from the same document are byte-identical.
 """

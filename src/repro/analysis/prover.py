@@ -16,9 +16,10 @@ emits evidence either way:
   differential suite (``tests/differential/test_certificates.py``) replays
   each shipped golden certificate the same way in CI.
 * **REFUTED** — no proof exists and the bounded small-model search
-  (:mod:`repro.analysis.counterexample`) found two distinct source
-  databases with identical warehouse images — an injectivity violation per
-  Proposition 2.1, shrunk to a minimal pair.
+  (:func:`search_counterexample`: the certificate kernel's determinacy
+  search, :mod:`repro.analysis.kernel`, observing the state itself) found
+  two distinct source databases with identical warehouse images — an
+  injectivity violation per Proposition 2.1, shrunk to a minimal pair.
 * **UNKNOWN** — neither: the sufficient conditions did not apply and the
   bounded search found no collision. The prover is sound, not complete.
 
@@ -34,44 +35,56 @@ must read — empty everywhere iff the spec is update-independent
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ReproError
 from repro.algebra.evaluator import evaluate_all
 from repro.algebra.expressions import Expression
-from repro.algebra.parser import parse
 from repro.schema.catalog import Catalog
-from repro.views.psj import View
 from repro.core.complement import (
     WarehouseSpec,
     provably_empty_complements,
     specify,
 )
 from repro.core.covers import enumerate_covers, ind_key_views
-from repro.analysis.counterexample import (
-    SearchOutcome,
-    Witness,
-    search_counterexample,
-    verify_witness,
-)
 from repro.analysis.dataflow import (
     DataflowReport,
     spec_read_sets,
     views_only_read_sets,
 )
+from repro.analysis.kernel import (
+    CERTIFICATE_VERSION,
+    DEFAULT_DOMAIN_SIZE,
+    DEFAULT_MAX_MODEL_SIZE,
+    DEFAULT_MAX_STATES,
+    PROVED,
+    REFUTED,
+    UNKNOWN,
+    Observe,
+    Reader,
+    SearchOutcome,
+    State,
+    Verdict,
+    Witness,
+    evidence,
+    load_or_error,
+    met,
+    replay_states,
+    search,
+    tally,
+    witness_problems,
+)
 from repro.analysis.report import display_path
-from repro.analysis.specfile import LintTarget, ProverOptions, load_target
-
-CERTIFICATE_VERSION = 1
-
-PROVED = "PROVED"
-REFUTED = "REFUTED"
-UNKNOWN = "UNKNOWN"
-
-_REPLAY_SEEDS = (0, 1, 2)
-_REPLAY_ROWS = 12
-_REPLAY_DOMAIN = 8
+from repro.analysis.specfile import LintTarget
 
 
 class ProofResult(NamedTuple):
@@ -90,28 +103,109 @@ class ProofResult(NamedTuple):
     @property
     def ok(self) -> bool:
         """Whether the verdict matches the spec's declared expectation."""
-        if self.error is not None:
-            return False
-        return self.verdict.lower() == self.expect
+        return met(self)
+
+    def verdicts(self) -> Sequence[Verdict]:
+        """A spec-level result is its own one decided question."""
+        return (self,)
+
+    def counts(self) -> Dict[str, int]:
+        """Verdict counts for summaries."""
+        return tally([self.verdict])
+
+    def line(self) -> str:
+        """The one-line text form."""
+        return (
+            f"{display_path(self.path)}: {self.verdict} "
+            f"({self.mode}, {self.method}) — {self.detail}"
+        )
 
     def document(self) -> Dict[str, object]:
         """The per-file JSON document (written as the certificate artifact)."""
-        out: Dict[str, object] = {
-            "version": CERTIFICATE_VERSION,
-            "spec": display_path(self.path),
-            "verdict": self.verdict,
-            "mode": self.mode,
-            "method": self.method,
-            "expect": self.expect,
-            "detail": self.detail,
-        }
-        if self.certificate is not None:
-            out["certificate"] = self.certificate
-        if self.witness is not None:
-            out["witness"] = self.witness.to_dict()
-        if self.error is not None:
-            out["error"] = self.error
-        return out
+        return dict(
+            version=CERTIFICATE_VERSION,
+            spec=display_path(self.path),
+            verdict=self.verdict,
+            mode=self.mode,
+            method=self.method,
+            expect=self.expect,
+            detail=self.detail,
+            **evidence(self, digest=False),
+        )
+
+
+# ----------------------------------------------------------------------
+# Refuting: Proposition 2.1's injectivity search
+# ----------------------------------------------------------------------
+
+
+def observe_state(catalog: Catalog) -> Observe:
+    """Observe the source state itself — Proposition 2.1's question."""
+    relations = catalog.relation_names()
+
+    def observe(state: State, image: State) -> object:
+        return tuple(frozenset(state[name].rows) for name in relations)
+
+    return observe
+
+
+def verify_witness(
+    catalog: Catalog,
+    definitions: Mapping[str, Expression],
+    witness: Witness,
+) -> List[str]:
+    """Independently check a witness; returns problem descriptions.
+
+    A valid witness has (i) two constraint-satisfying states that (ii)
+    produce identical images under every definition in ``definitions``
+    yet (iii) differ on some base relation. Empty result = genuine
+    counterexample to injectivity (Proposition 2.1).
+    """
+    return witness_problems(
+        catalog,
+        definitions,
+        observe_state(catalog),
+        witness,
+        same="the two states are identical",
+    )
+
+
+def search_counterexample(
+    catalog: Catalog,
+    definitions: Mapping[str, Expression],
+    max_model_size: int = DEFAULT_MAX_MODEL_SIZE,
+    domain_size: int = DEFAULT_DOMAIN_SIZE,
+    max_states: int = DEFAULT_MAX_STATES,
+) -> SearchOutcome:
+    """Search for two distinct states with equal images under ``definitions``.
+
+    The kernel's determinacy search (:func:`repro.analysis.kernel.search`)
+    observing the state itself: the first image collision between distinct
+    states is shrunk to a minimal pair. Deterministic — same catalog and
+    definitions, same witness — so refuted certificates can be pinned as
+    golden files.
+
+    Examples
+    --------
+    A lossy projection is not injective — one row suffices to show it:
+
+    >>> from repro.schema import Catalog
+    >>> from repro.algebra.parser import parse
+    >>> catalog = Catalog()
+    >>> _ = catalog.relation("Emp", ("clerk", "age"))
+    >>> outcome = search_counterexample(catalog, {"V": parse("pi[clerk](Emp)")})
+    >>> outcome.witness.max_rows_per_relation()
+    1
+    """
+    return search(
+        catalog,
+        definitions,
+        observe_state(catalog),
+        definitions,
+        max_model_size=max_model_size,
+        domain_size=domain_size,
+        max_states=max_states,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -235,31 +329,23 @@ def check_certificate(
     An empty result means the certificate stands on its own: nothing here
     consults the spec object that produced it.
     """
-    from repro.workloads.generator import random_database
-
     problems: List[str] = []
-    warehouse_raw = certificate.get("warehouse")
-    inversion_raw = certificate.get("inversion")
-    if not isinstance(warehouse_raw, Mapping) or not isinstance(
-        inversion_raw, Mapping
-    ):
-        return ["certificate lacks 'warehouse'/'inversion' sections"]
+    reader = Reader(certificate, problems)
+    definitions = reader.expressions("warehouse")
+    inverses: Dict[str, Expression] = {}
+    for relation, entry in reader.mapping("inversion").items():
+        if not isinstance(entry, Mapping):
+            problems.append(f"inversion of {relation!r} is not an object")
+            continue
+        where = f"inversion of {relation!r}"
+        expression = Reader(entry, problems, where).expression("expression")
+        if expression is not None:
+            inverses[relation] = expression
+    if problems:
+        return problems
 
     sources = frozenset(catalog.relation_names())
-    warehouse_names = frozenset(str(name) for name in warehouse_raw)
-    definitions: Dict[str, Expression] = {}
-    inverses: Dict[str, Expression] = {}
-    try:
-        for name, text in warehouse_raw.items():
-            definitions[str(name)] = parse(str(text))
-        for relation, entry in inversion_raw.items():
-            if not isinstance(entry, Mapping):
-                problems.append(f"inversion of {relation!r} is not an object")
-                continue
-            inverses[str(relation)] = parse(str(entry["expression"]))
-    except ReproError as exc:
-        return [f"certificate expression failed to parse: {exc}"]
-
+    warehouse_names = frozenset(definitions)
     missing = sources - frozenset(inverses)
     if missing:
         problems.append(f"no inversion recorded for relation(s) {sorted(missing)}")
@@ -278,62 +364,62 @@ def check_certificate(
                 f"inversion of {relation!r} references undeclared relation(s) "
                 f"{unknown}"
             )
-    facts_raw = certificate.get("facts", [])
-    if not isinstance(facts_raw, Sequence) or isinstance(facts_raw, str):
-        problems.append("certificate 'facts' is not a list")
-    else:
-        for fact in facts_raw:
-            if not isinstance(fact, Mapping):
-                problems.append(f"malformed fact {fact!r}")
-                continue
-            problems.extend(_check_fact(catalog, fact))
+    for fact in reader.sequence("facts", optional=True):
+        if not isinstance(fact, Mapping):
+            problems.append(f"malformed fact {fact!r}")
+            continue
+        problems.extend(_check_fact(catalog, fact))
     if problems:
         return problems
 
-    # Numeric replay: W then W^{-1} must be the identity on random
-    # constraint-satisfying states (sampled, seeded, deterministic).
-    for seed in _REPLAY_SEEDS:
-        state = random_database(
-            seed, catalog, rows_per_relation=_REPLAY_ROWS, domain_size=_REPLAY_DOMAIN
-        ).state()
-        image = evaluate_all(definitions, state)
+    def roundtrip(state: State, image: State) -> Iterable[str]:
+        # W then W^{-1} must be the identity on constraint-satisfying states.
         rebuilt = evaluate_all(inverses, image)
         for relation in catalog.relation_names():
             if rebuilt[relation] != state[relation]:
-                problems.append(
-                    f"replay (seed {seed}): reconstruction of {relation!r} "
-                    "does not match the source state"
+                yield (
+                    f"reconstruction of {relation!r} does not match the "
+                    "source state"
                 )
-    return problems
+
+    return replay_states(catalog, definitions, roundtrip)
 
 
 def _check_fact(catalog: Catalog, fact: Mapping[str, object]) -> List[str]:
     kind = fact.get("kind")
+    problems: List[str] = []
+
+    def names(key: str) -> Tuple[str, ...]:
+        recorded = Reader(fact, problems, f"{kind} fact").sequence(key)
+        return tuple(str(name) for name in recorded)
+
     if kind == "key":
         relation = str(fact.get("relation"))
         if relation not in catalog:
             return [f"key fact names unknown relation {relation!r}"]
         declared = catalog.key(relation)
-        if declared is None or list(declared) != list(fact.get("attributes", [])):
-            return [
+        if declared is None or tuple(declared) != names("attributes"):
+            problems.append(
                 f"key fact on {relation!r} does not match the declared key "
                 f"{declared!r}"
-            ]
-        return []
+            )
+        return problems
     if kind == "inclusion":
         wanted = (
             str(fact.get("lhs")),
-            tuple(str(a) for a in fact.get("lhs_attributes", ())),
+            names("lhs_attributes"),
             str(fact.get("rhs")),
-            tuple(str(a) for a in fact.get("rhs_attributes", ())),
+            names("rhs_attributes"),
         )
-        declared = {
+        declared_inclusions = {
             (ind.lhs, tuple(ind.lhs_attributes), ind.rhs, tuple(ind.rhs_attributes))
             for ind in catalog.inclusions()
         }
-        if wanted not in declared:
-            return [f"inclusion fact {wanted!r} is not declared in the catalog"]
-        return []
+        if wanted not in declared_inclusions:
+            problems.append(
+                f"inclusion fact {wanted!r} is not declared in the catalog"
+            )
+        return problems
     if kind in ("cover", "empty_complement"):
         return []  # derived facts; the numeric replay validates their effect
     return [f"unknown fact kind {kind!r}"]
@@ -474,85 +560,12 @@ def prove_file(
     mode: Optional[str] = None,
 ) -> ProofResult:
     """Load and decide one spec file; load failures become error results."""
-    try:
-        target = load_target(path)
-    except (OSError, ValueError, ReproError) as exc:
+    target = load_or_error(path)
+    if isinstance(target, str):
         return ProofResult(
             path, UNKNOWN, mode or "with-complement", method,
-            "spec file could not be loaded", error=str(exc),
+            "spec file could not be loaded", error=target,
         )
     return prove_target(
         target, method=method, max_model_size=max_model_size, mode=mode
     )
-
-
-# ----------------------------------------------------------------------
-# Rendering and exit codes
-# ----------------------------------------------------------------------
-
-
-def prove_exit_code(results: Sequence[ProofResult], strict: bool = False) -> int:
-    """Process verdict: 0 all expectations met, 1 mismatch, 2 load error.
-
-    Without ``strict``, an UNKNOWN verdict fails only when the spec
-    expected ``refuted`` (a known-bad spec must stay refuted); with
-    ``strict`` every UNKNOWN fails — CI requires a decisive verdict for
-    every shipped spec.
-    """
-    if any(result.error is not None for result in results):
-        return 2
-    for result in results:
-        if result.verdict == UNKNOWN:
-            if strict or result.expect == "refuted":
-                return 1
-        elif not result.ok:
-            return 1
-    return 0
-
-
-def render_text(results: Sequence[ProofResult], strict: bool = False) -> str:
-    """Human-readable rendering for ``--format text``."""
-    lines: List[str] = []
-    for result in results:
-        status = "" if result.ok else "  [unexpected]"
-        if result.verdict == UNKNOWN and not strict and result.expect != "refuted":
-            status = ""
-        lines.append(
-            f"{display_path(result.path)}: {result.verdict} "
-            f"({result.mode}, {result.method}) — {result.detail}{status}"
-        )
-        if result.error is not None:
-            lines.append(f"  error: {result.error}")
-        if result.witness is not None:
-            for line in result.witness.describe().splitlines():
-                lines.append(f"  {line}")
-    code = prove_exit_code(results, strict=strict)
-    verdicts = [result.verdict for result in results]
-    lines.append(
-        f"{'FAIL' if code else 'OK'}: {len(results)} file(s), "
-        f"{verdicts.count(PROVED)} proved, {verdicts.count(REFUTED)} refuted, "
-        f"{verdicts.count(UNKNOWN)} unknown"
-    )
-    return "\n".join(lines)
-
-
-def render_json(results: Sequence[ProofResult], strict: bool = False) -> str:
-    """Machine-readable rendering for ``--format json`` (the CI artifact)."""
-    document = {
-        "version": CERTIFICATE_VERSION,
-        "strict": strict,
-        "ok": prove_exit_code(results, strict=strict) == 0,
-        "summary": {
-            "files": len(results),
-            "proved": sum(1 for r in results if r.verdict == PROVED),
-            "refuted": sum(1 for r in results if r.verdict == REFUTED),
-            "unknown": sum(1 for r in results if r.verdict == UNKNOWN),
-        },
-        "results": [result.document() for result in results],
-    }
-    return json.dumps(document, indent=1, sort_keys=True)
-
-
-def certificate_json(result: ProofResult) -> str:
-    """One result's certificate document as deterministic JSON text."""
-    return json.dumps(result.document(), indent=1, sort_keys=True) + "\n"

@@ -34,9 +34,9 @@ Three proof methods, tried in order per query:
    the view definitions themselves: folding each definition occurrence to
    its view name (:func:`repro.algebra.rewriting.fold_occurrences`)
    leaves a warehouse-only expression.
-3. bounded refutation search — enumerate small constraint-satisfying
-   states, group by warehouse image, and report the first image collision
-   with diverging query answers.
+3. bounded refutation search — the certificate kernel's determinacy
+   search (:func:`repro.analysis.kernel.search`) observing the query's
+   answer: the first image collision with diverging answers.
 
 Certificates carry a ``canonical_digest`` (:mod:`repro.analysis.digest`)
 — the same digest :func:`repro.core.translation.translation_digest` keys
@@ -53,11 +53,9 @@ per refresh.
 
 from __future__ import annotations
 
-import json
 from typing import (
     TYPE_CHECKING,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Mapping,
@@ -89,30 +87,34 @@ from repro.algebra.rewriting import fold_occurrences
 from repro.algebra.simplify import simplify
 from repro.schema.catalog import Catalog
 from repro.storage.engine import QUERIES_ENV, env_flag
-from repro.storage.relation import Relation
 from repro.views.psj import View
 from repro.core.complement import WarehouseSpec, specify
-from repro.core.independence import enumerate_states
 from repro.core.translation import translate_query
-from repro.analysis.counterexample import (
+from repro.analysis.kernel import (
+    CERTIFICATE_VERSION,
+    DEFAULT_DOMAIN_SIZE,
+    DEFAULT_MAX_MODEL_SIZE,
+    DEFAULT_MAX_STATES,
+    PROVED,
+    REFUTED,
+    UNKNOWN,
+    Observe,
+    Reader,
+    Rows,
     State,
-    _row_key,
-    _state_valid,
-    attribute_domains,
+    Verdict,
+    Witness,
+    _sorted_rows,
+    evidence,
+    load_or_error,
+    met,
+    replay_states,
+    search,
+    tally,
+    witness_problems,
 )
-from repro.analysis.digest import canonical_digest
 from repro.analysis.report import display_path
-from repro.analysis.specfile import LintTarget, QuerySpec, load_target
-
-QUERY_CERTIFICATE_VERSION = 1
-
-PROVED = "PROVED"
-REFUTED = "REFUTED"
-UNKNOWN = "UNKNOWN"
-
-_REPLAY_SEEDS = (0, 1, 2)
-_REPLAY_ROWS = 12
-_REPLAY_DOMAIN = 8
+from repro.analysis.specfile import LintTarget, QuerySpec
 
 #: Row estimate for relations the spec file gives no ``queries.rows`` entry.
 DEFAULT_ROW_ESTIMATE = 1000
@@ -278,55 +280,31 @@ class QueryWitness(NamedTuple):
     left: State
     right: State
     answer_attributes: Tuple[str, ...]
-    left_answer: Tuple[tuple, ...]
-    right_answer: Tuple[tuple, ...]
+    left_answer: Rows
+    right_answer: Rows
 
     def max_rows_per_relation(self) -> int:
         """The larger side's largest relation — the witness's "size"."""
-        sizes = [
-            len(rel)
-            for state in (self.left, self.right)
-            for rel in state.values()
-        ]
-        return max(sizes) if sizes else 0
+        return Witness(self.left, self.right).max_rows_per_relation()
 
     def to_dict(self) -> Dict[str, object]:
         """A deterministic JSON-ready rendering (rows sorted)."""
-
-        def render(state: State) -> Dict[str, List[List[object]]]:
-            return {
-                name: [list(row) for row in sorted(state[name].rows, key=_row_key)]
-                for name in sorted(state)
-            }
-
-        return {
-            "kind": "query",
-            "query": self.query,
-            "attributes": {
-                name: list(self.left[name].attributes)
-                for name in sorted(self.left)
-            },
-            "left": render(self.left),
-            "right": render(self.right),
-            "answer_attributes": list(self.answer_attributes),
-            "left_answer": [list(row) for row in self.left_answer],
-            "right_answer": [list(row) for row in self.right_answer],
-            "max_rows_per_relation": self.max_rows_per_relation(),
-        }
+        return dict(
+            Witness(self.left, self.right).states_document(),
+            kind="query",
+            query=self.query,
+            answer_attributes=list(self.answer_attributes),
+            left_answer=[list(row) for row in self.left_answer],
+            right_answer=[list(row) for row in self.right_answer],
+        )
 
     def describe(self) -> str:
         """Human-readable rendering of the two states and answers."""
-        lines = []
-        for name in sorted(self.left):
-            left_rows = sorted(self.left[name].rows, key=_row_key)
-            right_rows = sorted(self.right[name].rows, key=_row_key)
-            marker = "  <- differs" if left_rows != right_rows else ""
-            lines.append(f"{name}: {left_rows} vs {right_rows}{marker}")
-        lines.append(
+        return (
+            f"{Witness(self.left, self.right).describe()}\n"
             f"answer({self.query}): {list(self.left_answer)} vs "
             f"{list(self.right_answer)}"
         )
-        return "\n".join(lines)
 
 
 class QuerySearchOutcome(NamedTuple):
@@ -337,40 +315,34 @@ class QuerySearchOutcome(NamedTuple):
     exhausted: bool
 
 
-def _answer(
-    definitions: Mapping[str, Expression], query: Expression, state: State
-) -> Relation:
-    """Evaluate ``query`` over a state plus its warehouse image.
+def observe_answer(query: Expression) -> Observe:
+    """Observe ``Q(state ∪ image)`` — Theorem 3.1's question.
 
     The image is merged in so queries may also reference view names — the
     translation leaves warehouse names alone (Theorem 3.1), so the
     source-side oracle must bind them too.
     """
-    image = evaluate_all(definitions, state)
-    merged = dict(state)
-    merged.update(image)
-    return evaluate(query, merged)
 
+    def observe(state: State, image: State) -> object:
+        return frozenset(evaluate(query, {**state, **image}).rows)
 
-def _sorted_rows(relation: Relation) -> Tuple[tuple, ...]:
-    return tuple(sorted(relation.rows, key=_row_key))
+    return observe
 
 
 def _make_witness(
-    definitions: Mapping[str, Expression],
-    query: Expression,
-    left: State,
-    right: State,
+    definitions: Mapping[str, Expression], query: Expression, pair: Witness
 ) -> QueryWitness:
-    left_answer = _answer(definitions, query, left)
-    right_answer = _answer(definitions, query, right)
+    answers = [
+        evaluate(query, {**state, **evaluate_all(definitions, state)})
+        for state in (pair.left, pair.right)
+    ]
     return QueryWitness(
         query=str(query),
-        left=left,
-        right=right,
-        answer_attributes=tuple(left_answer.attributes),
-        left_answer=_sorted_rows(left_answer),
-        right_answer=_sorted_rows(right_answer),
+        left=pair.left,
+        right=pair.right,
+        answer_attributes=tuple(answers[0].attributes),
+        left_answer=_sorted_rows(answers[0].rows),
+        right_answer=_sorted_rows(answers[1].rows),
     )
 
 
@@ -387,123 +359,53 @@ def verify_query_witness(
     answers to ``query`` — and the recorded answers must match a fresh
     evaluation, so golden witnesses replay against today's evaluator.
     """
-    problems: List[str] = []
-    for side, state in (("left", witness.left), ("right", witness.right)):
-        if not _state_valid(catalog, state):
-            problems.append(f"{side} state violates the catalog's constraints")
-    left_image = evaluate_all(definitions, witness.left)
-    right_image = evaluate_all(definitions, witness.right)
-    for name in definitions:
-        if left_image[name] != right_image[name]:
-            problems.append(f"images differ on warehouse relation {name!r}")
-    left_answer = _answer(definitions, query, witness.left)
-    right_answer = _answer(definitions, query, witness.right)
-    if left_answer == right_answer:
-        problems.append("the two states give the same query answer")
-    if _sorted_rows(left_answer) != tuple(witness.left_answer):
+    pair = Witness(witness.left, witness.right)
+    problems = witness_problems(
+        catalog,
+        definitions,
+        observe_answer(query),
+        pair,
+        same="the two states give the same query answer",
+    )
+    fresh = _make_witness(definitions, query, pair)
+    if fresh.left_answer != tuple(witness.left_answer):
         problems.append("recorded left answer does not replay")
-    if _sorted_rows(right_answer) != tuple(witness.right_answer):
+    if fresh.right_answer != tuple(witness.right_answer):
         problems.append("recorded right answer does not replay")
     return problems
-
-
-def _is_query_witness(
-    catalog: Catalog,
-    definitions: Mapping[str, Expression],
-    query: Expression,
-    left: State,
-    right: State,
-) -> bool:
-    if not _state_valid(catalog, left) or not _state_valid(catalog, right):
-        return False
-    left_image = evaluate_all(definitions, left)
-    right_image = evaluate_all(definitions, right)
-    for name in definitions:
-        if left_image[name] != right_image[name]:
-            return False
-    return _answer(definitions, query, left) != _answer(definitions, query, right)
-
-
-def _without(relation: Relation, row: tuple) -> Relation:
-    return Relation(relation.attributes, [r for r in relation.rows if r != row])
-
-
-def shrink_query_witness(
-    witness: QueryWitness,
-    catalog: Catalog,
-    definitions: Mapping[str, Expression],
-    query: Expression,
-) -> QueryWitness:
-    """Greedily remove rows while the pair still diverges on the answer."""
-    left = dict(witness.left)
-    right = dict(witness.right)
-    changed = True
-    while changed:
-        changed = False
-        for relation in catalog.relation_names():
-            rows = sorted(left[relation].rows | right[relation].rows, key=_row_key)
-            for row in rows:
-                candidate_left = dict(left)
-                candidate_right = dict(right)
-                candidate_left[relation] = _without(left[relation], row)
-                candidate_right[relation] = _without(right[relation], row)
-                if _is_query_witness(
-                    catalog, definitions, query, candidate_left, candidate_right
-                ):
-                    left = candidate_left
-                    right = candidate_right
-                    changed = True
-    return _make_witness(definitions, query, left, right)
 
 
 def search_query_counterexample(
     catalog: Catalog,
     definitions: Mapping[str, Expression],
     query: Expression,
-    max_model_size: int = 2,
-    domain_size: int = 2,
-    max_states: int = 50000,
+    max_model_size: int = DEFAULT_MAX_MODEL_SIZE,
+    domain_size: int = DEFAULT_DOMAIN_SIZE,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> QuerySearchOutcome:
     """Search for two states with equal images but different answers.
 
-    Enumerates constraint-satisfying states over small derived domains
-    (constants mentioned by views, checks *and the query* seed the
-    domains), groups them by warehouse image, and returns the first
-    group containing two different query answers — shrunk to a minimal
-    witness. Deterministic end to end.
+    The kernel's determinacy search (:func:`repro.analysis.kernel.search`)
+    observing the query's answer: constants mentioned by views, checks
+    *and the query* seed the small domains; the first image group holding
+    two different answers is returned, shrunk to a minimal witness.
+    Deterministic end to end.
     """
-    seeded: Dict[str, Expression] = dict(definitions)
-    seeded["__query__"] = query
-    domains = attribute_domains(catalog, seeded, size=domain_size)
-    seen: Dict[object, Dict[FrozenSet[tuple], State]] = {}
-    examined = 0
-    exhausted = True
-    for state in enumerate_states(
-        catalog, domains, max_rows_per_relation=max_model_size
-    ):
-        examined += 1
-        if examined > max_states:
-            exhausted = False
-            break
-        image = evaluate_all(definitions, state)
-        image_key = tuple(
-            (name, frozenset(image[name].rows)) for name in sorted(image)
-        )
-        merged = dict(state)
-        merged.update(image)
-        answer_key = frozenset(evaluate(query, merged).rows)
-        bucket = seen.setdefault(image_key, {})
-        if bucket and answer_key not in bucket:
-            other = next(iter(bucket.values()))
-            witness = shrink_query_witness(
-                _make_witness(definitions, query, other, state),
-                catalog,
-                definitions,
-                query,
-            )
-            return QuerySearchOutcome(witness, examined, True)
-        bucket.setdefault(answer_key, state)
-    return QuerySearchOutcome(None, examined, exhausted)
+    outcome = search(
+        catalog,
+        definitions,
+        observe_answer(query),
+        dict(definitions, __query__=query),
+        max_model_size=max_model_size,
+        domain_size=domain_size,
+        max_states=max_states,
+    )
+    witness = (
+        None
+        if outcome.witness is None
+        else _make_witness(definitions, query, outcome.witness)
+    )
+    return QuerySearchOutcome(witness, outcome.states_examined, outcome.exhausted)
 
 
 # ----------------------------------------------------------------------
@@ -536,7 +438,7 @@ def build_query_certificate(
     """
     warehouse_names = frozenset(warehouse)
     certificate: Dict[str, object] = {
-        "version": QUERY_CERTIFICATE_VERSION,
+        "version": CERTIFICATE_VERSION,
         "kind": "query-translation",
         "mode": mode,
         "method": method,
@@ -569,11 +471,6 @@ def build_query_certificate(
     return certificate
 
 
-def query_certificate_digest(certificate: Mapping[str, object]) -> str:
-    """The canonical digest of a translation certificate (plan-cache key)."""
-    return canonical_digest(certificate)
-
-
 def check_query_certificate(
     catalog: Catalog, certificate: Mapping[str, object]
 ) -> List[str]:
@@ -588,24 +485,20 @@ def check_query_certificate(
     checked empirically. An empty result means the certificate stands on
     its own.
     """
-    from repro.workloads.generator import random_database
-
     problems: List[str] = []
-    warehouse_raw = certificate.get("warehouse")
-    if not isinstance(warehouse_raw, Mapping):
-        return ["certificate lacks a 'warehouse' section"]
+    reader = Reader(certificate, problems)
+    definitions = reader.expressions("warehouse")
+    query = reader.expression("query")
+    translated = reader.expression("translated")
+    optimized = reader.expression("optimized")
+    read_set = reader.sequence("read_set")
+    if problems or query is None or translated is None or optimized is None:
+        return problems
+    forms = (("translated", translated), ("optimized", optimized))
+
     sources = frozenset(catalog.relation_names())
-    definitions: Dict[str, Expression] = {}
-    try:
-        for name, text in warehouse_raw.items():
-            definitions[str(name)] = parse(str(text))
-        query = parse(str(certificate.get("query")))
-        translated = parse(str(certificate.get("translated")))
-        optimized = parse(str(certificate.get("optimized")))
-    except ReproError as exc:
-        return [f"certificate expression failed to parse: {exc}"]
     warehouse_names = frozenset(definitions)
-    for label, expression in (("translated", translated), ("optimized", optimized)):
+    for label, expression in forms:
         source_refs = sorted(expression.relation_names() & sources)
         if source_refs:
             problems.append(
@@ -617,41 +510,25 @@ def check_query_certificate(
             problems.append(
                 f"{label} form references undeclared relation(s) {unknown}"
             )
-    read_set_raw = certificate.get("read_set")
-    if not isinstance(read_set_raw, Sequence) or isinstance(read_set_raw, str):
-        problems.append("certificate 'read_set' is not a list")
-    else:
-        recorded = sorted(str(name) for name in read_set_raw)
-        if recorded != sorted(optimized.relation_names()):
-            problems.append(
-                f"read_set {recorded} does not match the optimized form's "
-                f"references {sorted(optimized.relation_names())}"
-            )
+    recorded = sorted(str(name) for name in read_set)
+    if recorded != sorted(optimized.relation_names()):
+        problems.append(
+            f"read_set {recorded} does not match the optimized form's "
+            f"references {sorted(optimized.relation_names())}"
+        )
     if problems:
         return problems
 
-    for seed in _REPLAY_SEEDS:
-        state = random_database(
-            seed, catalog, rows_per_relation=_REPLAY_ROWS,
-            domain_size=_REPLAY_DOMAIN,
-        ).state()
-        image = evaluate_all(definitions, state)
-        merged = dict(state)
-        merged.update(image)
-        try:
-            expected = evaluate(query, merged)
-            for label, expression in (
-                ("translated", translated),
-                ("optimized", optimized),
-            ):
-                if evaluate(expression, image) != expected:
-                    problems.append(
-                        f"replay (seed {seed}): the {label} form does not "
-                        "match source-side evaluation of the query"
-                    )
-        except ReproError as exc:
-            problems.append(f"replay (seed {seed}) failed to evaluate: {exc}")
-    return problems
+    def answers_agree(state: State, image: State) -> Iterable[str]:
+        expected = evaluate(query, {**state, **image})
+        for label, expression in forms:
+            if evaluate(expression, image) != expected:
+                yield (
+                    f"the {label} form does not match source-side "
+                    "evaluation of the query"
+                )
+
+    return replay_states(catalog, definitions, answers_agree)
 
 
 # ----------------------------------------------------------------------
@@ -675,28 +552,23 @@ class QueryVerdict(NamedTuple):
     @property
     def ok(self) -> bool:
         """Whether the verdict matches the query's declared expectation."""
-        if self.error is not None:
-            return False
-        return self.verdict.lower() == self.expect
+        return met(self)
+
+    def line(self) -> str:
+        """The one-line text form."""
+        return f"{self.name}: {self.verdict} ({self.method}) — {self.detail}"
 
     def document(self) -> Dict[str, object]:
         """The per-query JSON document (nested in the file document)."""
-        out: Dict[str, object] = {
-            "name": self.name,
-            "query": self.query,
-            "verdict": self.verdict,
-            "method": self.method,
-            "expect": self.expect,
-            "detail": self.detail,
-        }
-        if self.certificate is not None:
-            out["certificate"] = self.certificate
-            out["digest"] = query_certificate_digest(self.certificate)
-        if self.witness is not None:
-            out["witness"] = self.witness.to_dict()
-        if self.error is not None:
-            out["error"] = self.error
-        return out
+        return dict(
+            name=self.name,
+            query=self.query,
+            verdict=self.verdict,
+            method=self.method,
+            expect=self.expect,
+            detail=self.detail,
+            **evidence(self),
+        )
 
 
 class QueryProofResult(NamedTuple):
@@ -711,31 +583,41 @@ class QueryProofResult(NamedTuple):
     @property
     def ok(self) -> bool:
         """Whether every query's verdict matches its expectation."""
-        if self.error is not None:
-            return False
-        return all(verdict.ok for verdict in self.queries)
+        return self.error is None and all(verdict.ok for verdict in self.queries)
+
+    def verdicts(self) -> Sequence[Verdict]:
+        """The decided questions: one per declared query."""
+        return self.queries
 
     def counts(self) -> Dict[str, int]:
         """Verdict counts for summaries."""
-        verdicts = [verdict.verdict for verdict in self.queries]
-        return {
-            "queries": len(verdicts),
-            "proved": verdicts.count(PROVED),
-            "refuted": verdicts.count(REFUTED),
-            "unknown": verdicts.count(UNKNOWN),
-        }
+        return dict(
+            queries=len(self.queries),
+            **tally(verdict.verdict for verdict in self.queries),
+        )
+
+    def line(self) -> str:
+        """The one-line text form heading the per-query lines."""
+        if self.error is not None:
+            return f"{display_path(self.path)}: error: {self.error}"
+        counts = self.counts()
+        return (
+            f"{display_path(self.path)}: {counts['queries']} query(ies) — "
+            f"{counts['proved']} proved, {counts['refuted']} refuted, "
+            f"{counts['unknown']} unknown"
+        )
 
     def document(self) -> Dict[str, object]:
         """The per-file JSON document (the certificate artifact)."""
-        out: Dict[str, object] = {
-            "version": QUERY_CERTIFICATE_VERSION,
-            "kind": "query-translation",
-            "spec": display_path(self.path),
-            "mode": self.mode,
-            "ok": self.ok,
-            "summary": self.counts(),
-            "queries": [verdict.document() for verdict in self.queries],
-        }
+        out = dict(
+            version=CERTIFICATE_VERSION,
+            kind="query-translation",
+            spec=display_path(self.path),
+            mode=self.mode,
+            ok=self.ok,
+            summary=self.counts(),
+            queries=[verdict.document() for verdict in self.queries],
+        )
         if self.translation_digest is not None:
             out["translation_digest"] = self.translation_digest
         if self.error is not None:
@@ -1017,10 +899,9 @@ def prove_queries_target(
 
 def prove_queries_file(path: str, method: str = "thm22") -> QueryProofResult:
     """Load and decide one spec file; load failures become error results."""
-    try:
-        target = load_target(path)
-    except (OSError, ValueError, ReproError) as exc:
-        return QueryProofResult(path, "with-complement", (), error=str(exc))
+    target = load_or_error(path)
+    if isinstance(target, str):
+        return QueryProofResult(path, "with-complement", (), error=target)
     return prove_queries_target(target, method=method)
 
 
@@ -1059,103 +940,3 @@ def check_translation_reads(
             f"query sanitizer ({QUERIES_ENV}=1): runtime read(s) {extra} "
             f"outside the static read set {sorted(allowed)}"
         )
-
-
-# ----------------------------------------------------------------------
-# Rendering and exit codes
-# ----------------------------------------------------------------------
-
-
-def query_exit_code(
-    results: Sequence[QueryProofResult], strict: bool = False
-) -> int:
-    """Process verdict: 0 expectations met, 1 mismatch, 2 load/parse error.
-
-    Without ``strict``, UNKNOWN fails only when the query expected
-    ``refuted``; with ``strict`` every UNKNOWN fails *unless* the spec
-    pinned ``"expect": "unknown"`` — an honest, documented incompleteness
-    is not a CI failure, an accidental one is.
-    """
-    if any(result.error is not None for result in results):
-        return 2
-    for result in results:
-        for verdict in result.queries:
-            if verdict.error is not None:
-                return 2
-            if verdict.verdict == UNKNOWN:
-                if verdict.expect == "unknown":
-                    continue
-                if strict or verdict.expect == "refuted":
-                    return 1
-            elif not verdict.ok:
-                return 1
-    return 0
-
-
-def render_queries_text(
-    results: Sequence[QueryProofResult], strict: bool = False
-) -> str:
-    """Human-readable rendering for ``--format text``."""
-    lines: List[str] = []
-    totals = {"queries": 0, "proved": 0, "refuted": 0, "unknown": 0}
-    for result in results:
-        if result.error is not None:
-            lines.append(f"{display_path(result.path)}: error: {result.error}")
-            continue
-        counts = result.counts()
-        for key in totals:
-            totals[key] += counts[key]
-        lines.append(
-            f"{display_path(result.path)}: {counts['queries']} query(ies) — "
-            f"{counts['proved']} proved, {counts['refuted']} refuted, "
-            f"{counts['unknown']} unknown"
-        )
-        for verdict in result.queries:
-            status = "" if verdict.ok else "  [unexpected]"
-            if (
-                verdict.verdict == UNKNOWN
-                and not strict
-                and verdict.expect not in ("refuted", "unknown")
-            ):
-                status = ""
-            lines.append(
-                f"  {verdict.name}: {verdict.verdict} ({verdict.method}) — "
-                f"{verdict.detail}{status}"
-            )
-            if verdict.error is not None:
-                lines.append(f"    error: {verdict.error}")
-            if verdict.witness is not None:
-                for line in verdict.witness.describe().splitlines():
-                    lines.append(f"    {line}")
-    code = query_exit_code(results, strict=strict)
-    lines.append(
-        f"{'FAIL' if code else 'OK'}: {len(results)} file(s), "
-        f"{totals['queries']} query(ies), {totals['proved']} proved, "
-        f"{totals['refuted']} refuted, {totals['unknown']} unknown"
-    )
-    return "\n".join(lines)
-
-
-def render_queries_json(
-    results: Sequence[QueryProofResult], strict: bool = False
-) -> str:
-    """Machine-readable rendering for ``--format json`` (the CI artifact)."""
-    totals = {"queries": 0, "proved": 0, "refuted": 0, "unknown": 0}
-    for result in results:
-        counts = result.counts()
-        for key in totals:
-            totals[key] += counts[key]
-    document = {
-        "version": QUERY_CERTIFICATE_VERSION,
-        "kind": "query-translation",
-        "strict": strict,
-        "ok": query_exit_code(results, strict=strict) == 0,
-        "summary": dict(totals, files=len(results)),
-        "results": [result.document() for result in results],
-    }
-    return json.dumps(document, indent=1, sort_keys=True)
-
-
-def query_certificate_json(result: QueryProofResult) -> str:
-    """One file's verdict document as deterministic JSON text."""
-    return json.dumps(result.document(), indent=1, sort_keys=True) + "\n"

@@ -27,7 +27,6 @@ from typing import Optional
 from repro.core.complement import WarehouseSpec
 from repro.compiler.certificate import (
     TrustedCertificate,
-    certificate_digest,
     certify,
 )
 from repro.compiler.fuse import (
@@ -81,7 +80,6 @@ __all__ = [
     "RelationProgram",
     "TrustedCertificate",
     "build_refresh_compiler",
-    "certificate_digest",
     "certify",
     "fused_inverses",
     "fused_plan",

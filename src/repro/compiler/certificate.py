@@ -31,18 +31,6 @@ from repro.core.complement import WarehouseSpec
 TRUSTED_MODE = "with-complement"
 
 
-def certificate_digest(document: Mapping[str, object]) -> str:
-    """SHA-256 over the canonical JSON form of a certificate document.
-
-    Delegates to :func:`repro.analysis.digest.canonical_digest` — the same
-    function the sharding prover uses — so the plan-cache key and every
-    analysis certificate stay digest-compatible. The digest is insensitive
-    to dict ordering and whitespace but changes whenever any recorded
-    fact — an inverse expression, a key/cover fact, a read set — changes.
-    """
-    return canonical_digest(document)
-
-
 class TrustedCertificate:
     """A certificate that passed re-validation, with its cache digest."""
 
@@ -101,4 +89,4 @@ def certify(
         raise CompileError(
             f"refusing to compile: certificate failed re-validation ({listing})"
         )
-    return TrustedCertificate(document, certificate_digest(document), dataflow)
+    return TrustedCertificate(document, canonical_digest(document), dataflow)

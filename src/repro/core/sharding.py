@@ -74,9 +74,9 @@ from repro.analysis.concurrency import (
     ASSEMBLE_UNION,
     AssemblyReport,
     classify_assembly,
-    sharding_certificate_digest,
     write_footprint,
 )
+from repro.analysis.digest import canonical_digest
 from repro.analysis.races import RaceTracker, races_enabled
 from repro.core.complement import WarehouseSpec, specify
 from repro.core.routing import ShardRouting, _stable_hash  # noqa: F401 — re-export
@@ -703,7 +703,7 @@ class ShardedWarehouse:
             for shard in self.shards:
                 changed = shard.recertify() or changed
             return changed
-        digest = sharding_certificate_digest(certificate)
+        digest = canonical_digest(certificate)
         changed = digest != self._certificate_digest
         if changed and self._certificate_digest is not None:
             evicted = sum(shard.evict_plans() for shard in self.shards)

@@ -76,7 +76,7 @@ class TestExitCodes:
     def test_strict_passes_when_everything_is_decided(self, tmp_path, capsys):
         # Strict mode turns UNKNOWN into failure; on fully-decided specs it
         # must stay green (the CI invocation). The UNKNOWN-fails semantics
-        # are unit-tested against sharding_exit_code directly.
+        # are unit-tested against the kernel's exit_code directly.
         proved = write(tmp_path, PROVED_SPEC, "proved.json")
         refuted = write(tmp_path, REFUTED_SPEC, "refuted.json")
         assert main(["prove-sharding", "--strict", proved, refuted]) == 0

@@ -16,10 +16,6 @@ from repro.analysis.concurrency import (
     ASSEMBLE_INTERSECT,
     ASSEMBLE_REPLICATED,
     ASSEMBLE_UNION,
-    PROVED,
-    REFUTED,
-    UNKNOWN,
-    UNSHARDED,
     UnshardableError,
     analyze_expression,
     build_sharding_certificate,
@@ -32,12 +28,12 @@ from repro.analysis.concurrency import (
     replay_interleaving,
     search_sharding_counterexample,
     shape_footprints,
-    sharding_certificate_digest,
-    sharding_exit_code,
     verify_sharding_witness,
     write_footprint,
     ShardingProofResult,
 )
+from repro.analysis.digest import canonical_digest
+from repro.analysis.kernel import PROVED, REFUTED, UNKNOWN, UNSHARDED, exit_code
 from repro.analysis.specfile import LintTarget, RoutingSpec, ShardingOptions
 from repro.core.complement import specify
 from repro.core.routing import ShardRouting
@@ -343,11 +339,11 @@ class TestCertificate:
 
     def test_digest_is_stable_and_tamper_sensitive(self):
         _, certificate = self.build()
-        digest = sharding_certificate_digest(certificate)
-        assert digest == sharding_certificate_digest(dict(certificate))
+        digest = canonical_digest(certificate)
+        assert digest == canonical_digest(dict(certificate))
         tampered = dict(certificate)
         tampered["shards"] = 3
-        assert sharding_certificate_digest(tampered) != digest
+        assert canonical_digest(tampered) != digest
 
     def test_tampered_assembly_mode_is_caught(self):
         catalog, certificate = self.build()
@@ -502,17 +498,17 @@ class TestExitCodes:
             self.r(REFUTED, expect="refuted"),
             self.r(UNSHARDED),
         ]
-        assert sharding_exit_code(results) == 0
-        assert sharding_exit_code(results, strict=True) == 0
+        assert exit_code(results) == 0
+        assert exit_code(results, strict=True) == 0
 
     def test_mismatch_fails(self):
-        assert sharding_exit_code([self.r(REFUTED)]) == 1
-        assert sharding_exit_code([self.r(PROVED, expect="refuted")]) == 1
+        assert exit_code([self.r(REFUTED)]) == 1
+        assert exit_code([self.r(PROVED, expect="refuted")]) == 1
 
     def test_unknown_passes_only_when_lenient(self):
-        assert sharding_exit_code([self.r(UNKNOWN)]) == 0
-        assert sharding_exit_code([self.r(UNKNOWN)], strict=True) == 1
-        assert sharding_exit_code([self.r(UNKNOWN, expect="refuted")]) == 1
+        assert exit_code([self.r(UNKNOWN)]) == 0
+        assert exit_code([self.r(UNKNOWN)], strict=True) == 1
+        assert exit_code([self.r(UNKNOWN, expect="refuted")]) == 1
 
     def test_load_error_is_exit_2(self):
-        assert sharding_exit_code([self.r(UNKNOWN, error="boom")]) == 2
+        assert exit_code([self.r(UNKNOWN, error="boom")]) == 2

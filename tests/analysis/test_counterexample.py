@@ -1,15 +1,10 @@
-"""Unit tests for :mod:`repro.analysis.counterexample` (Prop. 2.1 search)."""
+"""Unit tests for the Prop. 2.1 search: the kernel observing the state itself."""
 
 from __future__ import annotations
 
 from repro import Catalog, parse
-from repro.analysis.counterexample import (
-    Witness,
-    attribute_domains,
-    search_counterexample,
-    shrink,
-    verify_witness,
-)
+from repro.analysis.kernel import Witness, _without, attribute_domains, shrink
+from repro.analysis.prover import search_counterexample, verify_witness
 from repro.storage.relation import Relation
 
 
@@ -115,17 +110,19 @@ class TestShrink:
         }
         catalog, definitions = lossy_catalog(), lossy_definitions()
         assert verify_witness(catalog, definitions, Witness(left, right)) == []
-        small = shrink(Witness(left, right), catalog, definitions)
+
+        def still_witness(pair):
+            return not verify_witness(catalog, definitions, pair)
+
+        small = shrink(Witness(left, right), ["Sale"], still_witness)
         assert verify_witness(catalog, definitions, small) == []
         # Strictly smaller, and locally minimal: removing any remaining
         # row from both sides breaks the witness property.
         assert small.max_rows_per_relation() < 4
-        from repro.analysis.counterexample import _is_witness, _without
-
         for row in small.left["Sale"].rows | small.right["Sale"].rows:
             cand_left = {"Sale": _without(small.left["Sale"], row)}
             cand_right = {"Sale": _without(small.right["Sale"], row)}
-            assert not _is_witness(catalog, definitions, cand_left, cand_right)
+            assert not still_witness(Witness(cand_left, cand_right))
 
     def test_witness_to_dict_is_deterministic(self):
         outcome = search_counterexample(lossy_catalog(), lossy_definitions())

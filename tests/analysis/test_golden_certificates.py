@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.prover import PROVED, REFUTED, certificate_json, prove_file
+from repro.analysis.kernel import PROVED, REFUTED, document_json
+from repro.analysis.prover import prove_file
 
 REPO = Path(__file__).parents[2]
 SPEC_DIR = REPO / "examples" / "specs"
@@ -47,7 +48,7 @@ def test_every_example_spec_is_decided(stem):
 
 @pytest.mark.parametrize("stem", STEMS)
 def test_certificate_matches_golden(stem):
-    rendered = certificate_json(prove_example(stem))
+    rendered = document_json(prove_example(stem).document()) + "\n"
     golden = GOLDEN_DIR / f"{stem}.cert.json"
     if os.environ.get("REGEN_GOLDEN"):
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)

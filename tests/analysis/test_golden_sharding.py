@@ -20,14 +20,12 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.concurrency import (
-    PROVED,
-    REFUTED,
     check_sharding_certificate,
     prove_sharding_file,
     replay_interleaving,
-    sharding_certificate_json,
     verify_sharding_witness,
 )
+from repro.analysis.kernel import PROVED, REFUTED, document_json
 from repro.analysis.specfile import load_target
 from repro.core.routing import ShardRouting
 
@@ -62,7 +60,7 @@ def test_every_sharded_example_is_decided(stem):
 
 @pytest.mark.parametrize("stem", SHARDED_STEMS)
 def test_certificate_matches_golden(stem):
-    rendered = sharding_certificate_json(prove_example(stem))
+    rendered = document_json(prove_example(stem).document()) + "\n"
     golden = GOLDEN_DIR / f"{stem}.sharding.json"
     if os.environ.get("REGEN_GOLDEN"):
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)

@@ -7,18 +7,20 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.analysis.prover import (
+from repro.analysis.kernel import (
     PROVED,
     REFUTED,
     UNKNOWN,
+    exit_code,
+    render_text,
+    report_document,
+)
+from repro.analysis.prover import (
     ProofResult,
     build_certificate,
     check_certificate,
-    prove_exit_code,
     prove_file,
     prove_target,
-    render_json,
-    render_text,
 )
 from repro.analysis.dataflow import spec_read_sets
 from repro.analysis.specfile import load_target
@@ -194,22 +196,22 @@ class TestExitCodes:
 
     def test_all_expectations_met(self):
         results = [self._result(PROVED), self._result(REFUTED, expect="refuted")]
-        assert prove_exit_code(results) == 0
-        assert prove_exit_code(results, strict=True) == 0
+        assert exit_code(results) == 0
+        assert exit_code(results, strict=True) == 0
 
     def test_unexpected_verdict_fails(self):
-        assert prove_exit_code([self._result(REFUTED)]) == 1
+        assert exit_code([self._result(REFUTED)]) == 1
 
     def test_unknown_fails_only_under_strict(self):
         results = [self._result(UNKNOWN)]
-        assert prove_exit_code(results) == 0
-        assert prove_exit_code(results, strict=True) == 1
+        assert exit_code(results) == 0
+        assert exit_code(results, strict=True) == 1
 
     def test_unknown_fails_when_refutation_expected(self):
-        assert prove_exit_code([self._result(UNKNOWN, expect="refuted")]) == 1
+        assert exit_code([self._result(UNKNOWN, expect="refuted")]) == 1
 
     def test_error_dominates(self):
-        assert prove_exit_code([self._result(UNKNOWN, error="boom")]) == 2
+        assert exit_code([self._result(UNKNOWN, error="boom")]) == 2
 
 
 class TestRendering:
@@ -224,7 +226,7 @@ class TestRendering:
 
     def test_json_document_shape(self, tmp_path):
         results = [prove_file(write(tmp_path, FIGURE1_SPEC))]
-        document = json.loads(render_json(results))
+        document = report_document(results)
         assert document["ok"] is True
         assert document["summary"]["proved"] == 1
         [entry] = document["results"]

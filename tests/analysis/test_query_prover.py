@@ -8,19 +8,22 @@ import pytest
 
 from repro import Catalog, parse
 from repro.__main__ import main
-from repro.analysis.query import (
-    DEFAULT_ROW_ESTIMATE,
+from repro.analysis.kernel import (
     PROVED,
     REFUTED,
     UNKNOWN,
+    Witness,
+    exit_code,
+    shrink,
+)
+from repro.analysis.query import (
+    DEFAULT_ROW_ESTIMATE,
     QueryProofResult,
     QueryVerdict,
     check_query_certificate,
     estimate_cost,
     prove_queries_file,
-    query_exit_code,
     search_query_counterexample,
-    shrink_query_witness,
     verify_query_witness,
 )
 from repro.analysis.specfile import load_target
@@ -165,7 +168,14 @@ class TestWitnessSearch:
         catalog, definitions = lossy_setup()
         query = parse("Sale")
         witness = search_query_counterexample(catalog, definitions, query).witness
-        again = shrink_query_witness(witness, catalog, definitions, query)
+
+        def still_witness(pair):
+            candidate = witness._replace(left=pair.left, right=pair.right)
+            return not verify_query_witness(catalog, definitions, query, candidate)
+
+        again = shrink(
+            Witness(witness.left, witness.right), ["Sale"], still_witness
+        )
         assert again.max_rows_per_relation() == witness.max_rows_per_relation()
         assert witness.max_rows_per_relation() <= 2
 
@@ -315,30 +325,30 @@ def result_with(verdict, expect, error=None):
 
 class TestExitCodeSemantics:
     def test_expected_verdicts_pass(self):
-        assert query_exit_code([result_with(PROVED, "proved")]) == 0
-        assert query_exit_code([result_with(REFUTED, "refuted")]) == 0
+        assert exit_code([result_with(PROVED, "proved")]) == 0
+        assert exit_code([result_with(REFUTED, "refuted")]) == 0
 
     def test_mismatch_fails(self):
-        assert query_exit_code([result_with(REFUTED, "proved")]) == 1
-        assert query_exit_code([result_with(PROVED, "refuted")]) == 1
+        assert exit_code([result_with(REFUTED, "proved")]) == 1
+        assert exit_code([result_with(PROVED, "refuted")]) == 1
 
     def test_unknown_lenient_by_default_strict_otherwise(self):
         unknown = result_with(UNKNOWN, "proved")
-        assert query_exit_code([unknown]) == 0
-        assert query_exit_code([unknown], strict=True) == 1
+        assert exit_code([unknown]) == 0
+        assert exit_code([unknown], strict=True) == 1
 
     def test_unknown_fails_a_refuted_expectation(self):
-        assert query_exit_code([result_with(UNKNOWN, "refuted")]) == 1
+        assert exit_code([result_with(UNKNOWN, "refuted")]) == 1
 
     def test_pinned_unknown_passes_even_strict(self):
         pinned = result_with(UNKNOWN, "unknown")
-        assert query_exit_code([pinned]) == 0
-        assert query_exit_code([pinned], strict=True) == 0
+        assert exit_code([pinned]) == 0
+        assert exit_code([pinned], strict=True) == 0
 
     def test_errors_exit_two(self):
-        assert query_exit_code([result_with(UNKNOWN, "proved", error="boom")]) == 2
+        assert exit_code([result_with(UNKNOWN, "proved", error="boom")]) == 2
         broken = QueryProofResult("spec.json", "with-complement", (), error="io")
-        assert query_exit_code([broken]) == 2
+        assert exit_code([broken]) == 2
 
 
 # ----------------------------------------------------------------------

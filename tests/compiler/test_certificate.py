@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import Catalog, View, parse, specify
-from repro.compiler import certificate_digest, certify
+from repro.analysis.digest import canonical_digest
+from repro.compiler import certify
 from repro.compiler.certificate import TRUSTED_MODE
 from repro.errors import CompileError
 
@@ -26,12 +27,12 @@ class TestDigest:
     def test_digest_ignores_key_order(self):
         a = {"x": 1, "y": [1, 2]}
         b = {"y": [1, 2], "x": 1}
-        assert certificate_digest(a) == certificate_digest(b)
+        assert canonical_digest(a) == canonical_digest(b)
 
     def test_digest_changes_with_any_fact(self):
         document = {"mode": TRUSTED_MODE, "inverses": {"R": "pi[a, b](V1)"}}
         tampered = {"mode": TRUSTED_MODE, "inverses": {"R": "pi[a](V1)"}}
-        assert certificate_digest(document) != certificate_digest(tampered)
+        assert canonical_digest(document) != canonical_digest(tampered)
 
     def test_different_specs_have_different_digests(self):
         sale = Catalog()

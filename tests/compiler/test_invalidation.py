@@ -70,7 +70,7 @@ class TestChangedVerdict:
         import repro.compiler.certificate as cert_mod
 
         monkeypatch.setattr(
-            cert_mod, "certificate_digest", lambda document: "f" * 64
+            cert_mod, "canonical_digest", lambda document: "f" * 64
         )
         assert compiled.recertify() is True
         fresh = compiled.plan_compiler

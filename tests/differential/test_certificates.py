@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.counterexample import Witness, verify_witness
-from repro.analysis.prover import check_certificate
+from repro.analysis.kernel import Witness
+from repro.analysis.prover import check_certificate, verify_witness
 from repro.analysis.specfile import load_target
 from repro.algebra.parser import parse
 from repro.storage.relation import Relation

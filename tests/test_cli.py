@@ -110,6 +110,41 @@ class TestObs:
             main(["obs"])
 
 
+class TestProveCertificates:
+    """The one command body behind prove / prove-sharding / prove-query."""
+
+    SPEC = {
+        "relations": [{"name": "Emp", "attributes": ["clerk", "age"]}],
+        "views": [{"name": "Staff", "definition": "Emp"}],
+    }
+
+    @pytest.mark.parametrize("command", ["prove", "prove-sharding", "prove-query"])
+    def test_duplicate_stems_are_refused_before_writing(
+        self, command, tmp_path, capsys
+    ):
+        paths = []
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            path = tmp_path / folder / "x.json"
+            path.write_text(json.dumps(self.SPEC))
+            paths.append(str(path))
+        out = tmp_path / "out"
+        skip_lint = ["--no-lint"] if command == "prove-sharding" else []
+        assert main([command, *paths, "--certificates", str(out), *skip_lint]) == 2
+        err = capsys.readouterr().err
+        assert paths[0] in err and paths[1] in err
+        assert not out.exists()
+
+    def test_distinct_stems_each_get_a_document(self, tmp_path, capsys):
+        paths = []
+        for name in ("x.json", "y.json"):
+            (tmp_path / name).write_text(json.dumps(self.SPEC))
+            paths.append(str(tmp_path / name))
+        out = tmp_path / "out"
+        assert main(["prove", *paths, "--certificates", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["x.cert.json", "y.cert.json"]
+
+
 class TestArgErrors:
     def test_missing_command(self):
         with pytest.raises(SystemExit):
