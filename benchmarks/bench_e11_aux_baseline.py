@@ -63,8 +63,7 @@ def test_complement_insert_delta_cost(benchmark, with_ri):
         "Sale", ("item", "clerk"), [("fresh", f"clerk{i}") for i in range(5)]
     )
     state = dict(wh.state)
-    plan = wh.maintenance_plan(["Sale"])
-    benchmark(lambda: refresh_state(wh.spec, state, update, plan))
+    benchmark(lambda: refresh_state(wh.spec, state, update))
 
 
 def test_report_series(benchmark):

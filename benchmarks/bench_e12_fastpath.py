@@ -47,8 +47,7 @@ def build(scale: float):
         orders, lines = order_insert_rows(rng, inst.database, count=3)
         updates.append(inst.database.insert("Orders", orders))
         updates.append(inst.database.insert("Lineitem", lines))
-    plans = {u.relations(): wh.maintenance_plan(u.relations()) for u in updates}
-    return wh, dict(wh.state), updates, plans
+    return wh, dict(wh.state), updates
 
 
 def strip_caches(state):
@@ -56,38 +55,36 @@ def strip_caches(state):
     return {name: Relation(rel.attributes, rel.rows) for name, rel in state.items()}
 
 
-def run_seed(wh, base_state, updates, plans):
+def run_seed(wh, base_state, updates):
     state = strip_caches(base_state)
     for update in updates:
         state, _ = refresh_state(
-            wh.spec, state, update, plans[update.relations()],
-            cache=None, fastpath=False,
+            wh.spec, state, update, cache=None, fastpath=False
         )
         state = strip_caches(state)
     return state
 
 
-def run_fast(wh, base_state, updates, plans, cache=None):
+def run_fast(wh, base_state, updates, cache=None):
     cache = EvaluationCache() if cache is None else cache
     state = base_state
     for update in updates:
         state, _ = refresh_state(
-            wh.spec, state, update, plans[update.relations()],
-            cache=cache, fastpath=True,
+            wh.spec, state, update, cache=cache, fastpath=True
         )
     return state
 
 
 @pytest.mark.parametrize("scale", SCALES)
 def test_seed_evaluator_stream(benchmark, scale):
-    wh, base_state, updates, plans = build(scale)
-    benchmark(lambda: run_seed(wh, base_state, updates, plans))
+    wh, base_state, updates = build(scale)
+    benchmark(lambda: run_seed(wh, base_state, updates))
 
 
 @pytest.mark.parametrize("scale", SCALES)
 def test_fastpath_stream(benchmark, scale):
-    wh, base_state, updates, plans = build(scale)
-    benchmark(lambda: run_fast(wh, base_state, updates, plans))
+    wh, base_state, updates = build(scale)
+    benchmark(lambda: run_fast(wh, base_state, updates))
 
 
 def test_report_series(benchmark):
@@ -105,9 +102,9 @@ def test_report_series(benchmark):
     rows = []
     speedups = []
     for scale in SCALES:
-        wh, base_state, updates, plans = build(scale)
-        seed_time, seed_state = timed(lambda: run_seed(wh, base_state, updates, plans))
-        fast_time, fast_state = timed(lambda: run_fast(wh, base_state, updates, plans))
+        wh, base_state, updates = build(scale)
+        seed_time, seed_state = timed(lambda: run_seed(wh, base_state, updates))
+        fast_time, fast_state = timed(lambda: run_fast(wh, base_state, updates))
         assert seed_state == fast_state  # both are W(u(...)) — same final state
         speedup = seed_time / fast_time
         speedups.append(speedup)
@@ -128,7 +125,7 @@ def test_report_series(benchmark):
     # The acceptance bar: >= 2x over the seed evaluator at the largest size.
     assert speedups[-1] >= 2.0, speedups
 
-    wh, base_state, updates, plans = build(SCALES[0])
+    wh, base_state, updates = build(SCALES[0])
     cache = EvaluationCache()
-    run_fast(wh, base_state, updates, plans, cache=cache)  # warm
-    benchmark(lambda: run_fast(wh, base_state, updates, plans, cache=cache))
+    run_fast(wh, base_state, updates, cache=cache)  # warm
+    benchmark(lambda: run_fast(wh, base_state, updates, cache=cache))

@@ -37,8 +37,7 @@ def test_maintenance_latency(benchmark, with_ri, n_emps, per_emp):
         "Sale", ("item", "clerk"), [("fresh", f"clerk{i}") for i in range(5)]
     )
     state = dict(wh.state)
-    plan = wh.maintenance_plan(["Sale"])
-    benchmark(lambda: refresh_state(wh.spec, state, update, plan))
+    benchmark(lambda: refresh_state(wh.spec, state, update))
 
 
 def test_report_series(benchmark):

@@ -43,12 +43,11 @@ def build(scale: float):
 def test_incremental_stream(benchmark, scale):
     inst, wh, updates = build(scale)
     base_state = dict(wh.state)
-    plans = {u.relations(): wh.maintenance_plan(u.relations()) for u in updates}
 
     def run():
         state = base_state
         for update in updates:
-            state, _ = refresh_state(wh.spec, state, update, plans[update.relations()])
+            state, _ = refresh_state(wh.spec, state, update)
         return state
 
     benchmark(run)
@@ -75,14 +74,11 @@ def test_report_series(benchmark):
     for scale in SCALES:
         inst, wh, updates = build(scale)
         state = dict(wh.state)
-        plans = {u.relations(): wh.maintenance_plan(u.relations()) for u in updates}
 
         def run_incremental():
             current = dict(state)
             for update in updates:
-                current, _ = refresh_state(
-                    wh.spec, current, update, plans[update.relations()]
-                )
+                current, _ = refresh_state(wh.spec, current, update)
             return current
 
         def run_recompute():
@@ -140,5 +136,4 @@ def test_report_series(benchmark):
 
     inst, wh, updates = build(SCALES[0])
     state = dict(wh.state)
-    plan = wh.maintenance_plan(updates[0].relations())
-    benchmark(lambda: refresh_state(wh.spec, state, updates[0], plan))
+    benchmark(lambda: refresh_state(wh.spec, state, updates[0]))

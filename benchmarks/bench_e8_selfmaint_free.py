@@ -54,8 +54,7 @@ def test_complement_machinery(benchmark, n):
     wh.initialize(state)
     update = make_update(n, 10)
     warehouse = dict(wh.state)
-    plan = wh.maintenance_plan(["Emp"])
-    benchmark(lambda: refresh_state(wh.spec, warehouse, update, plan))
+    benchmark(lambda: refresh_state(wh.spec, warehouse, update))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -86,7 +85,7 @@ def test_report_series(benchmark):
         wh.initialize(state)
         update = make_update(n, 10)
 
-        new_state, _ = refresh_state(wh.spec, wh.state, update, None)
+        new_state, _ = refresh_state(wh.spec, wh.state, update)
 
         sigma = view.definition
         delta = update.delta_for("Emp")

@@ -88,10 +88,9 @@ def test_fact_maintenance(benchmark, n_cust, per_loc):
     wh.initialize(db)
     update = order_batch(db, "N", 10, seed=5)
     state = dict(wh.state)
-    plan = wh.maintenance_plan(update.relations())
     from repro.core.maintenance import refresh_state
 
-    benchmark(lambda: refresh_state(wh.spec, state, update, plan))
+    benchmark(lambda: refresh_state(wh.spec, state, update))
 
 
 def test_report_series(benchmark):

@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""AST lint for the engines' hot paths (interpreter, kernels, compiler).
+"""AST lint for the engines' hot paths (interpreter, kernels, refresh plans).
 
 Two rule sets, dispatched per file:
 
 **Evaluator rules** (the interpreter ``src/repro/algebra/evaluator.py``,
-the refresh orchestration ``repro/core/maintenance.py``, the compiler's
-hot modules ``repro/compiler/{certificate,fuse,runtime}.py``, and the
-query-translation serving path ``repro/core/translation.py``). Each of
+the refresh orchestration ``repro/core/maintenance.py``, the refresh plan
+modules ``repro/compiler/{fuse,runtime}.py``, and the query-translation
+serving path ``repro/core/translation.py``). Each of
 these runs once per operator, per refresh or per answer, with tracing
 normally off, and must then cost nothing for observability: no ``Span``
 objects, no timing calls, no unguarded tracer method calls. Every
@@ -76,13 +76,12 @@ _ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_TARGETS = (
     _ROOT / "src" / "repro" / "algebra" / "evaluator.py",
     _ROOT / "src" / "repro" / "storage" / "columnar.py",
-    # Orchestration of every interpreted refresh (normalize, maintain).
+    # Orchestration of every refresh (normalize, maintain).
     _ROOT / "src" / "repro" / "core" / "maintenance.py",
-    # The compiler's refresh path: certificate checks, plan fusion, and
-    # the compiled closures all run under the same no-clock/no-env/
-    # seam-only-span rules. (repro/compiler/__init__.py is exempt: it
-    # is the build/metrics boundary and times compilation on purpose.)
-    _ROOT / "src" / "repro" / "compiler" / "certificate.py",
+    # What every refresh runs: plan derivation/fusion and the per-spec
+    # plan cache, under the same no-clock/no-env/seam-only-span rules.
+    # (repro/compiler/certificate.py is off the refresh path: it backs
+    # the offline ``python -m repro compile`` only.)
     _ROOT / "src" / "repro" / "compiler" / "fuse.py",
     _ROOT / "src" / "repro" / "compiler" / "runtime.py",
     # The query-translation serving path: translate/cache/lookup runs per

@@ -6,8 +6,9 @@ Usage::
     PYTHONPATH=src python scripts/differential_smoke.py [--schemas N]
         [--updates N] [--seed N] [--trace-out FILE.jsonl]
 
-Exit status 0 iff the three maintenance tracks (cached fast path, uncached
-evaluator, full recompute) agree on every step. See
+Exit status 0 iff the four maintenance tracks (cached fast path, uncached
+evaluator, full recompute from sources, columnar engine) agree on every
+step. See
 ``tests/differential/harness.py`` for the track definitions.
 
 ``--trace-out`` enables tracing on the fast track and streams every

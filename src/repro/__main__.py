@@ -31,7 +31,7 @@ Commands
       two-database pair showing non-injectivity (Proposition 2.1).
     * ``prove-sharding`` — the ``"sharding"`` section: assembly modes,
       co-partitioned groups, per-update-shape footprints and batch
-      commutativity (digest-compatible with the compiled-plan cache);
+      commutativity (hashed like the spec certificate of ``compile``);
       the witness is an interleaving that diverges, or a source state
       whose global image no shard assembly rebuilds. The W01xx
       concurrency lint over the runtime sources rides along (exit 1
@@ -44,12 +44,13 @@ Commands
       pair where warehouse state underdetermines the answer. A query
       that pinned ``"expect": "unknown"`` passes ``--strict``.
 ``compile FILE [FILE ...]``
-    Run the plan compiler (``repro.compiler``, docs/compiler.md) on spec
-    files: certify each spec against the prover's PROVED certificate and
-    compile one refresh program per single-relation update shape.
-    ``--explain`` dumps the fused per-shape plans (pruned / patch /
-    fused classification per warehouse relation). Exit status: 0 every
-    spec compiled, 1 a spec was refused, 2 unreadable input.
+    Offline view of the refresh plans (``repro.compiler``,
+    docs/compiler.md): certify each spec file against the prover's PROVED
+    certificate and derive the plan of every single-relation update
+    shape. ``--explain`` dumps those plans (pruned / patch / fused
+    classification per warehouse relation) — the expressions the
+    interpreter runs on a refresh of that shape. Exit status: 0 every
+    spec certified, 1 a spec was refused, 2 unreadable input.
 ``tpcd [--scale S]``
     Generate a TPC-D-like instance, specify its warehouse, and print the
     storage breakdown.
@@ -254,7 +255,7 @@ def _cmd_prove(args) -> int:
 
 def _cmd_compile(args) -> int:
     from repro.analysis.specfile import load_target
-    from repro.compiler import build_refresh_compiler
+    from repro.compiler import certify, fused_plan
     from repro.errors import CompileError, ReproError
 
     failures = 0
@@ -266,7 +267,7 @@ def _cmd_compile(args) -> int:
             return 2
         try:
             spec = specify(target.catalog, target.views, method=args.method)
-            compiler = build_refresh_compiler(spec)
+            certificate = certify(spec)
         except CompileError as exc:
             print(f"{path}: REFUSED — {exc}")
             failures += 1
@@ -279,20 +280,15 @@ def _cmd_compile(args) -> int:
             failures += 1
             continue
         shapes = sorted(spec.catalog.relation_names())
-        for relation in shapes:
-            compiler.program_for(frozenset({relation}))
         print(
-            f"{path}: COMPILED — certificate {compiler.digest[:12]}..., "
-            f"{compiler.plan_count} update shape(s)"
+            f"{path}: COMPILED — certificate {certificate.digest[:12]}..., "
+            f"{len(shapes)} update shape(s)"
         )
         if args.explain:
             for relation in shapes:
-                program = compiler.program_for(frozenset({relation}))
+                plan = fused_plan(spec, {relation})
                 print(f"  shape {relation}:")
-                print(
-                    "    "
-                    + program.plan.describe().replace("\n", "\n    ")
-                )
+                print("    " + plan.describe().replace("\n", "\n    "))
     return 1 if failures else 0
 
 
@@ -315,12 +311,7 @@ def _cmd_obs(args) -> int:
     sources.load("Sale", [("TV set", "Mary"), ("VCR", "Mary"), ("PC", "John")])
     sources.load("Emp", [("Mary", 23), ("John", 25), ("Paula", 32)])
 
-    # The demo shows the *evaluator's* annotated operator trees (fast-path
-    # stars, per-operator rows); pin the interpreted path so the output is
-    # the same under REPRO_COMPILE=1.
-    warehouse = Warehouse.specify(
-        catalog, [View("Sold", parse("Sale join Emp"))], compile_plans=False
-    )
+    warehouse = Warehouse.specify(catalog, [View("Sold", parse("Sale join Emp"))])
     sink = None
     if args.trace_out:
         from repro.obs import JsonlSink
@@ -432,7 +423,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     compile_parser = commands.add_parser(
         "compile",
-        help="compile certified refresh plans from spec files (docs/compiler.md)",
+        help="certify spec files and print their refresh plans (docs/compiler.md)",
     )
     compile_parser.add_argument("files", nargs="+", help="spec JSON file(s)")
     compile_parser.add_argument(

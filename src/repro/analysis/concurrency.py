@@ -43,11 +43,11 @@ certificates hashed with the same canonical digest as the PR-7 plan cache
   ``REPRO_CHECK_RACES=1`` sanitizer (:mod:`repro.analysis.races`)
   cross-checks at runtime.
 
-Certificates are digest-compatible with the compiled-plan cache: both
-hash with :func:`repro.analysis.digest.canonical_digest`, and
-:meth:`repro.core.sharding.ShardedWarehouse.recertify` evicts compiled
-plans whenever the sharding digest changes — a refuted commutativity claim
-therefore invalidates every compiled refresh closure.
+Certificates hash with :func:`repro.analysis.digest.canonical_digest`, like
+the spec certificate of :func:`repro.compiler.certificate.certify`;
+:meth:`repro.core.sharding.ShardedWarehouse.recertify` records the digest
+of the last accepted one and refuses a certificate whose commutativity
+claim is refuted.
 """
 
 from __future__ import annotations
@@ -968,7 +968,7 @@ def verify_sharding_witness(
 
 
 def _plan_cache_key(spec: WarehouseSpec) -> Optional[str]:
-    """The compiled-plan cache digest this layout composes with, if any."""
+    """The spec certificate digest this layout composes with, if any."""
     from repro.compiler.certificate import certify
     from repro.errors import CompileError
 
@@ -991,8 +991,9 @@ def build_sharding_certificate(
     Self-contained: the warehouse mapping and routings are serialized in
     re-parseable form, so :func:`check_sharding_certificate` can re-run
     the classification and the numeric replay without the spec object.
-    ``plan_cache_key`` ties it to the PR-7 compiled-plan cache: the
-    compiler certificate digest the layout's compiled closures key on.
+    ``plan_cache_key`` is the spec certificate digest
+    (:func:`repro.compiler.certificate.certify`) the layout was proved
+    under, ``None`` for a spec that has none.
     """
     shard_count = next(iter(routings.values())).shards if routings else 1
     assembly_all: Dict[str, str] = {

@@ -1,19 +1,17 @@
-"""The compiler's trust anchor: a validated, hashed prover certificate.
+"""The spec certificate: the prover's verdict, re-validated and hashed.
 
-The plan compiler never re-derives the paper's theorems. It *consumes*
-them: :func:`repro.analysis.prover.build_certificate` states, per spec,
-the Equation (4) inversion expression for every base relation and the
+:func:`repro.analysis.prover.build_certificate` states, per spec, the
+Equation (4) inversion expression for every base relation and the
 Theorem 4.1 dataflow read sets, and :func:`check_certificate` re-validates
-that document independently (parse-back plus numeric replay). Only a spec
-whose certificate survives that check — and whose read sets are all empty,
-i.e. the prover's ``update_independent`` verdict — is eligible for
-compilation; anything else raises :class:`~repro.errors.CompileError` and
-the warehouse stays on the interpreted path.
+that document independently (parse-back plus numeric replay).
+:func:`certify` runs both and refuses — :class:`~repro.errors.CompileError`
+— a spec whose certificate does not survive the check or whose read sets
+are not all empty (the prover's ``update_independent`` verdict).
 
-The certificate's canonical-JSON SHA-256 digest keys the compiled plan
-cache: a prover re-verdict that changes *any* fact the closures were
-specialized against changes the digest, and the cache is evicted
-(:meth:`repro.core.warehouse.Warehouse.recertify`).
+This is an offline check: ``python -m repro compile`` prints the verdict
+beside the spec's refresh plans, and sharding certificates record the
+digest as ``plan_cache_key``. The refresh path itself
+(:func:`repro.core.maintenance.refresh_state`) does not consult it.
 """
 
 from __future__ import annotations
@@ -26,8 +24,8 @@ from repro.analysis.digest import canonical_digest
 from repro.analysis.prover import build_certificate, check_certificate
 from repro.core.complement import WarehouseSpec
 
-#: The certificate mode the compiler trusts (the prover's complement-based
-#: proof; the self-maintainability mode has no inverses to compile).
+#: The certificate mode certified here (the prover's complement-based
+#: proof; the self-maintainability mode states no inverses).
 TRUSTED_MODE = "with-complement"
 
 

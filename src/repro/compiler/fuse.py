@@ -1,6 +1,6 @@
-"""Fused per-update-shape maintenance plans (the compiler's middle end).
+"""Fused per-update-shape maintenance plans: what a refresh interprets.
 
-Starting from the same symbolic derivation the interpreter uses
+Starting from the symbolic derivation of Example 4.1
 (:func:`repro.core.maintenance.maintenance_expressions` — delta rules plus
 Equation (4) inverse substitution), each maintenance expression is run
 through :func:`repro.algebra.optimize.fuse_chains`: select/select and
@@ -9,24 +9,25 @@ fold, and the empty relation propagates through every operator. The result
 classifies each warehouse relation's program:
 
 * ``pruned``  — both delta expressions folded to ``Empty``: this update
-  shape provably cannot touch the relation, and the compiled closure
-  carries the relation over by identity without evaluating anything;
+  shape provably cannot touch the relation, and the refresh carries
+  the relation over by identity without evaluating anything;
 * ``patch``   — both delta expressions are bare leaves (a delta-relation
   reference or ``Empty``): the refresh is a pure warehouse-local patch —
   ``w' = (w − R__del) ∪ R__ins`` — with no algebra to run at all (the
   complement relations of Example 4.1 take this form);
-* ``fused``   — anything else: a chain-fused expression the runtime
-  compiles to a closure over the columnar kernels.
+* ``fused``   — anything else: a chain-fused expression for the
+  interpreter (:func:`repro.core.maintenance.refresh_state`) to evaluate.
 
 Plans are specialized per *side mask* as well as per relation set: a pure
 insertion (or pure deletion) folds the unused ``R__del`` / ``R__ins``
 delta to the empty relation *before* fusing, so whole branches of the
-derivation prune away at compile time — the compact forms of Example 4.1,
-derived once per shape instead of being rediscovered per refresh.
+derivation prune away at derivation time — the compact forms of Example
+4.1, derived once per shape instead of being rediscovered per refresh.
 
-On top of fusion, two **value-reuse** rewrites spend the certificate's
-Equation (4) identity (``W ∘ W⁻¹ = id``, re-validated by
-:func:`repro.compiler.certificate.certify`):
+On top of fusion, two **value-reuse** rewrites spend the Equation (4)
+identity ``W ∘ W⁻¹ = id`` (which holds for every spec that carries a
+complement — the same trust ``fold_occurrences`` places in it inside the
+derivation):
 
 * an *old-value* subterm — a warehouse relation's definition recomputed
   over the reconstructed sources — collapses to a reference to the stored
@@ -36,14 +37,10 @@ Equation (4) identity (``W ∘ W⁻¹ = id``, re-validated by
   already-patched value (``<name>__new``), which orders the relation
   programs topologically (cycles revert to the inline expression).
 
-These rewrites are what keep compiled maintenance incremental: without
-them, complement programs re-join the entire fact table on every refresh
-exactly like the interpreter does.
+These rewrites are what keep maintenance incremental: without them,
+complement programs re-join the entire fact table on every refresh.
 
-The classification is driven entirely by statically derived expressions;
-the prover's dataflow read sets (all empty, or
-:func:`repro.compiler.certificate.certify` refuses) guarantee no program
-ever mentions a source relation.
+The classification is driven entirely by statically derived expressions.
 """
 
 from __future__ import annotations
@@ -344,11 +341,3 @@ def fused_plan(
     )
     return FusedPlan(plan.updated, scope, delta_names, tuple(programs), mode)
 
-
-def fused_inverses(spec: WarehouseSpec) -> Dict[str, Expression]:
-    """Chain-fused Equation (4) inverses (for compiled reconstruction)."""
-    scope = spec.warehouse_scope()
-    return {
-        name: fuse_chains(expression, scope)
-        for name, expression in spec.inverses.items()
-    }

@@ -21,12 +21,14 @@ from typing import Callable, Dict, FrozenSet, Iterable, Optional
 
 from repro.errors import WarehouseError
 from repro.algebra.evaluator import evaluate, evaluate_all
+from repro.algebra.expressions import Expression
 from repro.storage.relation import Relation
 from repro.storage.update import Delta, Update
 from repro.core.complement import WarehouseSpec
-from repro.core.maintenance import refresh_state
+from repro.core.maintenance import normalize_update, refresh_state, side_mask
 from repro.core.translation import translate_query
 from repro.core.warehouse import Warehouse
+from repro.compiler.fuse import NEW_SUFFIX
 
 SourceAccess = Callable[[str], Relation]
 
@@ -139,17 +141,36 @@ class HybridWarehouse(Warehouse):
             return evaluate(inverse, self._full_state())
         return evaluate(inverse, self.state)
 
+    def _reads_virtual(self, expressions: Iterable[Expression]) -> bool:
+        """Whether evaluating ``expressions`` needs a virtual complement
+        (as stored, or as the ``__new`` value an earlier program left)."""
+        return any(
+            name.removesuffix(NEW_SUFFIX) in self.virtual
+            for expression in expressions
+            for name in expression.relation_names()
+        )
+
     def apply(self, update: Update) -> Dict[str, Delta]:
-        plan = self.maintenance_plan(update.relations())
-        touched: set = set()
-        for exprs in plan.expressions.values():
-            touched |= exprs.inserts.relation_names()
-            touched |= exprs.deletes.relation_names()
-        if touched & self.virtual:
-            working = self._full_state(undo=update)
-        else:
-            working = dict(self.state)
-        new_state, applied = refresh_state(self.spec, working, update, plan)
+        # Virtual complements are fetched only if what is about to run
+        # needs them: first the Equation (4) inverses that normalize the
+        # update, then the programs of the effective update's plan (known
+        # only once normalized; refresh_state normalizing the effective
+        # update again is a no-op on its rows).
+        fetch = self._reads_virtual(
+            self.spec.inverse_for(relation) for relation in update.relations()
+        )
+        working = self._full_state(undo=update) if fetch else dict(self.state)
+        effective = normalize_update(self.spec, working, update)
+        if not fetch and not effective.is_empty():
+            plan = self._refresh_plans.program_for(
+                frozenset(effective.relations()), side_mask(effective)
+            )
+            running = [p for p in plan.relations if p.kind != "pruned"]
+            if any(p.name in self.virtual for p in running) or self._reads_virtual(
+                side for p in running for side in (p.inserts, p.deletes)
+            ):
+                working = self._full_state(undo=update)
+        new_state, applied = refresh_state(self.spec, working, effective)
         # Persist only the materialized part.
         self._state = {
             name: rel for name, rel in new_state.items() if name not in self.virtual

@@ -16,12 +16,16 @@ This module implements both:
 * :func:`refresh_state` — the numeric engine: normalize the reported update
   to effective form (one ``W^{-1}`` evaluation per updated relation — a
   warehouse-local query, never a source query), bind the delta relations,
-  evaluate the maintenance expressions with a shared memo, and apply the
+  interpret the fused plan of the update's shape and side mask
+  (:mod:`repro.compiler.fuse` — the derivation above, chain-fused, with
+  recomputed old and new values replaced by references), and apply the
   resulting per-relation deltas;
 * :func:`full_recompute_state` — the ``w' = W(u(W^{-1}(w)))`` baseline used
   in the benchmarks.
 
-Maintenance plans are cached per set of updated relations.
+Plans are pure functions of ``(spec, update shape, side mask)``; they are
+derived once and cached on the spec
+(:class:`repro.compiler.runtime.RefreshCompiler`).
 """
 
 from __future__ import annotations
@@ -186,11 +190,26 @@ def normalize_update(
     return update.normalized(reconstructed)
 
 
+def side_mask(update: Update) -> str:
+    """Which delta sides ``update`` carries: the ``mode`` its plan is cut for.
+
+    ``"insert-only"`` / ``"delete-only"`` select the Example 4.1 compact
+    forms (the unused side folded to the empty relation before fusion);
+    anything else runs the ``"mixed"`` plan.
+    """
+    has_inserts = any(len(delta.inserts) for delta in update)
+    has_deletes = any(len(delta.deletes) for delta in update)
+    if has_inserts and not has_deletes:
+        return "insert-only"
+    if has_deletes and not has_inserts:
+        return "delete-only"
+    return "mixed"
+
+
 def refresh_state(
     spec: WarehouseSpec,
     warehouse: State,
     update: Update,
-    plan: Optional[MaintenancePlan] = None,
     cache: Optional[EvaluationCache] = None,
     stats: Optional[EvalStats] = None,
     fastpath: bool = True,
@@ -204,6 +223,14 @@ def refresh_state(
     views). Uses only warehouse relations and the update — the source
     databases are never consulted (Theorem 4.1's update independence).
 
+    The update is normalized to effective form, and the fused plan for its
+    shape and side mask (:func:`repro.compiler.fuse.fused_plan`, derived
+    once per spec and cached on it) is interpreted program by program:
+    ``pruned`` programs carry their relation over untouched, the others
+    evaluate their insert and delete expressions, patch
+    ``(w − deletes) ∪ inserts`` and bind the result as ``<name>__new`` for
+    the programs after them.
+
     ``cache`` may be a persistent :class:`EvaluationCache` shared across
     refreshes: unchanged warehouse relations keep their object identity from
     one refresh to the next (see below), so cached sub-expressions stay
@@ -212,8 +239,12 @@ def refresh_state(
     evaluator's join fast paths. ``tracer`` (a
     :class:`~repro.obs.trace.Tracer`, or ``None``) records the refresh as a
     span tree: ``normalize_update``, then one ``maintain`` span per
-    warehouse relation wrapping its operator spans.
+    maintained warehouse relation wrapping its operator spans.
     """
+    # Function-level: repro.compiler imports this module for the derivation.
+    from repro.compiler.fuse import new_value_name
+    from repro.compiler.runtime import RefreshCompiler
+
     options = dict(stats=stats, fastpath=fastpath, tracer=tracer, engine=engine)
     with span_of(
         tracer, "normalize_update", relations=sorted(update.relations())
@@ -224,31 +255,36 @@ def refresh_state(
         )
     if effective.is_empty():
         return dict(warehouse), {}
-    updated = frozenset(effective.relations())
-    if plan is None or plan.updated != updated:
-        plan = maintenance_expressions(spec, updated)
+    plan = RefreshCompiler.of(spec).program_for(
+        frozenset(effective.relations()), side_mask(effective)
+    )
 
-    scope = spec.source_scope()
-    combined: Dict[str, Relation] = dict(warehouse)
-    combined.update(delta_bindings(effective, scope))
-
-    memo = cache if cache is not None else {}
+    env: Dict[str, Relation] = dict(warehouse)
+    env.update(delta_bindings(effective, spec.source_scope()))
     applied: Dict[str, Delta] = {}
-    new_state: Dict[str, Relation] = {}
-    for name, exprs in plan.expressions.items():
-        with span_of(tracer, "maintain", relation=name) as span:
-            inserts = evaluate(exprs.inserts, combined, cache=memo, **options)
-            deletes = evaluate(exprs.deletes, combined, cache=memo, **options)
-            span.set(rows_inserted=len(inserts), rows_deleted=len(deletes))
-        current = warehouse[name]
-        if inserts or deletes:
-            new_state[name] = current.difference(deletes).union(inserts)
-            applied[name] = Delta(name, inserts=inserts, deletes=deletes)
-        else:
-            # Keep the identical object so its cached join buckets — and any
-            # EvaluationCache entries referencing it — survive into the next
-            # refresh.
-            new_state[name] = current
+    # Relations no program changes keep the identical object, so their
+    # cached join buckets — and any EvaluationCache entries referencing
+    # them — survive into the next refresh.
+    new_state: Dict[str, Relation] = dict(warehouse)
+    for program in plan.relations:
+        name = program.name
+        if program.kind != "pruned":
+            # A dict memo is tied to one state: each program sees the
+            # ``__new`` bindings of those before it, so it gets its own.
+            memo = cache if cache is not None else {}
+            with span_of(
+                tracer, "maintain", relation=name, kind=program.kind
+            ) as span:
+                inserts = evaluate(program.inserts, env, cache=memo, **options)
+                deletes = evaluate(program.deletes, env, cache=memo, **options)
+                span.set(rows_inserted=len(inserts), rows_deleted=len(deletes))
+            if inserts or deletes:
+                new_state[name] = warehouse[name].difference(deletes).union(inserts)
+                applied[name] = Delta(name, inserts=inserts, deletes=deletes)
+        # A pruned relation the caller did not bind (a HybridWarehouse's
+        # virtual complement it found no program reading) has no value.
+        if name in new_state:
+            env[new_value_name(name)] = new_state[name]
     return new_state, applied
 
 

@@ -373,7 +373,6 @@ class ShardedWarehouse:
         shards: Optional[int] = None,
         cached: bool = True,
         engine: Optional[str] = None,
-        compile_plans: Optional[bool] = None,
     ) -> None:
         if router is None:
             router = ShardRouter((), shards=shards if shards is not None else 1)
@@ -395,7 +394,7 @@ class ShardedWarehouse:
         self._footprints: Dict[FrozenSet[str], FrozenSet[str]] = {}
         self._certificate_digest: Optional[str] = None
         self.shards: Tuple[Warehouse, ...] = tuple(
-            Warehouse(spec, cached=cached, engine=engine, compile_plans=compile_plans)
+            Warehouse(spec, cached=cached, engine=engine)
             for _ in range(router.shards)
         )
         self._committed: List[Optional[Dict[str, Relation]]] = [
@@ -445,7 +444,6 @@ class ShardedWarehouse:
         method: str = "thm22",
         cached: bool = True,
         engine: Optional[str] = None,
-        compile_plans: Optional[bool] = None,
         **options,
     ) -> "ShardedWarehouse":
         """Build a sharded warehouse from a catalog and PSJ views."""
@@ -460,7 +458,6 @@ class ShardedWarehouse:
             shards=shards,
             cached=cached,
             engine=engine,
-            compile_plans=compile_plans,
         )
 
     # ------------------------------------------------------------------
@@ -680,37 +677,18 @@ class ShardedWarehouse:
         """The ``REPRO_CHECK_RACES=1`` tracker (``None`` when disabled)."""
         return self._race_tracker
 
-    def recertify(
-        self, certificate: Optional[Mapping[str, object]] = None
-    ) -> bool:
-        """Re-validate the sharding certificate; evict stale compiled plans.
+    def recertify(self, certificate: Mapping[str, object]) -> bool:
+        """Accept a sharding certificate; ``True`` when its digest is new.
 
-        With no argument, every shard re-runs its own compiler
-        recertification (:meth:`repro.core.warehouse.Warehouse.recertify`)
-        and ``True`` means at least one shard's plans were evicted. Given a
-        sharding certificate document (as produced by ``python -m repro
-        prove-sharding --certificates``), its canonical digest — the same
-        :func:`~repro.analysis.digest.canonical_digest` that keys the
-        compiled-plan cache — is compared with the last accepted one: a
-        changed digest means the closures were specialized against facts
-        that no longer hold, so every shard's compiled plans are evicted.
-        A certificate recording *refuted* batch commutativity additionally
-        raises after eviction: concurrent use of this warehouse would be
-        unsound, and silently continuing on fresh plans would hide that.
+        ``certificate`` is a sharding certificate document (as produced by
+        ``python -m repro prove-sharding --certificates``). Its
+        :func:`~repro.analysis.digest.canonical_digest` is compared with
+        the last accepted one and recorded. Refresh plans are pure
+        functions of the spec, so there is nothing to evict; but a
+        certificate recording *refuted* batch commutativity raises:
+        concurrent use of this warehouse would be unsound, and silently
+        continuing would hide that.
         """
-        if certificate is None:
-            changed = False
-            for shard in self.shards:
-                changed = shard.recertify() or changed
-            return changed
-        digest = canonical_digest(certificate)
-        changed = digest != self._certificate_digest
-        if changed and self._certificate_digest is not None:
-            evicted = sum(shard.evict_plans() for shard in self.shards)
-            self._metrics.counter("warehouse.plan_evictions").inc(
-                evicted if evicted else 1
-            )
-        self._certificate_digest = digest
         commutativity = certificate.get("commutativity")
         if isinstance(commutativity, Mapping) and commutativity.get(
             "commute"
@@ -718,9 +696,11 @@ class ShardedWarehouse:
             raise WarehouseError(
                 "sharding certificate refutes batch commutativity: "
                 "concurrent per-source batches on this layout are "
-                "order-dependent; compiled plans evicted, refusing to "
-                "accept the certificate"
+                "order-dependent; refusing to accept the certificate"
             )
+        digest = canonical_digest(certificate)
+        changed = digest != self._certificate_digest
+        self._certificate_digest = digest
         return changed
 
     # ------------------------------------------------------------------

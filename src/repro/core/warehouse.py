@@ -6,9 +6,10 @@
    ``W^{-1}`` (Theorem 2.2, Equation (4));
 2. query translation is then a substitution (Theorem 3.1) — available as
    :meth:`Warehouse.translate` / :meth:`Warehouse.answer`;
-3. maintenance expressions are derived per update shape and cached —
-   :meth:`Warehouse.apply` folds reported source updates into the
-   materialized state using warehouse data only (Theorem 4.1).
+3. maintenance plans are derived per update shape and side mask and
+   cached on the spec — :meth:`Warehouse.apply` folds reported source
+   updates into the materialized state using warehouse data only
+   (Theorem 4.1).
 
 The warehouse user "does not need to be aware of complementary views or
 query rewriting" (Section 5): queries are posed against base relation names
@@ -20,7 +21,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Union as TypingUnion
 
-from repro.errors import CompileError, WarehouseError
+from repro.errors import WarehouseError
 from repro.algebra.evaluator import EvalStats, EvaluationCache, evaluate, evaluate_all
 from repro.algebra.expressions import Expression
 from repro.algebra.parser import parse
@@ -37,7 +38,6 @@ from repro.core.maintenance import (
     MaintenancePlan,
     full_recompute_state,
     maintenance_expressions,
-    refresh_state,
 )
 from repro.core.translation import (
     TranslationCache,
@@ -72,10 +72,9 @@ class Warehouse:
         spec: WarehouseSpec,
         cached: bool = True,
         engine: Optional[str] = None,
-        compile_plans: Optional[bool] = None,
     ) -> None:
         from repro.storage.columnar import ENGINE_COLUMNAR, kernel_totals, resolve_engine
-        from repro.compiler import resolve_compile
+        from repro.compiler.runtime import RefreshCompiler
 
         self.spec = spec
         # Physical execution engine: "tuple" (frozenset operators) or
@@ -83,22 +82,12 @@ class Warehouse:
         # process default (REPRO_ENGINE), resolved once at construction.
         self.engine = resolve_engine(engine)
         self._columnar_engine = self.engine == ENGINE_COLUMNAR
-        # Plan compilation (repro.compiler): refreshes run as per-update-
-        # shape closures specialized from the prover's certificate, over
-        # the columnar kernels regardless of the interpreted engine.
-        # ``None`` follows the process default (REPRO_COMPILE), resolved
-        # once at construction; the compiler itself is built lazily on the
-        # first apply() and drops to the interpreted path (with a
-        # compiler.fallbacks bump) if the spec cannot be certified.
-        self._compile = resolve_compile(compile_plans)
-        self._compiler = None
-        self._compile_refused = False
+        # The refresh plans, one per (update shape, side mask): shared by
+        # every warehouse built on this spec object.
+        self._refresh_plans = RefreshCompiler.of(spec)
         # Baseline of the process-wide kernel counters, so per-refresh
-        # deltas can be folded into evaluator.columnar.* metrics (the
-        # compiled path always runs columnar kernels).
-        self._kernel_baseline = (
-            kernel_totals() if (self._columnar_engine or self._compile) else {}
-        )
+        # deltas can be folded into evaluator.columnar.* metrics.
+        self._kernel_baseline = kernel_totals() if self._columnar_engine else {}
         self._state: Optional[Dict[str, Relation]] = None
         # MVCC-style read handles: every initialize()/apply() *replaces*
         # _state and bumps _version, so a SnapshotView is just a pinned set
@@ -254,7 +243,7 @@ class Warehouse:
         if deleted:
             metrics.counter("warehouse.rows_deleted").inc(deleted)
         metrics.merge_eval_stats(stats)
-        if self._columnar_engine or self._compiler is not None:
+        if self._columnar_engine:
             self._record_kernel_metrics()
         self._update_storage_gauges()
 
@@ -271,20 +260,6 @@ class Warehouse:
                 metrics.counter(f"evaluator.columnar.{kernel}").inc(delta)
         self._kernel_baseline = totals
         metrics.gauge("evaluator.columnar.dictionary_size").set(dictionary_size())
-
-    def _record_compiler_metrics(self, compiler) -> None:
-        """Drain the compiler's plain-int counters into ``compiler.*``."""
-        metrics = self._metrics
-        if compiler.compiles:
-            metrics.counter("compiler.compiles").inc(compiler.compiles)
-            compiler.compiles = 0
-        if compiler.plan_hits:
-            metrics.counter("compiler.plan_cache_hits").inc(compiler.plan_hits)
-            compiler.plan_hits = 0
-        if compiler.refreshes:
-            metrics.counter("compiler.compiled_refreshes").inc(compiler.refreshes)
-            compiler.refreshes = 0
-        metrics.gauge("compiler.plans").set(compiler.plan_count)
 
     def _update_storage_gauges(self) -> None:
         if self._state is None:
@@ -326,15 +301,18 @@ class Warehouse:
     ) -> "Warehouse":
         """Build a warehouse from a catalog and PSJ view definitions.
 
-        ``cached``, ``engine``, and ``compile_plans`` configure the
-        constructed warehouse (see :meth:`__init__`); all other keyword
-        ``options`` go to the specification builder.
+        ``cached`` and ``engine`` configure the constructed warehouse (see
+        :meth:`__init__`); all other keyword ``options`` go to the
+        specification builder.
         """
+        # compile_plans selects nothing: there is one refresh path. It is
+        # still accepted because benchmarks/suite/workloads.py:551 (the
+        # frozen suite's ``variant.compiled`` row) passes it; the next
+        # benchmark PR drops that row and this parameter together.
         return cls(
             specify(catalog, views, method=method, **options),
             cached=cached,
             engine=engine,
-            compile_plans=compile_plans,
         )
 
     # ------------------------------------------------------------------
@@ -527,89 +505,6 @@ class Warehouse:
             self._plans[updated_set] = plan
         return plan
 
-    def _active_compiler(self):
-        """The refresh compiler, built lazily; ``None`` when off/refused."""
-        if not self._compile or self._compile_refused:
-            return None
-        if self._compiler is None:
-            from repro.compiler import build_refresh_compiler
-
-            try:
-                self._compiler = build_refresh_compiler(self.spec, self._metrics)
-            except CompileError:
-                # The prover could not certify the spec: stay on the
-                # interpreted path for the lifetime of this warehouse
-                # (recertify() can re-arm after the spec is fixed).
-                self._compile_refused = True
-                self._metrics.counter("compiler.fallbacks").inc()
-                return None
-        return self._compiler
-
-    @property
-    def plan_compiler(self):
-        """The active :class:`~repro.compiler.RefreshCompiler`, if built."""
-        return self._compiler
-
-    def recertify(self) -> bool:
-        """Re-run the prover; evict compiled plans if the verdict changed.
-
-        Re-certifies the spec and compares certificate digests. An
-        unchanged digest keeps every cached compiled program (returns
-        ``False``). A changed digest — or a certificate that now fails
-        validation — evicts the whole plan cache (counted by
-        ``compiler.evictions``) and returns ``True``; on failure the
-        warehouse additionally drops to the interpreted path
-        (``compiler.fallbacks``). A no-op unless plan compilation is
-        enabled for this warehouse.
-        """
-        if not self._compile:
-            return False
-        from repro.compiler import certify
-        from repro.compiler.runtime import RefreshCompiler
-
-        old = self._compiler
-        try:
-            certificate = certify(self.spec)
-        except CompileError:
-            self._compiler = None
-            self._compile_refused = True
-            self._metrics.counter("compiler.fallbacks").inc()
-            if old is not None:
-                self._metrics.counter("compiler.evictions").inc(old.plan_count)
-                self._metrics.gauge("compiler.plans").set(0)
-            return True
-        self._compile_refused = False
-        if old is not None and old.certificate.digest == certificate.digest:
-            return False
-        self._metrics.counter("compiler.certificates").inc()
-        if old is not None:
-            self._metrics.counter("compiler.evictions").inc(old.plan_count)
-        self._compiler = RefreshCompiler(self.spec, certificate)
-        self._metrics.gauge("compiler.plans").set(0)
-        return True
-
-    def evict_plans(self) -> int:
-        """Drop every cached compiled program, keeping the certificate.
-
-        The hard-eviction half of :meth:`recertify`: used when an
-        *external* certificate (e.g. a sharding certificate —
-        :meth:`repro.core.sharding.ShardedWarehouse.recertify`) changed
-        and the closures must be rebuilt even though this warehouse's own
-        compiler certificate still validates. Returns the number of
-        evicted plans (0 when compilation is off or nothing was cached).
-        """
-        old = self._compiler
-        if old is None:
-            return 0
-        from repro.compiler.runtime import RefreshCompiler
-
-        evicted = old.plan_count
-        self._compiler = RefreshCompiler(self.spec, old.certificate)
-        if evicted:
-            self._metrics.counter("compiler.evictions").inc(evicted)
-        self._metrics.gauge("compiler.plans").set(0)
-        return evicted
-
     def recertify_queries(
         self, document: Optional[Mapping[str, object]] = None
     ) -> bool:
@@ -644,33 +539,22 @@ class Warehouse:
         """Incrementally fold a reported source update into the warehouse.
 
         Returns the effective per-warehouse-relation deltas. Touches no
-        source database. With the default persistent cache, sub-expressions
-        over relations this update leaves unchanged are reused from earlier
-        refreshes; per-refresh counters land in :attr:`last_refresh_stats`.
-        With plan compilation on (``REPRO_COMPILE=1`` /
-        ``compile_plans=True``), the refresh runs as a compiled closure
-        specialized to this update's shape instead of interpreting the
-        maintenance expressions.
+        source database. The refresh interprets the fused plan of this
+        update's shape and side mask (derived once per spec); with the
+        default persistent cache, sub-expressions over relations this
+        update leaves unchanged are reused from earlier refreshes;
+        per-refresh counters land in :attr:`last_refresh_stats`.
         """
-        compiler = self._active_compiler()
-        plan = (
-            None if compiler is not None
-            else self.maintenance_plan(update.relations())
-        )
+        plans = self._refresh_plans
+        compiles, plan_hits = plans.compiles, plans.plan_hits
         stats = EvalStats()
         started = perf_counter()
         tracer = self._tracer_for(self._sanitize)
         with span_of(tracer, "refresh", relations=sorted(update.relations())) as root:
-            if compiler is not None:
-                new_state, applied = compiler.refresh(
-                    self.state, update, tracer=tracer
-                )
-            else:
-                new_state, applied = refresh_state(
-                    self.spec, self.state, update, plan,
-                    cache=self._cache, stats=stats, tracer=tracer,
-                    engine=self.engine,
-                )
+            new_state, applied = plans.refresh(
+                self.state, update, cache=self._cache, stats=stats,
+                tracer=tracer, engine=self.engine,
+            )
             root.set(relations_touched=len(applied))
         if self._sanitize:
             from repro.analysis.dataflow import check_refresh_reads
@@ -682,8 +566,12 @@ class Warehouse:
         self._version += 1
         self._snapshot = None
         self._record_refresh_metrics(perf_counter() - started, applied, stats)
-        if compiler is not None:
-            self._record_compiler_metrics(compiler)
+        # The plan cache is shared by every warehouse on this spec; count
+        # only what this refresh derived or found.
+        metrics = self._metrics
+        metrics.counter("compiler.compiles").inc(plans.compiles - compiles)
+        metrics.counter("compiler.plan_cache_hits").inc(plans.plan_hits - plan_hits)
+        metrics.gauge("compiler.plans").set(plans.plan_count)
         for aggregate in self._aggregates:
             delta = applied.get(aggregate.source)
             if delta is not None:

@@ -1,9 +1,9 @@
 """Process configuration read from the environment, in one leaf module.
 
 It imports only the standard library and :mod:`repro.errors`, so the
-evaluator, the storage layer, the compiler and the analysis package can
-all resolve their settings here without an import cycle. The five
-variables the program reads:
+evaluator, the storage layer and the analysis package can all resolve
+their settings here without an import cycle. The four variables the
+program reads:
 
 * ``REPRO_ENGINE`` — the default physical engine (:func:`resolve_engine`):
   ``"columnar"``, dictionary-coded batch kernels
@@ -12,13 +12,11 @@ variables the program reads:
   differential reference). Both run under the one interpreter of
   :mod:`repro.algebra.evaluator`. Read **once at import**; tests that
   flip the process default monkeypatch :data:`DEFAULT_ENGINE`.
-* ``REPRO_COMPILE`` — plan compilation by default (:mod:`repro.compiler`,
-  read once at its import).
 * ``REPRO_CHECK_INVARIANTS`` / ``REPRO_CHECK_QUERIES`` /
   ``REPRO_CHECK_RACES`` — the runtime sanitizers of :mod:`repro.analysis`,
   each read once per warehouse construction.
 
-The four on/off variables share :func:`env_flag`. None is ever read on the
+The three on/off variables share :func:`env_flag`. None is ever read on the
 evaluator hot path (``scripts/check_hotpath.py`` rule R5).
 """
 
@@ -30,7 +28,6 @@ from typing import Optional
 from repro.errors import EvaluationError
 
 ENGINE_ENV = "REPRO_ENGINE"
-COMPILE_ENV = "REPRO_COMPILE"
 SANITIZER_ENV = "REPRO_CHECK_INVARIANTS"
 QUERIES_ENV = "REPRO_CHECK_QUERIES"
 RACES_ENV = "REPRO_CHECK_RACES"

@@ -1,21 +1,23 @@
-"""Sharding certificates drive the compiled-plan cache, cross-shard.
+"""Sharding certificates and :meth:`ShardedWarehouse.recertify`.
 
-The sharding certificate's canonical digest is the same
-:func:`~repro.analysis.digest.canonical_digest` that keys the PR-7 plan
-cache. :meth:`ShardedWarehouse.recertify` therefore treats a changed
-sharding digest exactly like a changed compiler certificate: every shard's
-compiled closures are evicted. A certificate that records *refuted* batch
-commutativity goes further — after evicting it refuses the certificate
-outright, because concurrent use of the layout would be order-dependent.
+The sharding certificate hashes with the same
+:func:`~repro.analysis.digest.canonical_digest` as the spec certificate.
+:meth:`ShardedWarehouse.recertify` records the digest of the last accepted
+certificate and reports whether it changed. Refresh plans are pure
+functions of the spec (shared by every shard, never evicted), so a changed
+digest leaves them alone; a certificate that records *refuted* batch
+commutativity is refused outright, because concurrent use of the layout
+would be order-dependent.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import Relation, Update, View, Warehouse, WarehouseError, parse
+from repro import Relation, View, WarehouseError, parse
 from repro.analysis.concurrency import prove_sharding_target
 from repro.analysis.specfile import LintTarget, RoutingSpec, ShardingOptions
+from repro.compiler import RefreshCompiler
 from repro.core.sharding import ShardedWarehouse, ShardRouting
 
 VIEWS = [View("Sold", parse("Sale join Emp"))]
@@ -43,12 +45,9 @@ def certificate_for(catalog, sources=None):
     return result
 
 
-def make_sharded(catalog, compile_plans=True):
+def make_sharded(catalog):
     warehouse = ShardedWarehouse.specify(
-        catalog,
-        VIEWS,
-        routings=[ShardRouting("Sale", "item", shards=2)],
-        compile_plans=compile_plans,
+        catalog, VIEWS, routings=[ShardRouting("Sale", "item", shards=2)]
     )
     warehouse.initialize(INIT)
     return warehouse
@@ -60,49 +59,7 @@ def warm(warehouse):
 
 
 def total_plans(warehouse):
-    return sum(
-        shard.plan_compiler.plan_count
-        for shard in warehouse.shards
-        if shard.plan_compiler is not None
-    )
-
-
-class TestEvictPlans:
-    def test_returns_evicted_count_and_keeps_certificate(
-        self, figure1_catalog
-    ):
-        warehouse = Warehouse.specify(
-            figure1_catalog, VIEWS, method="prop22", compile_plans=True
-        )
-        warehouse.initialize(INIT)
-        warm(warehouse)
-        compiler = warehouse.plan_compiler
-        assert compiler is not None and compiler.plan_count > 0
-        evicted = warehouse.evict_plans()
-        assert evicted == compiler.plan_count
-        assert warehouse.plan_compiler is not compiler
-        assert warehouse.plan_compiler.plan_count == 0
-        assert (
-            warehouse.plan_compiler.certificate.digest
-            == compiler.certificate.digest
-        )
-        assert warehouse.metrics.value("compiler.evictions") == evicted
-        # The warehouse still refreshes correctly on rebuilt closures.
-        warehouse.insert("Sale", [("Amp", "Zoe")])
-
-    def test_zero_when_compilation_off(self, figure1_catalog):
-        warehouse = Warehouse.specify(
-            figure1_catalog, VIEWS, compile_plans=False
-        )
-        warehouse.initialize(INIT)
-        assert warehouse.evict_plans() == 0
-
-    def test_zero_when_nothing_cached(self, figure1_catalog):
-        warehouse = Warehouse.specify(
-            figure1_catalog, VIEWS, method="prop22", compile_plans=True
-        )
-        warehouse.initialize(INIT)
-        assert warehouse.evict_plans() == 0
+    return RefreshCompiler.of(warehouse.spec).plan_count
 
 
 class TestShardedRecertify:
@@ -127,18 +84,18 @@ class TestShardedRecertify:
         assert warehouse.recertify(dict(certificate)) is False
         assert total_plans(warehouse) == plans_before
 
-    def test_changed_digest_evicts_every_shard(self, figure1_catalog):
+    def test_changed_digest_is_reported(self, figure1_catalog):
         warehouse = make_sharded(figure1_catalog)
         warm(warehouse)
         certificate = certificate_for(figure1_catalog).certificate
         warehouse.recertify(certificate)
-        assert total_plans(warehouse) > 0
+        plans_before = total_plans(warehouse)
+        assert plans_before > 0
         tampered = dict(certificate)
         tampered["shards"] = 3
         assert warehouse.recertify(tampered) is True
-        assert total_plans(warehouse) == 0
-        assert warehouse.metrics.value("warehouse.plan_evictions") > 0
-        # Refreshes still work (closures rebuild lazily per shape).
+        assert warehouse.recertify(tampered) is False
+        assert total_plans(warehouse) == plans_before
         warehouse.insert("Sale", [("Amp", "Zoe")])
 
     def test_refuted_commutativity_certificate_is_refused(
@@ -146,18 +103,12 @@ class TestShardedRecertify:
     ):
         warehouse = make_sharded(figure1_catalog)
         warm(warehouse)
-        warehouse.recertify(certificate_for(figure1_catalog).certificate)
-        refuted = dict(certificate_for(figure1_catalog).certificate)
+        accepted = certificate_for(figure1_catalog).certificate
+        warehouse.recertify(accepted)
+        refuted = dict(accepted)
         refuted["commutativity"] = dict(refuted["commutativity"])
         refuted["commutativity"]["commute"] = False
         with pytest.raises(WarehouseError, match="refutes batch commutativity"):
             warehouse.recertify(refuted)
-        # The digest changed, so the plans were evicted before the refusal.
-        assert total_plans(warehouse) == 0
-
-    def test_argument_free_recertify_folds_shard_verdicts(
-        self, figure1_catalog
-    ):
-        warehouse = make_sharded(figure1_catalog)
-        warm(warehouse)
-        assert warehouse.recertify() is False
+        # A refused certificate is not recorded: the accepted one still is.
+        assert warehouse.recertify(accepted) is False

@@ -139,17 +139,12 @@ class TestExample23Replay:
 
 
 class TestZeroEvaluationRefresh:
-    """The cache's headline guarantee, as an EvalStats assertion.
-
-    Pinned to the interpreted path (``compile_plans=False``): these tests
-    document the evaluator's cross-update EvaluationCache, which compiled
-    refresh closures replace with their own per-plan memo cells.
-    """
+    """The cache's headline guarantee, as an EvalStats assertion."""
 
     def test_second_refresh_of_unchanged_source_evaluates_nothing(
         self, figure1_catalog, figure1_database, sold_view
     ):
-        wh = Warehouse.specify(figure1_catalog, [sold_view], compile_plans=False)
+        wh = Warehouse.specify(figure1_catalog, [sold_view])
         wh.initialize(figure1_database.state())
         noop = Update.insert("Sale", ("item", "clerk"), [("TV set", "Mary")])
         # First no-op refresh: the source rows are already present, so the
@@ -167,7 +162,7 @@ class TestZeroEvaluationRefresh:
         self, figure1_catalog, figure1_database, sold_view
     ):
         spec = specify(figure1_catalog, [sold_view])
-        wh = Warehouse(spec, cached=False, compile_plans=False)
+        wh = Warehouse(spec, cached=False)
         wh.initialize(figure1_database.state())
         noop = Update.insert("Sale", ("item", "clerk"), [("TV set", "Mary")])
         wh.apply(noop)
@@ -176,7 +171,7 @@ class TestZeroEvaluationRefresh:
         assert wh.last_refresh_stats.cache_hits == 0
 
     def test_stats_accumulate(self, figure1_catalog, figure1_database, sold_view):
-        wh = Warehouse.specify(figure1_catalog, [sold_view], compile_plans=False)
+        wh = Warehouse.specify(figure1_catalog, [sold_view])
         wh.initialize(figure1_database.state())
         wh.insert("Sale", [("Computer", "Paula")])
         first_total = wh.eval_stats.nodes_evaluated

@@ -141,14 +141,6 @@ class TestRefresh:
         assert applied == {}
         assert new_state == warehouse
 
-    def test_plan_reuse(self, spec, initial_state):
-        warehouse = warehouse_state(spec, initial_state)
-        plan = maintenance_expressions(spec, ["R"])
-        update = Update.insert("R", ("a", "b"), [(8, 2)])
-        with_plan, _ = refresh_state(spec, warehouse, update, plan)
-        without_plan, _ = refresh_state(spec, warehouse, update)
-        assert with_plan == without_plan
-
     def test_full_recompute_baseline(self, catalog, spec, initial_state):
         db = Database(catalog, initial_state)
         warehouse = warehouse_state(spec, initial_state)

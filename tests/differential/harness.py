@@ -1,9 +1,10 @@
-"""The differential-testing oracle: five maintenance tracks, step-locked.
+"""The differential-testing oracle: four maintenance tracks, step-locked.
 
 Caching and invalidation are the whole correctness risk of the fast path,
 so this harness checks them the only way that scales: generate random
 schemas, PSJ views, and valid update streams (``repro.workloads.generator``)
-and assert, after *every* step, that five independent implementations agree
+and assert, after *every* step, that three configurations of the one
+refresh path and one implementation that shares nothing with it agree
 exactly:
 
 1. **fast** — the production path: persistent
@@ -14,20 +15,18 @@ exactly:
    ``fastpath=False``);
 3. **oracle** — full recompute from sources: a mirror database advanced by
    each update, with every warehouse relation re-evaluated from its
-   definition over base relations (no incremental machinery at all);
+   definition over base relations (no incremental machinery and no
+   refresh plan at all — the plan-independent reference);
 4. **columnar** — the engine axis: a second cached warehouse running the
    dictionary-coded batch kernels (``engine="columnar"``), replayed in
    lockstep with the tuple-set tracks. This is what lets
    ``REPRO_ENGINE=columnar`` default on eventually: every random workload
    must agree extensionally with the tuple engine after every step.
-   Toggled by ``DifferentialConfig.columnar_track`` (on by default);
-5. **compiled** — the plan-compiler axis: a warehouse with
-   ``compile_plans=True`` replaying the same stream through certificate-
-   driven fused refresh closures (:mod:`repro.compiler`). Specs the prover
-   refuses to certify fall back to the interpreted path inside the same
-   warehouse, so the track degrades to a second fast replay rather than
-   skipping the schema. Toggled by ``DifferentialConfig.compiled_track``
-   (on by default).
+   Toggled by ``DifferentialConfig.columnar_track`` (on by default).
+
+Tracks 1, 2 and 4 interpret the same fused plans
+(:mod:`repro.compiler.fuse`) under different engines, caches and fast-path
+settings; track 3 is what catches a wrong plan.
 
 Any divergence is reported with enough context to replay it: the schema
 seed, the step index, the relation, and the differing row sets.
@@ -69,7 +68,6 @@ class DifferentialConfig(NamedTuple):
     generator: GeneratorConfig = GeneratorConfig()
     max_schema_attempts: int = 200
     columnar_track: bool = True
-    compiled_track: bool = True
 
 
 class Disagreement(NamedTuple):
@@ -192,10 +190,6 @@ def run_schema(
     if config.columnar_track:
         columnar = Warehouse(spec, cached=True, engine="columnar")
         columnar.initialize(database)
-    compiled = None
-    if config.compiled_track:
-        compiled = Warehouse(spec, cached=True, compile_plans=True)
-        compiled.initialize(database)
     mirror = database.copy()
 
     steps = 0
@@ -224,9 +218,6 @@ def run_schema(
         # Track 4 (engine axis): the columnar kernels, same update stream.
         if columnar is not None:
             columnar.apply(update)
-        # Track 5 (compiler axis): certificate-driven fused closures.
-        if compiled is not None:
-            compiled.apply(update)
 
         disagreements.extend(
             _diff_states(schema_seed, step, "fast", fast.state, "uncached", uncached_state)
@@ -238,12 +229,6 @@ def run_schema(
             disagreements.extend(
                 _diff_states(
                     schema_seed, step, "fast", fast.state, "columnar", columnar.state
-                )
-            )
-        if compiled is not None:
-            disagreements.extend(
-                _diff_states(
-                    schema_seed, step, "fast", fast.state, "compiled", compiled.state
                 )
             )
         steps += 1

@@ -11,24 +11,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Catalog, Database, View, Warehouse, parse
+from repro import Catalog, Database, Update, View, Warehouse, parse
 from repro.integrator import Channel, ComplementIntegrator, Source
 from repro.obs.explain import source_relations_read
 
 
 @pytest.fixture
 def traced_e1(figure1_catalog, figure1_database, sold_view):
-    """Figure 1 warehouse with tracing on from before initialization.
-
-    Pinned to the interpreted path (``compile_plans=False``): these tests
-    assert the *evaluator's* observability — per-operator spans, EvalStats
-    metrics, semi-join fast-path annotations — which compiled refresh
-    closures intentionally bypass (their traces are covered in
-    ``tests/compiler`` and ``tests/differential``).
-    """
-    warehouse = Warehouse.specify(
-        figure1_catalog, [sold_view], method="prop22", compile_plans=False
-    )
+    """Figure 1 warehouse with tracing on from before initialization."""
+    warehouse = Warehouse.specify(figure1_catalog, [sold_view], method="prop22")
     warehouse.enable_tracing()
     warehouse.initialize(figure1_database)
     return warehouse
@@ -151,6 +142,73 @@ class TestMetricsEndToEnd:
         assert metrics.value("warehouse.refreshes") == 2
 
 
+class TestEveryRefreshIsObserved:
+    """There is one refresh path, and it is the observed one.
+
+    Every state-changing refresh counts the nodes it evaluated, shows its
+    operators under ``maintain``, and hands the sanitizer ``read`` spans
+    the interpreter emitted while computing them — never a list written
+    from the plan's static dependencies, which would validate the plan
+    against itself.
+    """
+
+    UPDATES = (
+        Update.insert("Sale", ("item", "clerk"), [("Computer", "Paula")]),
+        Update.insert("Sale", ("item", "clerk"), [("Radio", "John")]).compose(
+            Update.delete("Sale", ("item", "clerk"), [("PC", "John")])
+        ),
+        Update.delete("Emp", ("clerk", "age"), [("Paula", 32)]).compose(
+            Update.delete("Sale", ("item", "clerk"), [("Computer", "Paula")])
+        ),
+    )
+
+    def test_state_changing_apply_reports_work_and_operators(self, traced_e1):
+        for update in self.UPDATES:
+            assert traced_e1.apply(update)
+            assert traced_e1.last_refresh_stats.nodes_evaluated > 0
+            maintained = [
+                span
+                for span in traced_e1.last_trace("refresh").walk()
+                if span.name == "maintain"
+            ]
+            assert maintained
+            for span in maintained:
+                operators = [s.name for s in span.walk()][1:]
+                assert operators and "read" in operators, span.attributes
+            text = traced_e1.explain(name="refresh")
+            assert "maintain" in text and "read" in text
+            assert any(op in text for op in ("join", "difference", "union"))
+
+    def test_sanitizer_checks_reads_the_interpreter_performed(
+        self, monkeypatch, figure1_catalog, figure1_database, sold_view
+    ):
+        from repro.analysis import dataflow
+
+        checked = []
+        original = dataflow.check_refresh_reads
+
+        def recording(spec, updated, root):
+            checked.append(root)
+            return original(spec, updated, root)
+
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        monkeypatch.setattr(dataflow, "check_refresh_reads", recording)
+        warehouse = Warehouse.specify(figure1_catalog, [sold_view], method="prop22")
+        warehouse.initialize(figure1_database)
+        for update in self.UPDATES:
+            assert warehouse.apply(update)
+        assert len(checked) == len(self.UPDATES)
+        for root in checked:
+            reads = [span for span in root.walk() if span.name == "read"]
+            assert reads
+            for span in reads:
+                # Only the evaluator's one span site sets rows_out on a
+                # read, after computing it; a read span opened ahead of
+                # the work from a dependency list would not carry it.
+                assert "rows_out" in span.attributes, span.attributes
+            assert not source_relations_read(root, figure1_catalog.relation_names())
+
+
 def _figure1_lifecycle(engine):
     catalog = Catalog()
     catalog.relation("Sale", ("item", "clerk"))
@@ -160,7 +218,7 @@ def _figure1_lifecycle(engine):
     database.load("Emp", [("Mary", 23), ("John", 25), ("Paula", 32)])
     warehouse = Warehouse.specify(
         catalog, [View("Sold", parse("Sale join Emp"))], method="prop22",
-        engine=engine, compile_plans=False,
+        engine=engine,
     )
     warehouse.enable_tracing()
     warehouse.initialize(database)
@@ -177,7 +235,7 @@ def _tpcd_lifecycle(engine):
 
     instance = tpcd_instance(scale=1.0, seed=7)
     warehouse = Warehouse.specify(
-        instance.catalog, instance.views, engine=engine, compile_plans=False
+        instance.catalog, instance.views, engine=engine
     )
     warehouse.enable_tracing()
     warehouse.initialize(instance.database)
@@ -185,7 +243,9 @@ def _tpcd_lifecycle(engine):
     warehouse.insert("Orders", orders)
     warehouse.insert("Lineitem", lines)
     warehouse.delete("Lineitem", lines[:2])
-    warehouse.answer("pi[orderkey, cname](Orders join Customer)")
+    # The fused TPC-D refreshes need no join fast path any more; this
+    # projection stays inside one join operand, so the answer fires one.
+    warehouse.answer("pi[orderkey](Orders join Customer)")
     return warehouse
 
 

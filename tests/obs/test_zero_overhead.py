@@ -30,16 +30,12 @@ def test_tracing_is_off_by_default(figure1_catalog, figure1_database, sold_view)
     assert warehouse.tracer is None
 
 
-@pytest.mark.parametrize(
-    "configuration",
-    [{"engine": "tuple"}, {"engine": "columnar"}, {"compile_plans": True}],
-    ids=["tuple", "columnar", "compiled"],
-)
+@pytest.mark.parametrize("engine", ["tuple", "columnar"])
 def test_warehouse_lifecycle_allocates_no_spans(
-    poisoned_span, figure1_catalog, figure1_database, sold_view, configuration
+    poisoned_span, figure1_catalog, figure1_database, sold_view, engine
 ):
     warehouse = Warehouse.specify(
-        figure1_catalog, [sold_view], method="prop22", **configuration
+        figure1_catalog, [sold_view], method="prop22", engine=engine
     )
     warehouse.initialize(figure1_database)
     warehouse.insert("Sale", [("Computer", "Paula")])
