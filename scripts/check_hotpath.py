@@ -4,9 +4,10 @@
 Two rule sets, dispatched per file:
 
 **Evaluator rules** (the interpreter ``src/repro/algebra/evaluator.py``,
-the refresh orchestration ``repro/core/maintenance.py``, the refresh plan
-modules ``repro/compiler/{fuse,runtime}.py``, and the query-translation
-serving path ``repro/core/translation.py``). Each of
+the refresh orchestration ``repro/core/maintenance.py``, the plan
+modules ``repro/compiler/{fuse,runtime}.py``, the query-translation
+serving path ``repro/core/translation.py``, and the hybrid warehouse's
+state hooks ``repro/core/hybrid.py``). Each of
 these runs once per operator, per refresh or per answer, with tracing
 normally off, and must then cost nothing for observability: no ``Span``
 objects, no timing calls, no unguarded tracer method calls. Every
@@ -84,10 +85,14 @@ DEFAULT_TARGETS = (
     # the offline ``python -m repro compile`` only.)
     _ROOT / "src" / "repro" / "compiler" / "fuse.py",
     _ROOT / "src" / "repro" / "compiler" / "runtime.py",
-    # The query-translation serving path: translate/cache/lookup runs per
-    # answer() call and must never read clocks, spans, or the environment
-    # — the REPRO_CHECK_QUERIES wiring lives in repro.core.warehouse.
+    # The query-translation serving path: the one answer body runs per
+    # answer() call and must never read clocks or the environment, and
+    # opens its span through the seam — the REPRO_CHECK_QUERIES wiring
+    # lives in repro.core.warehouse.
     _ROOT / "src" / "repro" / "core" / "translation.py",
+    # The state hooks a HybridWarehouse puts under every answer, refresh
+    # and commit of the one serving path in repro.core.warehouse.
+    _ROOT / "src" / "repro" / "core" / "hybrid.py",
 )
 
 

@@ -45,9 +45,8 @@ certificates hashed with the same canonical digest as the PR-7 plan cache
 
 Certificates hash with :func:`repro.analysis.digest.canonical_digest`, like
 the spec certificate of :func:`repro.compiler.certificate.certify`;
-:meth:`repro.core.sharding.ShardedWarehouse.recertify` records the digest
-of the last accepted one and refuses a certificate whose commutativity
-claim is refuted.
+:meth:`repro.core.sharding.ShardedWarehouse.require_commutativity` refuses
+a certificate whose commutativity claim is refuted.
 """
 
 from __future__ import annotations

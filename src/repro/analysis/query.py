@@ -38,10 +38,10 @@ Three proof methods, tried in order per query:
    search (:func:`repro.analysis.kernel.search`) observing the query's
    answer: the first image collision with diverging answers.
 
-Certificates carry a ``canonical_digest`` (:mod:`repro.analysis.digest`)
-— the same digest :func:`repro.core.translation.translation_digest` keys
-the serving path's :class:`~repro.core.translation.TranslationCache` by,
-so a prover re-verdict invalidates cached translated plans.
+Certificates carry a ``canonical_digest`` (:mod:`repro.analysis.digest`),
+and each file document records the
+:func:`repro.core.translation.translation_digest` of the mapping its
+verdicts were issued under.
 
 The ``REPRO_CHECK_QUERIES=1`` runtime sanitizer
 (:func:`check_translation_reads`, wired through

@@ -13,6 +13,10 @@ caller-provided access callback. The class counts those source round trips,
 making the trade-off measurable: virtual complements save storage but each
 use re-opens the dependence on source availability the paper's fully
 materialized design removes.
+
+Everything else is :class:`~repro.core.warehouse.Warehouse`: the class
+overrides only its state hooks — which state an answer, a reconstruction
+or a refresh runs over, and which relations a commit keeps.
 """
 
 from __future__ import annotations
@@ -20,13 +24,12 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, Iterable, Optional
 
 from repro.errors import WarehouseError
-from repro.algebra.evaluator import evaluate, evaluate_all
+from repro.algebra.evaluator import evaluate_all
 from repro.algebra.expressions import Expression
 from repro.storage.relation import Relation
-from repro.storage.update import Delta, Update
+from repro.storage.update import Update
 from repro.core.complement import WarehouseSpec
-from repro.core.maintenance import normalize_update, refresh_state, side_mask
-from repro.core.translation import translate_query
+from repro.core.maintenance import State, normalize_update, side_mask
 from repro.core.warehouse import Warehouse
 from repro.compiler.fuse import NEW_SUFFIX
 
@@ -81,7 +84,7 @@ class HybridWarehouse(Warehouse):
     def _fetch_virtual(self, undo: Optional[Update] = None) -> Dict[str, Relation]:
         """Evaluate the virtual complements against the live sources.
 
-        During :meth:`apply`, the sources have already applied the update
+        During ``apply``, the sources have already applied the update
         being processed, but the maintenance expressions need *pre-update*
         values; ``undo`` reverses exactly that update's deltas on the
         fetched relations. Like any source-querying scheme this is only
@@ -109,37 +112,7 @@ class HybridWarehouse(Warehouse):
 
     def _full_state(self, undo: Optional[Update] = None) -> Dict[str, Relation]:
         """Materialized state plus freshly computed virtual complements."""
-        state = dict(self.state)
-        if self.virtual:
-            state.update(self._fetch_virtual(undo))
-        return state
-
-    # ------------------------------------------------------------------
-    # Overrides
-    # ------------------------------------------------------------------
-
-    def initialize(self, source) -> Dict[str, Relation]:
-        materialized = super().initialize(source)
-        # Drop the virtual complements from storage.
-        for name in self.virtual:
-            self._state.pop(name, None)
-        return dict(self._state)
-
-    def storage_rows(self) -> int:
-        return sum(len(rel) for rel in self.state.values())
-
-    def answer(self, query) -> Relation:
-        expression = self._as_expression(query)
-        translated = translate_query(self.spec, expression)
-        if translated.relation_names() & self.virtual:
-            return evaluate(translated, self._full_state())
-        return evaluate(translated, self.state)
-
-    def reconstruct(self, relation: str) -> Relation:
-        inverse = self.spec.inverse_for(relation)
-        if inverse.relation_names() & self.virtual:
-            return evaluate(inverse, self._full_state())
-        return evaluate(inverse, self.state)
+        return {**self.state, **self._fetch_virtual(undo)}
 
     def _reads_virtual(self, expressions: Iterable[Expression]) -> bool:
         """Whether evaluating ``expressions`` needs a virtual complement
@@ -150,18 +123,25 @@ class HybridWarehouse(Warehouse):
             for name in expression.relation_names()
         )
 
-    def apply(self, update: Update) -> Dict[str, Delta]:
+    # ------------------------------------------------------------------
+    # The state hooks of :class:`~repro.core.warehouse.Warehouse`
+    # ------------------------------------------------------------------
+
+    def _state_for(self, *expressions: Expression) -> State:
+        return self._full_state() if self._reads_virtual(expressions) else self.state
+
+    def _refresh_over(self, update: Update) -> State:
         # Virtual complements are fetched only if what is about to run
         # needs them: first the Equation (4) inverses that normalize the
         # update, then the programs of the effective update's plan (known
-        # only once normalized; refresh_state normalizing the effective
-        # update again is a no-op on its rows).
-        fetch = self._reads_virtual(
+        # only once normalized; the refresh normalizes again, over the
+        # state returned here).
+        if self._reads_virtual(
             self.spec.inverse_for(relation) for relation in update.relations()
-        )
-        working = self._full_state(undo=update) if fetch else dict(self.state)
-        effective = normalize_update(self.spec, working, update)
-        if not fetch and not effective.is_empty():
+        ):
+            return self._full_state(undo=update)
+        effective = normalize_update(self.spec, self.state, update)
+        if not effective.is_empty():
             plan = self._refresh_plans.program_for(
                 frozenset(effective.relations()), side_mask(effective)
             )
@@ -169,17 +149,13 @@ class HybridWarehouse(Warehouse):
             if any(p.name in self.virtual for p in running) or self._reads_virtual(
                 side for p in running for side in (p.inserts, p.deletes)
             ):
-                working = self._full_state(undo=update)
-        new_state, applied = refresh_state(self.spec, working, effective)
-        # Persist only the materialized part.
-        self._state = {
-            name: rel for name, rel in new_state.items() if name not in self.virtual
+                return self._full_state(undo=update)
+        return self.state
+
+    def _kept(self, by_name: dict) -> dict:
+        return {
+            name: value for name, value in by_name.items() if name not in self.virtual
         }
-        for aggregate in self._aggregates:
-            delta = applied.get(aggregate.source)
-            if delta is not None:
-                aggregate.apply_delta(delta, new_state[aggregate.source])
-        return {name: d for name, d in applied.items() if name not in self.virtual}
 
     def __repr__(self) -> str:
         return (

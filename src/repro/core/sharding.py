@@ -76,11 +76,9 @@ from repro.analysis.concurrency import (
     classify_assembly,
     write_footprint,
 )
-from repro.analysis.digest import canonical_digest
 from repro.analysis.races import RaceTracker, races_enabled
 from repro.core.complement import WarehouseSpec, specify
 from repro.core.routing import ShardRouting, _stable_hash  # noqa: F401 — re-export
-from repro.core.translation import answer_query
 from repro.core.warehouse import StateLike, Warehouse
 
 __all__ = [
@@ -392,7 +390,6 @@ class ShardedWarehouse:
             RaceTracker(router.shards) if races_enabled() else None
         )
         self._footprints: Dict[FrozenSet[str], FrozenSet[str]] = {}
-        self._certificate_digest: Optional[str] = None
         self.shards: Tuple[Warehouse, ...] = tuple(
             Warehouse(spec, cached=cached, engine=engine)
             for _ in range(router.shards)
@@ -522,14 +519,13 @@ class ShardedWarehouse:
         return self.shards[0].reconstruct(relation)
 
     def answer(self, query) -> Relation:
-        """Answer a source query from the newest committed snapshot."""
-        self._metrics.counter("warehouse.queries").inc()
-        return answer_query(
-            self.spec,
-            self.snapshot().state(),
-            self.shards[0]._as_expression(query),
-            engine=self.shards[0].engine,
-        )
+        """Answer a source query from the newest committed snapshot.
+
+        :meth:`Warehouse.answer <repro.core.warehouse.Warehouse.answer>` as
+        shard 0 runs it (its query counter, tracer and
+        ``REPRO_CHECK_QUERIES`` check), over the assembled global state.
+        """
+        return self.shards[0]._answer(query, self.snapshot().state())
 
     # ------------------------------------------------------------------
     # Writes: split / refresh / commit
@@ -677,17 +673,15 @@ class ShardedWarehouse:
         """The ``REPRO_CHECK_RACES=1`` tracker (``None`` when disabled)."""
         return self._race_tracker
 
-    def recertify(self, certificate: Mapping[str, object]) -> bool:
-        """Accept a sharding certificate; ``True`` when its digest is new.
+    def require_commutativity(self, certificate: Mapping[str, object]) -> None:
+        """Refuse a sharding certificate that refutes batch commutativity.
 
         ``certificate`` is a sharding certificate document (as produced by
-        ``python -m repro prove-sharding --certificates``). Its
-        :func:`~repro.analysis.digest.canonical_digest` is compared with
-        the last accepted one and recorded. Refresh plans are pure
-        functions of the spec, so there is nothing to evict; but a
-        certificate recording *refuted* batch commutativity raises:
-        concurrent use of this warehouse would be unsound, and silently
-        continuing would hide that.
+        ``python -m repro prove-sharding --certificates``). One recording
+        *refuted* batch commutativity raises: concurrent use of this
+        warehouse would be unsound, and silently continuing would hide
+        that. Any other certificate changes nothing — plans are pure
+        functions of the spec.
         """
         commutativity = certificate.get("commutativity")
         if isinstance(commutativity, Mapping) and commutativity.get(
@@ -698,10 +692,6 @@ class ShardedWarehouse:
                 "concurrent per-source batches on this layout are "
                 "order-dependent; refusing to accept the certificate"
             )
-        digest = canonical_digest(certificate)
-        changed = digest != self._certificate_digest
-        self._certificate_digest = digest
-        return changed
 
     # ------------------------------------------------------------------
     # Observability
@@ -709,7 +699,8 @@ class ShardedWarehouse:
 
     @property
     def metrics(self) -> MetricsRegistry:
-        """Cross-shard instruments: commits, per-shard refresh counters."""
+        """Cross-shard instruments: commits, per-shard refresh counters
+        (``warehouse.queries`` is shard 0's; see :meth:`aggregate_metrics`)."""
         return self._metrics
 
     def aggregate_metrics(self) -> MetricsRegistry:
@@ -726,7 +717,8 @@ class ShardedWarehouse:
         return combined
 
     def enable_tracing(self, capacity: int = 64) -> None:
-        """Turn on refresh tracing on every shard (read via ``shards[i]``)."""
+        """Turn on tracing on every shard (read via ``shards[i]``; answers
+        are traced on shard 0)."""
         for shard in self.shards:
             shard.enable_tracing(capacity)
 

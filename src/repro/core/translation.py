@@ -6,27 +6,30 @@ substituting, for every base relation, its inverse expression. The
 substitution is purely syntactic; correctness is Theorem 3.1 (and is
 re-checked empirically in the test suite).
 
-Besides the translation itself this module exposes the static facts the
-query-translation prover (:mod:`repro.analysis.query`) certifies and the
-serving path caches against:
+Besides the translation itself this module holds :func:`answer_query`,
+the one body every ``answer()`` runs, and the static facts the
+query-translation prover (:mod:`repro.analysis.query`) certifies:
 
 * :func:`translation_read_set` — the warehouse relations the optimized
   translation will read, the static side of the ``REPRO_CHECK_QUERIES``
   sanitizer's comparison;
 * :func:`translation_digest` — a canonical digest over every fact the
-  translation depends on (schemata, warehouse definitions, inverses), the
-  key under which translated plans may be cached;
-* :class:`TranslationCache` — a digest-keyed plan cache; a prover
-  re-verdict that changes the digest evicts every cached plan.
+  translation depends on (schemata, warehouse definitions, inverses),
+  recorded by ``python -m repro prove-query``.
+
+Optimized translations are pure functions of ``(spec, query)``; they are
+derived once and kept in the spec's plan table
+(:meth:`repro.compiler.runtime.RefreshCompiler.query_plan`).
 
 This file is on the query-serving hot path and is held to the
-``scripts/check_hotpath.py`` rules: no environment reads, no timing, no
-tracing here — the sanitizer wiring lives in :mod:`repro.core.warehouse`.
+``scripts/check_hotpath.py`` rules: no environment reads, no timing, and
+spans only through ``span_of`` — the sanitizer wiring lives in
+:mod:`repro.core.warehouse`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.errors import WarehouseError
 from repro.algebra.evaluator import evaluate
@@ -34,8 +37,10 @@ from repro.algebra.expressions import Expression
 from repro.algebra.optimize import optimize
 from repro.algebra.rewriting import substitute
 from repro.algebra.simplify import simplify
+from repro.obs.trace import span_of
 from repro.storage.relation import Relation
 from repro.core.complement import WarehouseSpec
+from repro.core.maintenance import State
 from repro.analysis.digest import canonical_digest
 
 
@@ -90,10 +95,9 @@ def translation_digest(spec: WarehouseSpec) -> str:
     Covers the source schemata, the warehouse mapping ``W`` (each stored
     relation as an expression over sources) and the Equation (4) inverses.
     Any re-specification that changes what ``Q ∘ W^{-1}`` means changes
-    this digest — which is exactly when cached translated plans must die.
+    this digest; ``prove-query`` documents record it.
     The hash is :func:`repro.analysis.digest.canonical_digest`, the same
-    function the prover's certificates and the compiler's plan-cache keys
-    use, so the three layers stay digest-compatible.
+    function the prover's certificates use.
     """
     document: Dict[str, object] = {
         "kind": "translation",
@@ -113,89 +117,31 @@ def translation_digest(spec: WarehouseSpec) -> str:
     return canonical_digest(document)
 
 
-class TranslationCache:
-    """A digest-keyed cache of optimized ``Q ∘ W^{-1}`` plans.
-
-    Keys are structural expression keys (``Expression._key()``), so two
-    textual spellings of the same query share one plan. The cache carries
-    the :func:`translation_digest` it was built against;
-    :meth:`revalidate` compares a fresh digest and evicts everything on
-    mismatch — the hook ``Warehouse.recertify_queries`` uses to let prover
-    re-verdicts invalidate cached translated plans.
-    """
-
-    __slots__ = ("_digest", "_plans", "hits", "misses", "evictions")
-
-    def __init__(self, digest: str) -> None:
-        self._digest = digest
-        self._plans: Dict[object, Expression] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def digest(self) -> str:
-        """The translation digest the cached plans were derived under."""
-        return self._digest
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def lookup(self, query: Expression) -> Optional[Expression]:
-        """The cached optimized translation of ``query``, if any."""
-        plan = self._plans.get(query._key())
-        if plan is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return plan
-
-    def store(self, query: Expression, translated: Expression) -> None:
-        """Remember the optimized translation of ``query``."""
-        self._plans[query._key()] = translated
-
-    def clear(self) -> None:
-        """Drop every cached plan."""
-        self.evictions += len(self._plans)
-        self._plans.clear()
-
-    def revalidate(self, digest: str) -> bool:
-        """Adopt ``digest``; evict all plans if it differs. True = evicted."""
-        if digest == self._digest:
-            return False
-        self.clear()
-        self._digest = digest
-        return True
-
-
-def translate_cached(
-    spec: WarehouseSpec, query: Expression, cache: TranslationCache
-) -> Expression:
-    """The optimized translation of ``query``, through ``cache``."""
-    plan = cache.lookup(query)
-    if plan is None:
-        plan = translate_query(spec, query, optimized=True)
-        cache.store(query, plan)
-    return plan
-
-
 def answer_query(
     spec: WarehouseSpec,
-    warehouse: Mapping[str, Relation],
+    state: Union[State, Callable[[Expression], State]],
     query: Expression,
-    optimized: bool = True,
+    *,
+    tracer=None,
     engine: Optional[str] = None,
 ) -> Relation:
     """Answer a source query using warehouse relations only.
 
-    ``warehouse`` is the materialized warehouse state; the query is stated
-    over base relations (and/or warehouse relations) and is evaluated after
-    translation — no source relation is ever touched. ``optimized`` runs
-    selection pushdown / projection pruning on the translated expression
-    before evaluation (on by default; ``translate_query`` keeps the
-    unoptimized, paper-shaped form by default for display). ``engine``
-    selects the physical evaluator, as in
-    :func:`repro.algebra.evaluator.evaluate`.
+    The one answer body, under every kind of warehouse: look the plan up
+    in the spec's plan table (the optimized ``Q ∘ W^{-1}``, translated
+    once per spec and query), open the ``answer`` span, evaluate — no
+    source relation is ever touched. ``query`` is stated over base
+    relations (and/or warehouse relations). ``state`` is the materialized
+    warehouse state, or a function from the plan to the state to run it
+    over (a :class:`~repro.core.hybrid.HybridWarehouse` fetches the
+    virtual complements the plan names). ``tracer`` and ``engine`` are as
+    in :func:`repro.algebra.evaluator.evaluate`.
     """
-    translated = translate_query(spec, query, optimized=optimized)
-    return evaluate(translated, warehouse, engine=engine)
+    # Function-level: repro.compiler.runtime imports this module.
+    from repro.compiler.runtime import RefreshCompiler
+
+    plan = RefreshCompiler.of(spec).query_plan(query)
+    if callable(state):
+        state = state(plan)
+    with span_of(tracer, "answer", query=str(query)):
+        return evaluate(plan, state, tracer=tracer, engine=engine)

@@ -36,16 +36,11 @@ from repro.views.psj import View
 from repro.core.complement import WarehouseSpec, specify
 from repro.core.maintenance import (
     MaintenancePlan,
+    State,
     full_recompute_state,
     maintenance_expressions,
 )
-from repro.core.translation import (
-    TranslationCache,
-    translate_cached,
-    translate_query,
-    translation_digest,
-    translation_read_set,
-)
+from repro.core.translation import answer_query, translate_query, translation_read_set
 
 QueryLike = TypingUnion[str, Expression]
 StateLike = TypingUnion[Database, Mapping[str, Relation]]
@@ -82,16 +77,17 @@ class Warehouse:
         # process default (REPRO_ENGINE), resolved once at construction.
         self.engine = resolve_engine(engine)
         self._columnar_engine = self.engine == ENGINE_COLUMNAR
-        # The refresh plans, one per (update shape, side mask): shared by
-        # every warehouse built on this spec object.
+        # The plan table — refresh plans per (update shape, side mask),
+        # optimized Q ∘ W^{-1} per query: shared by every warehouse built
+        # on this spec object.
         self._refresh_plans = RefreshCompiler.of(spec)
         # Baseline of the process-wide kernel counters, so per-refresh
         # deltas can be folded into evaluator.columnar.* metrics.
         self._kernel_baseline = kernel_totals() if self._columnar_engine else {}
         self._state: Optional[Dict[str, Relation]] = None
-        # MVCC-style read handles: every initialize()/apply() *replaces*
-        # _state and bumps _version, so a SnapshotView is just a pinned set
-        # of references. _snapshot caches the view for the current version.
+        # MVCC-style read handles: every commit *replaces* _state and bumps
+        # _version, so a SnapshotView is just a pinned set of references.
+        # _snapshot caches the view for the current version.
         self._version = 0
         self._snapshot = None
         self._plans: Dict[frozenset, MaintenancePlan] = {}
@@ -124,9 +120,6 @@ class Warehouse:
         from repro.analysis.query import queries_enabled
 
         self._check_queries = queries_enabled()
-        # Translated-plan cache, keyed by the translation digest: the
-        # prover's re-verdicts (recertify_queries) evict it wholesale.
-        self._translation_cache = TranslationCache(translation_digest(spec))
 
     # ------------------------------------------------------------------
     # Performance introspection
@@ -245,7 +238,6 @@ class Warehouse:
         metrics.merge_eval_stats(stats)
         if self._columnar_engine:
             self._record_kernel_metrics()
-        self._update_storage_gauges()
 
     def _record_kernel_metrics(self) -> None:
         """Fold kernel-counter deltas into ``evaluator.columnar.*``."""
@@ -262,8 +254,6 @@ class Warehouse:
         metrics.gauge("evaluator.columnar.dictionary_size").set(dictionary_size())
 
     def _update_storage_gauges(self) -> None:
-        if self._state is None:
-            return
         metrics = self._metrics
         complement_names = {c.name for c in self.spec.complements.values()}
         total = view_rows = complement_rows = 0
@@ -364,19 +354,51 @@ class Warehouse:
         state = source.state() if isinstance(source, Database) else dict(source)
         started = perf_counter()
         with span_of(self._tracer, "initialize"):
-            self._state = evaluate_all(
+            materialized = evaluate_all(
                 self.spec.definitions_over_sources(), state,
                 tracer=self._tracer, engine=self.engine,
             )
-        self._version += 1
-        self._snapshot = None
         self._metrics.histogram("warehouse.initialize_seconds").observe(
             perf_counter() - started
         )
+        self._commit(materialized)
+        return dict(self.state)
+
+    def _commit(
+        self,
+        new_state: Dict[str, Relation],
+        applied: Optional[Dict[str, Delta]] = None,
+    ) -> None:
+        """Publish ``new_state`` as the next version — the one commit site.
+
+        ``applied`` is an incremental refresh's per-relation deltas, which
+        attached aggregates fold in; ``None`` (:meth:`initialize`,
+        :meth:`apply_full`) means everything was recomputed, and so are they.
+        """
+        self._state = self._kept(new_state)
+        self._version += 1
+        self._snapshot = None
         self._update_storage_gauges()
         for aggregate in self._aggregates:
-            aggregate.recompute(self._state[aggregate.source])
-        return dict(self._state)
+            source = new_state[aggregate.source]
+            if applied is None:
+                aggregate.recompute(source)
+            elif aggregate.source in applied:
+                aggregate.apply_delta(applied[aggregate.source], source)
+
+    # The state hooks: everything a HybridWarehouse (Section 6) changes.
+
+    def _state_for(self, *expressions: Expression) -> State:
+        """The state to evaluate ``expressions`` (plans, inverses) over."""
+        return self.state
+
+    def _refresh_over(self, update: Update) -> State:
+        """The state to refresh ``update`` over."""
+        return self.state
+
+    def _kept(self, by_name: dict) -> dict:
+        """The entries of ``by_name`` whose relation is materialized here."""
+        return by_name
 
     @property
     def state(self) -> Dict[str, Relation]:
@@ -387,7 +409,7 @@ class Warehouse:
 
     @property
     def version(self) -> int:
-        """The commit version: bumped by every initialize()/apply()."""
+        """The commit version: bumped by every initialize()/apply()/apply_full()."""
         return self._version
 
     def snapshot(self):
@@ -431,48 +453,62 @@ class Warehouse:
         return translate_query(self.spec, self._as_expression(query))
 
     @property
-    def translation_cache(self) -> TranslationCache:
-        """The digest-keyed cache of optimized ``Q ∘ W^{-1}`` plans."""
-        return self._translation_cache
+    def translation_cache(self):
+        """The spec's plan table, read from the query side.
+
+        ``hits`` / ``misses`` / ``len()`` count optimized ``Q ∘ W^{-1}``
+        plans (:meth:`~repro.compiler.runtime.RefreshCompiler.query_plan`);
+        every warehouse on this spec object shares them.
+        """
+        return self._refresh_plans
 
     def answer(self, query: QueryLike) -> Relation:
         """Answer a source query from warehouse relations only.
 
-        The optimized translation is cached per query shape
-        (:class:`~repro.core.translation.TranslationCache`); under
-        ``REPRO_CHECK_QUERIES=1`` the evaluation is traced (with a
-        private tracer if tracing is off) and its runtime reads are
-        cross-checked against the plan's static read set.
+        The optimized translation is derived once per spec and query (the
+        spec's plan table); under ``REPRO_CHECK_QUERIES=1`` the evaluation
+        is traced (with a private tracer if tracing is off) and its
+        runtime reads are cross-checked against the plan's static read set.
         """
+        return self._answer(query, self._state_for)
+
+    def _answer(self, query: QueryLike, state) -> Relation:
+        """:meth:`answer` over ``state``: the one method around
+        :func:`~repro.core.translation.answer_query`, which a
+        :class:`~repro.core.sharding.ShardedWarehouse` runs over its
+        assembled snapshot."""
         self._metrics.counter("warehouse.queries").inc()
         expression = self._as_expression(query)
-        plan = translate_cached(self.spec, expression, self._translation_cache)
         tracer = self._tracer_for(self._check_queries)
-        with span_of(tracer, "answer", query=str(expression)) as root:
-            result = evaluate(plan, self.state, tracer=tracer, engine=self.engine)
+        result = answer_query(
+            self.spec, state, expression, tracer=tracer, engine=self.engine
+        )
         if self._check_queries:
             from repro.analysis.query import check_translation_reads
 
             # The static read set is recomputed from the spec, not taken
-            # from the cached plan — a stale or corrupted plan must not
-            # self-certify.
+            # from the plan table — a corrupted plan must not self-certify.
             check_translation_reads(
-                self.spec, translation_read_set(self.spec, expression), root
+                self.spec,
+                translation_read_set(self.spec, expression),
+                tracer.last_root,
             )
         return result
 
     def reconstruct(self, relation: str) -> Relation:
         """Recompute one base relation via Equation (4)."""
         self._metrics.counter("warehouse.reconstructions").inc()
+        inverse = self.spec.inverse_for(relation)
         return evaluate(
-            self.spec.inverse_for(relation), self.state, cache=self._cache,
-            engine=self.engine,
+            inverse, self._state_for(inverse), cache=self._cache, engine=self.engine
         )
 
     def reconstruct_all(self) -> Dict[str, Relation]:
         """Recompute every base relation (the full ``W^{-1}``)."""
+        inverses = self.spec.inverses
         return evaluate_all(
-            self.spec.inverses, self.state, cache=self._cache, engine=self.engine
+            inverses, self._state_for(*inverses.values()), cache=self._cache,
+            engine=self.engine,
         )
 
     def audit(self) -> list:
@@ -505,36 +541,6 @@ class Warehouse:
             self._plans[updated_set] = plan
         return plan
 
-    def recertify_queries(
-        self, document: Optional[Mapping[str, object]] = None
-    ) -> bool:
-        """Revalidate cached translated plans against a prover verdict.
-
-        ``document`` is a ``python -m repro prove-query`` file document
-        (any mapping with a ``"translation_digest"`` key works). Its
-        recorded digest is compared against a freshly computed
-        :func:`~repro.core.translation.translation_digest`: a mismatch
-        means the prover's verdicts were issued under a *different*
-        warehouse mapping than the one now serving queries, so every
-        cached translated plan is evicted (counted by
-        ``warehouse.plan_evictions``). Without a document, the cache is
-        simply revalidated against the fresh digest. Returns ``True``
-        when plans were evicted.
-        """
-        fresh = translation_digest(self.spec)
-        recorded = None if document is None else document.get("translation_digest")
-        if recorded is not None and str(recorded) != fresh:
-            evicted = len(self._translation_cache)
-            self._translation_cache.clear()
-            self._translation_cache.revalidate(fresh)
-            if evicted:
-                self._metrics.counter("warehouse.plan_evictions").inc(evicted)
-            return True
-        evicted_now = self._translation_cache.revalidate(fresh)
-        if evicted_now:
-            self._metrics.counter("warehouse.plan_evictions").inc()
-        return evicted_now
-
     def apply(self, update: Update) -> Dict[str, Delta]:
         """Incrementally fold a reported source update into the warehouse.
 
@@ -547,12 +553,13 @@ class Warehouse:
         """
         plans = self._refresh_plans
         compiles, plan_hits = plans.compiles, plans.plan_hits
+        working = self._refresh_over(update)
         stats = EvalStats()
         started = perf_counter()
         tracer = self._tracer_for(self._sanitize)
         with span_of(tracer, "refresh", relations=sorted(update.relations())) as root:
             new_state, applied = plans.refresh(
-                self.state, update, cache=self._cache, stats=stats,
+                working, update, cache=self._cache, stats=stats,
                 tracer=tracer, engine=self.engine,
             )
             root.set(relations_touched=len(applied))
@@ -562,20 +569,16 @@ class Warehouse:
             check_refresh_reads(self.spec, update.relations(), root)
         self._last_refresh_stats = stats
         self._stats.merge(stats)
-        self._state = new_state
-        self._version += 1
-        self._snapshot = None
-        self._record_refresh_metrics(perf_counter() - started, applied, stats)
-        # The plan cache is shared by every warehouse on this spec; count
+        applied = self._kept(applied)
+        elapsed = perf_counter() - started
+        self._commit(new_state, applied)
+        self._record_refresh_metrics(elapsed, applied, stats)
+        # The plan table is shared by every warehouse on this spec; count
         # only what this refresh derived or found.
         metrics = self._metrics
         metrics.counter("compiler.compiles").inc(plans.compiles - compiles)
         metrics.counter("compiler.plan_cache_hits").inc(plans.plan_hits - plan_hits)
         metrics.gauge("compiler.plans").set(plans.plan_count)
-        for aggregate in self._aggregates:
-            delta = applied.get(aggregate.source)
-            if delta is not None:
-                aggregate.apply_delta(delta, new_state[aggregate.source])
         return applied
 
     def apply_batch(self, updates: Iterable[Update]) -> Dict[str, Delta]:
@@ -599,13 +602,9 @@ class Warehouse:
 
     def apply_full(self, update: Update) -> None:
         """Baseline: ``w' = W(u(W^{-1}(w)))`` — full recomputation."""
-        self._state = full_recompute_state(
-            self.spec, self.state, update, engine=self.engine
+        self._commit(
+            full_recompute_state(self.spec, self.state, update, engine=self.engine)
         )
-        self._version += 1
-        self._snapshot = None
-        for aggregate in self._aggregates:
-            aggregate.recompute(self._state[aggregate.source])
 
     def attach_aggregate(self, aggregate) -> None:
         """Attach a materialized aggregate view (Section 5, last paragraph).

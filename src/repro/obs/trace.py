@@ -242,6 +242,9 @@ class Tracer:
         self._clock = clock
         self._stack: List[Span] = []
         self._next_id = 1
+        #: The newest finished root span: what a caller that handed this
+        #: tracer to an operation reads the operation's trace from.
+        self.last_root: Optional[Span] = None
 
     @contextmanager
     def span(self, name: str, **attributes: object):
@@ -269,6 +272,7 @@ class Tracer:
             if parent is not None:
                 parent.children.append(span)
             else:
+                self.last_root = span
                 for collector in self.collectors:
                     collector.collect(span)
 

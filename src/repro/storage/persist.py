@@ -179,7 +179,7 @@ def warehouse_from_dict(data: Mapping[str, Any]):
 
     warehouse = Warehouse(spec_from_dict(data["spec"]))
     if "state" in data:
-        warehouse._state = state_from_dict(data["state"])
+        warehouse._commit(state_from_dict(data["state"]))
     return warehouse
 
 

@@ -41,6 +41,8 @@ class TestRealTargets:
         # orchestration around it are targets too.
         names = {Path(str(t)).name for t in CHECKER.DEFAULT_TARGETS}
         assert {"evaluator.py", "columnar.py", "maintenance.py"} <= names
+        # ... and so is everything under the one serving path.
+        assert {"runtime.py", "translation.py", "hybrid.py"} <= names
         assert "columnar_eval.py" not in names
 
     def test_main_exit_codes(self, capsys):

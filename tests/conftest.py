@@ -5,6 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro import Catalog, Database, Relation, View, parse
+from repro.compiler import RefreshCompiler
+
+
+@pytest.fixture
+def poison_plan():
+    """Corrupt a spec's plan table: ``query`` now runs ``plan`` (the query
+    sanitizer tests' planted fault)."""
+
+    def poison(spec, query: str, plan: str) -> None:
+        RefreshCompiler.of(spec)._query_plans[parse(query)._key()] = parse(plan)
+
+    return poison
 
 
 @pytest.fixture

@@ -120,3 +120,33 @@ class TestOperations:
         # db already has the update; rebuild from scratch for comparison.
         full.initialize(db)
         assert hybrid.state == full.state
+
+
+class TestServingPath:
+    """A hybrid refresh commits, and a hybrid answer is counted and traced,
+    exactly as a plain warehouse's — it differs in the state handed over."""
+
+    @pytest.mark.parametrize("virtual", [[], ["C_Emp"]], ids=["none", "C_Emp"])
+    def test_apply_commits_and_answer_is_observed(self, setting, virtual):
+        _, db, spec = setting
+        hybrid = make_hybrid(db, spec, virtual)
+        hybrid.initialize(db)
+        hybrid.enable_tracing()
+        version, before = hybrid.version, hybrid.snapshot()
+
+        applied = hybrid.apply(db.insert("Sale", [("Radio", "Paula")]))
+
+        assert hybrid.version == version + 1
+        after = hybrid.snapshot()
+        assert after is not before
+        assert after.state() == hybrid.state
+        assert ("Radio", "Paula", 32) in after.relation("Sold").rows
+        assert not set(applied) & set(virtual)
+        assert hybrid.metrics.value("warehouse.refreshes") == 1
+        assert "refresh trace" in hybrid.explain(name="refresh")
+
+        answer = hybrid.answer("pi[clerk](Emp)")
+        assert answer == evaluate(parse("pi[clerk](Emp)"), db.state())
+        assert hybrid.metrics.value("warehouse.queries") == 1
+        assert hybrid.last_trace("answer") is not None
+        assert hybrid.audit() == []

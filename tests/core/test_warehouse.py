@@ -16,7 +16,6 @@ from repro import (
     parse,
 )
 
-
 @pytest.fixture
 def catalog() -> Catalog:
     catalog = Catalog()
@@ -145,20 +144,24 @@ class TestQuerySanitizer:
         assert wh.answer("Sale").to_set() == {("TV", "Mary"), ("PC", "John")}
         assert wh.answer("pi[age](Emp)").to_set() == {(23,), (25,), (32,)}
 
-    def test_poisoned_cached_plan_fails_loudly(self, catalog, db, monkeypatch):
-        # A corrupted cache entry routes Emp through C_Sale — outside the
+    def test_poisoned_cached_plan_fails_loudly(
+        self, catalog, db, monkeypatch, poison_plan
+    ):
+        # A corrupted plan-table entry routes Emp through C_Sale — outside the
         # translation's static read set. The sanitizer recomputes that set
         # from the spec, so the poisoned plan cannot self-certify.
         wh = self.armed(catalog, db, monkeypatch)
-        wh.translation_cache.store(parse("Emp"), parse("pi[clerk](C_Sale)"))
+        poison_plan(wh.spec, "Emp", "pi[clerk](C_Sale)")
         with pytest.raises(WarehouseError, match="query sanitizer"):
             wh.answer("Emp")
 
-    def test_same_poison_goes_unnoticed_when_disarmed(self, catalog, db, monkeypatch):
+    def test_same_poison_goes_unnoticed_when_disarmed(
+        self, catalog, db, monkeypatch, poison_plan
+    ):
         monkeypatch.delenv("REPRO_CHECK_QUERIES", raising=False)
         wh = Warehouse.specify(catalog, [View("Sold", parse("Sale join Emp"))])
         wh.initialize(db)
-        wh.translation_cache.store(parse("Emp"), parse("pi[clerk](C_Sale)"))
+        poison_plan(wh.spec, "Emp", "pi[clerk](C_Sale)")
         wh.answer("Emp")  # wrong answer, no alarm — the sanitizer has teeth
 
     def test_sanitizer_composes_with_tracing(self, catalog, db, monkeypatch):
@@ -180,19 +183,18 @@ class TestTranslationCache:
         assert cache.misses == 2
         assert len(cache) == 2
 
-    def test_recertify_queries_evicts_on_digest_mismatch(self, warehouse):
+    def test_plans_live_on_the_spec_and_are_never_evicted(self, warehouse):
+        # Two warehouses on one spec object share plans and counters; a
+        # second spec over the same views has its own table.
+        twin = Warehouse(warehouse.spec)
+        twin.initialize(warehouse.reconstruct_all())
         warehouse.answer("Sale")
-        assert len(warehouse.translation_cache) == 1
-        stale = {"translation_digest": "not-the-real-digest"}
-        assert warehouse.recertify_queries(stale) is True
-        assert len(warehouse.translation_cache) == 0
-        assert warehouse.metrics.counter("warehouse.plan_evictions").value == 1
-
-    def test_recertify_queries_keeps_plans_on_match(self, warehouse):
-        from repro.core.translation import translation_digest
-
+        twin.answer("Sale")
+        assert twin.translation_cache is warehouse.translation_cache
+        cache = warehouse.translation_cache
+        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
+        other = Warehouse.specify(warehouse.spec.catalog, warehouse.spec.views)
+        assert len(other.translation_cache) == 0
+        warehouse.insert("Sale", [("Radio", "Mary")])
         warehouse.answer("Sale")
-        fresh = {"translation_digest": translation_digest(warehouse.spec)}
-        assert warehouse.recertify_queries(fresh) is False
-        assert warehouse.recertify_queries() is False
-        assert len(warehouse.translation_cache) == 1
+        assert (cache.hits, cache.misses, len(cache)) == (2, 1, 1)

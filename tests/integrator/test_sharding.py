@@ -486,3 +486,28 @@ class TestObservability:
         assert any(
             shard.last_trace("refresh") is not None for shard in sharded.shards
         )
+
+
+class TestOneAnswerPath:
+    """``ShardedWarehouse.answer`` is ``Warehouse.answer`` over the snapshot."""
+
+    def test_armed_sanitizer_checks_sharded_answers(
+        self, catalog, monkeypatch, poison_plan
+    ):
+        monkeypatch.setenv("REPRO_CHECK_QUERIES", "1")
+        sharded, _ = make_pair(catalog, [ShardRouting("Sale", "item", shards=4)])
+        assert sharded.answer("Emp") == INIT["Emp"]
+        # Corrupt the shared plan for Emp: it now reads C_Sale, outside the
+        # read set the sanitizer recomputes from the spec.
+        poison_plan(sharded.spec, "Emp", "pi[clerk](C_Sale)")
+        with pytest.raises(WarehouseError, match="query sanitizer"):
+            sharded.answer("Emp")
+
+    def test_answer_leaves_an_answer_root_span(self, catalog):
+        sharded, _ = make_pair(catalog, [ShardRouting("Sale", "item", shards=4)])
+        sharded.enable_tracing()
+        sharded.answer("pi[age](Emp)")
+        root = sharded.shards[0].last_trace("answer")
+        assert root is not None and root.attributes["query"] == "pi[age](Emp)"
+        assert root.find("read") is not None
+        assert sharded.aggregate_metrics().value("warehouse.queries") == 1
