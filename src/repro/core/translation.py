@@ -39,6 +39,7 @@ from repro.algebra.rewriting import substitute
 from repro.algebra.simplify import simplify
 from repro.obs.trace import span_of
 from repro.storage.relation import Relation
+from repro.views.psj import fold_onto_views
 from repro.core.complement import WarehouseSpec
 from repro.core.maintenance import State
 from repro.analysis.digest import canonical_digest
@@ -53,6 +54,13 @@ def translate_query(
     inverse; the result is simplified against the warehouse scope so that
     provably-empty complements vanish (Example 2.4's warehouse answers
     ``pi_clerk(Sale) union pi_clerk(Emp)`` without ever mentioning ``C_2``).
+
+    ``optimized=True`` first answers every PSJ sub-query that matches a
+    stored PSJ view from that view
+    (:func:`~repro.views.psj.fold_onto_views`), then substitutes and runs
+    selection pushdown and projection pruning
+    (:func:`~repro.algebra.optimize.optimize`). The default is the
+    paper-shaped substitution alone.
 
     Raises :class:`~repro.errors.WarehouseError` if the query references a
     relation that is neither a base relation nor a warehouse relation.
@@ -70,10 +78,10 @@ def translate_query(
             f"query references unknown relations {sorted(unknown)}; "
             f"known base relations: {sorted(spec.inverses)}"
         )
-    translated = substitute(query, spec.inverses)
     if optimized:
-        return optimize(translated, spec.warehouse_scope())
-    return simplify(translated, spec.warehouse_scope())
+        folded = fold_onto_views(query, spec.views, spec.source_scope())
+        return optimize(substitute(folded, spec.inverses), spec.warehouse_scope())
+    return simplify(substitute(query, spec.inverses), spec.warehouse_scope())
 
 
 def translation_read_set(
