@@ -136,8 +136,10 @@ class TestEndToEnd:
         query = parse("pi[age](sigma[item = 'computer'](Sale) join Emp)")
         plain = translate_query(spec, query)
         optimized = translate_query(spec, query, optimized=True)
-        # The selection moves inside the projected Sold before the join.
-        assert "sigma[item = 'computer'](Sold)" in str(optimized)
+        # The query joins exactly Sold's relations, so it is answered from
+        # Sold alone: no inverse, no join.
+        assert str(optimized) == "pi[age](sigma[item = 'computer'](pi[item, age](Sold)))"
+        assert "C_Emp" in str(plain)
         assert plain != optimized
 
     def test_fixed_point_terminates(self):
