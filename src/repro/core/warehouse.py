@@ -93,8 +93,10 @@ class Warehouse:
         self._plans: Dict[frozenset, MaintenancePlan] = {}
         self._aggregates: list = []
         # The cross-update evaluation cache: sub-expressions whose inputs an
-        # update does not touch are reused across refreshes (and by answer /
-        # reconstruct between refreshes). ``cached=False`` reverts to the
+        # update does not touch are reused across refreshes (and by
+        # reconstruct between refreshes). answer() does not share it: its
+        # entries are keyed by literal, so a query stream grows it without
+        # bound (EXPERIMENTS.md, E6b). ``cached=False`` reverts to the
         # uncached evaluator — the differential oracle's reference track.
         self._cache: Optional[EvaluationCache] = EvaluationCache() if cached else None
         self._stats = EvalStats()

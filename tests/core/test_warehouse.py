@@ -198,3 +198,13 @@ class TestTranslationCache:
         warehouse.insert("Sale", [("Radio", "Mary")])
         warehouse.answer("Sale")
         assert (cache.hits, cache.misses, len(cache)) == (2, 1, 1)
+
+    def test_answers_leave_the_evaluation_cache_alone(self, warehouse):
+        # The cross-update EvaluationCache serves refreshes and
+        # reconstruct(); answers would fill it with one entry per literal.
+        warehouse.insert("Sale", [("Radio", "Mary")])
+        entries = len(warehouse.evaluation_cache)
+        for item in ("TV", "PC", "Radio", "Car"):
+            warehouse.answer(f"pi[age](sigma[item = '{item}'](Sale) join Emp)")
+            warehouse.answer(f"sigma[item = '{item}'](Sale) minus Sale")
+        assert len(warehouse.evaluation_cache) == entries
