@@ -30,10 +30,10 @@ R3  Any ``*.tracer.method(...)`` call must be lexically inside an
 R4  The name ``Span`` must not be referenced at all: the engine
     receives spans only through the seam's context manager.
 R5  No environment reads: ``environ``/``getenv`` (and the sanitizer
-    variable names ``REPRO_CHECK_INVARIANTS`` / ``REPRO_CHECK_QUERIES``
-    / ``REPRO_CHECK_RACES``) must never appear — the sanitizer flags are
-    read once per warehouse construction, and the engine default once at
-    ``repro.storage.engine`` import, never per-operator.
+    variable name ``REPRO_CHECK_INVARIANTS``) must never appear — the
+    sanitizer switch is read once per warehouse construction, and the
+    engine default once at ``repro.storage.engine`` import, never
+    per-operator.
 
 **Columnar kernel rules** (``src/repro/storage/columnar.py``). The
 batch kernels exist to replace per-row Python interpretation with
@@ -63,9 +63,7 @@ from typing import List
 
 TIMING_NAMES = frozenset({"perf_counter", "monotonic", "time", "datetime"})
 ENVIRON_NAMES = frozenset({"environ", "getenv"})
-SANITIZER_ENVS = frozenset(
-    {"REPRO_CHECK_INVARIANTS", "REPRO_CHECK_QUERIES", "REPRO_CHECK_RACES"}
-)
+SANITIZER_ENV = "REPRO_CHECK_INVARIANTS"
 
 #: Columnar facade methods allowed to loop row-at-a-time (C1): they run
 #: once per build/patch on delta-sized inputs, not inside operator trees.
@@ -87,8 +85,8 @@ DEFAULT_TARGETS = (
     _ROOT / "src" / "repro" / "compiler" / "runtime.py",
     # The query-translation serving path: the one answer body runs per
     # answer() call and must never read clocks or the environment, and
-    # opens its span through the seam — the REPRO_CHECK_QUERIES wiring
-    # lives in repro.core.warehouse.
+    # opens its span through the seam — the sanitizer wiring lives in
+    # repro.core.warehouse.
     _ROOT / "src" / "repro" / "core" / "translation.py",
     # The state hooks a HybridWarehouse puts under every answer, refresh
     # and commit of the one serving path in repro.core.warehouse.
@@ -193,12 +191,12 @@ class _HotPathChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Constant(self, node: ast.Constant) -> None:
-        if node.value in SANITIZER_ENVS:
+        if node.value == SANITIZER_ENV:
             self._report(
                 node,
                 "R5",
                 f"'{node.value}' mentioned in the evaluator — the "
-                "sanitizer flags are read once per Warehouse, never here",
+                "sanitizer switch is read once per Warehouse, never here",
             )
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:

@@ -461,8 +461,8 @@ def _eval(expr: Expression, ctx: _Context):
     is a zero-work span marked ``cached=True``. Every
     :class:`RelationRef` computed or served from the cache yields a
     ``read`` span carrying ``relation`` — what the
-    ``REPRO_CHECK_INVARIANTS`` / ``REPRO_CHECK_QUERIES`` sanitizers
-    cross-check against the static read sets.
+    ``REPRO_CHECK_INVARIANTS`` sanitizers cross-check against the static
+    read sets.
     """
     key = _memo_key(expr, ctx)
     hit = ctx.memo.get(key)

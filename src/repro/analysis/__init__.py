@@ -21,13 +21,15 @@ decides those preconditions *statically*, before any data flows:
 * :mod:`~repro.analysis.prover` — the ``python -m repro prove`` decision
   layer: symbolic inversion certificates, bounded counterexample search,
   and the plan-dataflow analysis
-  (:mod:`~repro.analysis.dataflow`) with its ``REPRO_CHECK_INVARIANTS``
-  runtime sanitizer;
+  (:mod:`~repro.analysis.dataflow`) with its runtime sanitizer;
 * :mod:`~repro.analysis.query` — the ``python -m repro prove-query``
   decision layer: per-query translation certificates (Theorem 3.1),
-  answer-divergence witnesses, the kernel cost model, and the
-  ``REPRO_CHECK_QUERIES`` runtime sanitizer, with the ``W02xx`` lint
-  checks in :mod:`~repro.analysis.query_lint`.
+  answer-divergence witnesses, the kernel cost model, and the runtime
+  answer sanitizer, with the ``W02xx`` lint checks in
+  :mod:`~repro.analysis.query_lint`.
+
+``REPRO_CHECK_INVARIANTS=1`` arms both runtime sanitizers and the shard
+race tracker (:mod:`~repro.analysis.races`) together.
 
 The diagnostic catalog is documented in ``docs/lint.md``; every code has a
 stable meaning, a paper reference, and a triggering test.
@@ -52,7 +54,6 @@ from repro.analysis.dataflow import (
     DataflowReport,
     UpdateShape,
     check_refresh_reads,
-    sanitizer_enabled,
     spec_read_sets,
     static_refresh_reads,
     views_only_read_sets,
@@ -78,7 +79,6 @@ from repro.analysis.query import (
     estimate_cost,
     prove_queries_file,
     prove_queries_target,
-    queries_enabled,
     search_query_counterexample,
     verify_query_witness,
 )
@@ -144,10 +144,8 @@ __all__ = [
     "prove_queries_target",
     "prove_target",
     "psj_parts",
-    "queries_enabled",
     "render_json",
     "render_text",
-    "sanitizer_enabled",
     "search_counterexample",
     "search_query_counterexample",
     "sort_diagnostics",

@@ -40,7 +40,7 @@ certificates hashed with the same canonical digest as the PR-7 plan cache
   warehouse *writes*: which stored relations each update shape's
   maintenance plan can change, and whether the shape routes to a single
   shard or broadcasts. :func:`write_footprint` is the per-refresh form the
-  ``REPRO_CHECK_RACES=1`` sanitizer (:mod:`repro.analysis.races`)
+  ``REPRO_CHECK_INVARIANTS=1`` sanitizer (:mod:`repro.analysis.races`)
   cross-checks at runtime.
 
 Certificates hash with :func:`repro.analysis.digest.canonical_digest`, like
@@ -493,8 +493,9 @@ def shape_footprints(
 def write_footprint(spec: WarehouseSpec, updated: Iterable[str]) -> FrozenSet[str]:
     """The warehouse relations a refresh for ``updated`` can change.
 
-    The static over-approximation the ``REPRO_CHECK_RACES=1`` sanitizer
-    compares actual per-shard refresh writes against: a warehouse relation
+    The static over-approximation the race tracker (armed by
+    ``REPRO_CHECK_INVARIANTS=1``) compares actual per-shard refresh writes
+    against: a warehouse relation
     is in the footprint iff its maintenance delta for this update-relation
     set is not statically empty.
     """

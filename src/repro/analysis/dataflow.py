@@ -46,7 +46,7 @@ from repro.schema.catalog import Catalog
 from repro.views.psj import View
 from repro.core.complement import WarehouseSpec
 from repro.core.maintenance import maintenance_expressions
-from repro.storage.engine import SANITIZER_ENV, env_flag
+from repro.storage.engine import SANITIZER_ENV
 
 if TYPE_CHECKING:
     from repro.obs.trace import Span
@@ -214,17 +214,6 @@ def views_only_read_sets(catalog: Catalog, views: Iterable[View]) -> DataflowRep
 # ----------------------------------------------------------------------
 # The runtime sanitizer (REPRO_CHECK_INVARIANTS=1)
 # ----------------------------------------------------------------------
-
-
-def sanitizer_enabled() -> bool:
-    """Whether the ``REPRO_CHECK_INVARIANTS`` sanitizer mode is on.
-
-    Any value other than unset/empty/``0`` enables it. Read once per
-    :class:`~repro.core.warehouse.Warehouse` construction, never on the
-    evaluator hot path (``scripts/check_hotpath.py`` rule R5 enforces
-    the latter).
-    """
-    return env_flag(SANITIZER_ENV)
 
 
 def static_refresh_reads(

@@ -43,7 +43,7 @@ and each file document records the
 :func:`repro.core.translation.translation_digest` of the mapping its
 verdicts were issued under.
 
-The ``REPRO_CHECK_QUERIES=1`` runtime sanitizer
+The ``REPRO_CHECK_INVARIANTS=1`` runtime sanitizer
 (:func:`check_translation_reads`, wired through
 :meth:`repro.core.warehouse.Warehouse.answer`) cross-checks the traced
 spans of every translated-query evaluation against the static read set:
@@ -86,7 +86,7 @@ from repro.algebra.parser import parse
 from repro.algebra.rewriting import fold_occurrences
 from repro.algebra.simplify import simplify
 from repro.schema.catalog import Catalog
-from repro.storage.engine import QUERIES_ENV, env_flag
+from repro.storage.engine import SANITIZER_ENV
 from repro.views.psj import View
 from repro.core.complement import WarehouseSpec, specify
 from repro.core.translation import translate_query
@@ -118,16 +118,6 @@ from repro.analysis.specfile import LintTarget, QuerySpec
 
 #: Row estimate for relations the spec file gives no ``queries.rows`` entry.
 DEFAULT_ROW_ESTIMATE = 1000
-
-
-def queries_enabled() -> bool:
-    """Whether ``REPRO_CHECK_QUERIES`` asks for the runtime query sanitizer.
-
-    Read once per warehouse at construction (mirroring
-    :func:`repro.analysis.dataflow.sanitizer_enabled`) — never on the
-    query-serving hot path (``scripts/check_hotpath.py`` rule R5).
-    """
-    return env_flag(QUERIES_ENV)
 
 
 # ----------------------------------------------------------------------
@@ -906,7 +896,7 @@ def prove_queries_file(path: str, method: str = "thm22") -> QueryProofResult:
 
 
 # ----------------------------------------------------------------------
-# Runtime sanitizer (REPRO_CHECK_QUERIES=1)
+# Runtime sanitizer (REPRO_CHECK_INVARIANTS=1)
 # ----------------------------------------------------------------------
 
 
@@ -928,7 +918,7 @@ def check_translation_reads(
     source_reads = source_relations_read(root, spec.catalog.relation_names())
     if source_reads:
         raise WarehouseError(
-            f"query sanitizer ({QUERIES_ENV}=1): translated query read "
+            f"query sanitizer ({SANITIZER_ENV}=1): translated query read "
             f"source relation(s) {source_reads}; Theorem 3.1 promises "
             "warehouse-only answering"
         )
@@ -937,6 +927,6 @@ def check_translation_reads(
     extra = sorted(set(touched) - allowed)
     if extra:
         raise WarehouseError(
-            f"query sanitizer ({QUERIES_ENV}=1): runtime read(s) {extra} "
+            f"query sanitizer ({SANITIZER_ENV}=1): runtime read(s) {extra} "
             f"outside the static read set {sorted(allowed)}"
         )

@@ -1,8 +1,8 @@
-"""Runtime race sanitizer for the sharded integrator (``REPRO_CHECK_RACES=1``).
+"""Runtime race sanitizer for the sharded integrator.
 
-Sibling of the ``REPRO_CHECK_INVARIANTS`` dataflow sanitizer
-(:mod:`repro.analysis.dataflow`): where that one cross-checks a refresh's
-*reads* against Theorem 4.1's static read sets, this one cross-checks the
+Sibling of the dataflow sanitizer (:mod:`repro.analysis.dataflow`), armed
+by the same ``REPRO_CHECK_INVARIANTS=1``: where that one cross-checks a
+refresh's *reads* against Theorem 4.1's static read sets, this one checks the
 concurrency protocol around shard refreshes against the static claims the
 shard-independence prover makes (:mod:`repro.analysis.concurrency`):
 
@@ -23,9 +23,9 @@ shard-independence prover makes (:mod:`repro.analysis.concurrency`):
 
 The tracker is cooperative-concurrency-scoped: workers are identified by
 their running :func:`asyncio.current_task` (``None`` for synchronous
-callers, which therefore form one serial worker). Like its sibling, the
-environment variable is read once per warehouse construction
-(:func:`races_enabled`), never on a hot path.
+callers, which therefore form one serial worker). The environment
+variable is read once per warehouse construction
+(:func:`repro.storage.engine.sanitizer_enabled`), never on a hot path.
 """
 
 from __future__ import annotations
@@ -34,17 +34,7 @@ import asyncio
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import WarehouseError
-from repro.storage.engine import RACES_ENV, env_flag
-
-
-def races_enabled() -> bool:
-    """Whether the ``REPRO_CHECK_RACES`` sanitizer mode is on.
-
-    Any value other than unset/empty/``0`` enables it. Read once per
-    :class:`~repro.core.sharding.ShardedWarehouse` construction, never on
-    the refresh hot path.
-    """
-    return env_flag(RACES_ENV)
+from repro.storage.engine import SANITIZER_ENV
 
 
 def _current_worker() -> Optional[object]:
@@ -68,7 +58,7 @@ class RaceTracker:
     """Dynamic cross-check of the sharded refresh protocol.
 
     One tracker per :class:`~repro.core.sharding.ShardedWarehouse`, active
-    only under ``REPRO_CHECK_RACES=1``. Every check raises
+    only under ``REPRO_CHECK_INVARIANTS=1``. Every check raises
     :class:`~repro.errors.WarehouseError` on the first violation —
     silently continuing would hide a broken commutativity guarantee.
     """
@@ -91,7 +81,7 @@ class RaceTracker:
         higher = [index for index in held if index >= shard]
         if higher:
             raise WarehouseError(
-                f"sanitizer ({RACES_ENV}=1): worker "
+                f"sanitizer ({SANITIZER_ENV}=1): worker "
                 f"{_worker_label(worker)} acquired the lock for shard "
                 f"{shard} while holding lock(s) {higher} — shard locks "
                 "must be acquired in ascending order (deadlock freedom)"
@@ -122,7 +112,7 @@ class RaceTracker:
                 else f"write sets {sorted(other_writes)} and {sorted(writes)}"
             )
             raise WarehouseError(
-                f"sanitizer ({RACES_ENV}=1): worker "
+                f"sanitizer ({SANITIZER_ENV}=1): worker "
                 f"{_worker_label(worker)} refreshed shard {shard} while "
                 f"worker {_worker_label(other_worker)} has an uncommitted "
                 f"refresh on it ({detail}) — the second commit would "
@@ -143,7 +133,7 @@ class RaceTracker:
         extra = sorted(set(written) - static)
         if extra:
             raise WarehouseError(
-                f"sanitizer ({RACES_ENV}=1): shard {shard} refresh wrote "
+                f"sanitizer ({SANITIZER_ENV}=1): shard {shard} refresh wrote "
                 f"warehouse relation(s) {extra} outside the static write "
                 f"footprint {sorted(static)} — the maintenance engine and "
                 "the concurrency analysis disagree"

@@ -27,9 +27,9 @@ the routings are **co-partitioned** (equal values land on the same shard —
 :meth:`repro.core.routing.ShardRouting.compatible_with`); anything else
 raises at construction with the prover's reasoned refusal.
 
-Under ``REPRO_CHECK_RACES=1`` (sibling of ``REPRO_CHECK_INVARIANTS``) a
-:class:`repro.analysis.races.RaceTracker` cross-checks the refresh
-protocol at runtime: shard locks acquired in ascending order, no
+Under ``REPRO_CHECK_INVARIANTS=1``, which also arms every shard's read-set
+sanitizers, a :class:`repro.analysis.races.RaceTracker` cross-checks the
+refresh protocol at runtime: shard locks acquired in ascending order, no
 overlapping uncommitted refreshes on a shard, and every refresh's writes
 inside the statically derived footprint
 (:func:`repro.analysis.concurrency.write_footprint`).
@@ -65,6 +65,7 @@ from repro.errors import WarehouseError
 from repro.obs.metrics import MetricsRegistry
 from repro.schema.catalog import Catalog
 from repro.storage.database import Database
+from repro.storage.engine import sanitizer_enabled
 from repro.storage.relation import Relation
 from repro.storage.update import Delta, Update
 from repro.views.psj import View
@@ -76,7 +77,7 @@ from repro.analysis.concurrency import (
     classify_assembly,
     write_footprint,
 )
-from repro.analysis.races import RaceTracker, races_enabled
+from repro.analysis.races import RaceTracker
 from repro.core.complement import WarehouseSpec, specify
 from repro.core.routing import ShardRouting, _stable_hash  # noqa: F401 — re-export
 from repro.core.warehouse import StateLike, Warehouse
@@ -369,7 +370,6 @@ class ShardedWarehouse:
         spec: WarehouseSpec,
         router: Optional[ShardRouter] = None,
         shards: Optional[int] = None,
-        cached: bool = True,
         engine: Optional[str] = None,
     ) -> None:
         if router is None:
@@ -387,12 +387,11 @@ class ShardedWarehouse:
         self._report: AssemblyReport = self._validate_routings()
         self._assembly: Dict[str, str] = dict(self._report.assembly)
         self._race_tracker: Optional[RaceTracker] = (
-            RaceTracker(router.shards) if races_enabled() else None
+            RaceTracker(router.shards) if sanitizer_enabled() else None
         )
         self._footprints: Dict[FrozenSet[str], FrozenSet[str]] = {}
         self.shards: Tuple[Warehouse, ...] = tuple(
-            Warehouse(spec, cached=cached, engine=engine)
-            for _ in range(router.shards)
+            Warehouse(spec, engine=engine) for _ in range(router.shards)
         )
         self._committed: List[Optional[Dict[str, Relation]]] = [
             None for _ in range(router.shards)
@@ -439,7 +438,6 @@ class ShardedWarehouse:
         routings: Sequence[ShardRouting] = (),
         shards: Optional[int] = None,
         method: str = "thm22",
-        cached: bool = True,
         engine: Optional[str] = None,
         **options,
     ) -> "ShardedWarehouse":
@@ -453,7 +451,6 @@ class ShardedWarehouse:
             specify(catalog, views, method=method, **options),
             router=router,
             shards=shards,
-            cached=cached,
             engine=engine,
         )
 
@@ -523,7 +520,7 @@ class ShardedWarehouse:
 
         :meth:`Warehouse.answer <repro.core.warehouse.Warehouse.answer>` as
         shard 0 runs it (its query counter, tracer and
-        ``REPRO_CHECK_QUERIES`` check), over the assembled global state.
+        ``REPRO_CHECK_INVARIANTS`` check), over the assembled global state.
         """
         return self.shards[0]._answer(query, self.snapshot().state())
 
@@ -550,9 +547,9 @@ class ShardedWarehouse:
         The shard's state swap is locally atomic, but readers keep seeing
         the previous *committed* snapshot until :meth:`commit` publishes
         the whole batch — this is what keeps multi-shard batches untorn.
-        Under ``REPRO_CHECK_RACES=1`` the refresh is bracketed by the race
-        tracker: an uncommitted refresh by another worker on this shard, or
-        a write outside the static footprint, fails loudly.
+        Under ``REPRO_CHECK_INVARIANTS=1`` the refresh is bracketed by the
+        race tracker: an uncommitted refresh by another worker on this
+        shard, or a write outside the static footprint, fails loudly.
         """
         tracker = self._race_tracker
         footprint: FrozenSet[str] = frozenset()
@@ -670,7 +667,7 @@ class ShardedWarehouse:
 
     @property
     def race_tracker(self) -> Optional[RaceTracker]:
-        """The ``REPRO_CHECK_RACES=1`` tracker (``None`` when disabled)."""
+        """The ``REPRO_CHECK_INVARIANTS=1`` tracker (``None`` when disabled)."""
         return self._race_tracker
 
     def require_commutativity(self, certificate: Mapping[str, object]) -> None:

@@ -11,8 +11,8 @@ the one body every ``answer()`` runs, and the static facts the
 query-translation prover (:mod:`repro.analysis.query`) certifies:
 
 * :func:`translation_read_set` — the warehouse relations the optimized
-  translation will read, the static side of the ``REPRO_CHECK_QUERIES``
-  sanitizer's comparison;
+  translation will read, the static side of the answer sanitizer's
+  comparison (``REPRO_CHECK_INVARIANTS``);
 * :func:`translation_digest` — a canonical digest over every fact the
   translation depends on (schemata, warehouse definitions, inverses),
   recorded by ``python -m repro prove-query``.
@@ -90,7 +90,7 @@ def translation_read_set(
     """The warehouse relations the optimized translation of ``query`` reads.
 
     This is the static read set the translation certificate records and the
-    ``REPRO_CHECK_QUERIES`` sanitizer compares traced reads against: by
+    ``REPRO_CHECK_INVARIANTS`` sanitizer compares traced reads against: by
     Theorem 3.1 it contains warehouse names only, never a source relation.
     """
     translated = translate_query(spec, query, optimized=True)

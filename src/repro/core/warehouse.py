@@ -30,6 +30,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import RingBufferCollector, Span, TraceCollector, Tracer, span_of
 from repro.schema.catalog import Catalog
 from repro.storage.database import Database
+from repro.storage.engine import sanitizer_enabled
 from repro.storage.relation import Relation
 from repro.storage.update import Delta, Update
 from repro.views.psj import View
@@ -65,7 +66,6 @@ class Warehouse:
     def __init__(
         self,
         spec: WarehouseSpec,
-        cached: bool = True,
         engine: Optional[str] = None,
     ) -> None:
         from repro.storage.columnar import ENGINE_COLUMNAR, kernel_totals, resolve_engine
@@ -90,15 +90,13 @@ class Warehouse:
         # _snapshot caches the view for the current version.
         self._version = 0
         self._snapshot = None
-        self._plans: Dict[frozenset, MaintenancePlan] = {}
         self._aggregates: list = []
         # The cross-update evaluation cache: sub-expressions whose inputs an
         # update does not touch are reused across refreshes (and by
         # reconstruct between refreshes). answer() does not share it: its
         # entries are keyed by literal, so a query stream grows it without
-        # bound (EXPERIMENTS.md, E6b). ``cached=False`` reverts to the
-        # uncached evaluator — the differential oracle's reference track.
-        self._cache: Optional[EvaluationCache] = EvaluationCache() if cached else None
+        # bound (EXPERIMENTS.md, E6b).
+        self._cache = EvaluationCache()
         self._stats = EvalStats()
         self._last_refresh_stats = EvalStats()
         # Observability: metrics are always on (a handful of counter bumps
@@ -107,21 +105,13 @@ class Warehouse:
         self._metrics = MetricsRegistry()
         self._tracer: Optional[Tracer] = None
         self._trace_buffer: Optional[RingBufferCollector] = None
-        # Sanitizer mode (REPRO_CHECK_INVARIANTS=1): every apply() traces
-        # its refresh (with a private tracer if tracing is off) and
-        # cross-checks the runtime source reads against the static
-        # dataflow analysis. Read once here — never on the evaluator hot
-        # path (scripts/check_hotpath.py rule R5).
-        from repro.analysis.dataflow import sanitizer_enabled
-
+        # Sanitizer mode (REPRO_CHECK_INVARIANTS=1): every apply() and
+        # answer() is traced (with a private tracer if tracing is off) and
+        # its runtime reads are cross-checked against the static read set —
+        # Theorem 4.1's per refresh, Theorem 3.1's per query. Read once
+        # here — never on the evaluator hot path (scripts/check_hotpath.py
+        # rule R5).
         self._sanitize = sanitizer_enabled()
-        # Query sanitizer mode (REPRO_CHECK_QUERIES=1): every answer()
-        # traces the translated evaluation and cross-checks its runtime
-        # reads against the translation's static read set (Theorem 3.1's
-        # "no source reads", per query). Same read-once discipline.
-        from repro.analysis.query import queries_enabled
-
-        self._check_queries = queries_enabled()
 
     # ------------------------------------------------------------------
     # Performance introspection
@@ -138,8 +128,8 @@ class Warehouse:
         return self._last_refresh_stats
 
     @property
-    def evaluation_cache(self) -> Optional[EvaluationCache]:
-        """The persistent cross-update cache (``None`` when ``cached=False``)."""
+    def evaluation_cache(self) -> EvaluationCache:
+        """The persistent cross-update cache."""
         return self._cache
 
     # ------------------------------------------------------------------
@@ -215,12 +205,12 @@ class Warehouse:
             )
         return explain_refresh(root, max_depth=max_depth)
 
-    def _tracer_for(self, sanitize: bool) -> Optional[Tracer]:
-        """The tracer to run one operation under: the live one — or, when a
-        sanitizer mode needs the operation's span tree (to check runtime
+    def _tracer_for(self) -> Optional[Tracer]:
+        """The tracer to run one operation under: the live one — or, when
+        the sanitizer needs the operation's span tree (to check runtime
         reads against the static read set) and tracing is off, a private
         tracer that delivers to no collector."""
-        return Tracer() if sanitize and self._tracer is None else self._tracer
+        return Tracer() if self._sanitize and self._tracer is None else self._tracer
 
     def _record_refresh_metrics(
         self, elapsed: float, applied: Dict[str, Delta], stats: EvalStats
@@ -273,8 +263,7 @@ class Warehouse:
         metrics.histogram("warehouse.complement_rows_per_refresh").observe(
             complement_rows
         )
-        if self._cache is not None:
-            metrics.gauge("warehouse.cache_entries").set(len(self._cache))
+        metrics.gauge("warehouse.cache_entries").set(len(self._cache))
 
     # ------------------------------------------------------------------
     # Construction (Section 5, Step 1)
@@ -286,14 +275,13 @@ class Warehouse:
         catalog: Catalog,
         views: Sequence[View],
         method: str = "thm22",
-        cached: bool = True,
         engine: Optional[str] = None,
         compile_plans: Optional[bool] = None,
         **options,
     ) -> "Warehouse":
         """Build a warehouse from a catalog and PSJ view definitions.
 
-        ``cached`` and ``engine`` configure the constructed warehouse (see
+        ``engine`` configures the constructed warehouse (see
         :meth:`__init__`); all other keyword ``options`` go to the
         specification builder.
         """
@@ -302,9 +290,7 @@ class Warehouse:
         # frozen suite's ``variant.compiled`` row) passes it; the next
         # benchmark PR drops that row and this parameter together.
         return cls(
-            specify(catalog, views, method=method, **options),
-            cached=cached,
-            engine=engine,
+            specify(catalog, views, method=method, **options), engine=engine
         )
 
     # ------------------------------------------------------------------
@@ -468,7 +454,7 @@ class Warehouse:
         """Answer a source query from warehouse relations only.
 
         The optimized translation is derived once per spec and query (the
-        spec's plan table); under ``REPRO_CHECK_QUERIES=1`` the evaluation
+        spec's plan table); under ``REPRO_CHECK_INVARIANTS=1`` the evaluation
         is traced (with a private tracer if tracing is off) and its
         runtime reads are cross-checked against the plan's static read set.
         """
@@ -481,11 +467,11 @@ class Warehouse:
         assembled snapshot."""
         self._metrics.counter("warehouse.queries").inc()
         expression = self._as_expression(query)
-        tracer = self._tracer_for(self._check_queries)
+        tracer = self._tracer_for()
         result = answer_query(
             self.spec, state, expression, tracer=tracer, engine=self.engine
         )
-        if self._check_queries:
+        if self._sanitize:
             from repro.analysis.query import check_translation_reads
 
             # The static read set is recomputed from the spec, not taken
@@ -533,23 +519,20 @@ class Warehouse:
     def maintenance_plan(
         self, updated: Iterable[str], **options
     ) -> MaintenancePlan:
-        """The (cached) symbolic maintenance plan for an update shape."""
-        updated_set = frozenset(updated)
-        if options:
-            return maintenance_expressions(self.spec, updated_set, **options)
-        plan = self._plans.get(updated_set)
-        if plan is None:
-            plan = maintenance_expressions(self.spec, updated_set)
-            self._plans[updated_set] = plan
-        return plan
+        """The unfused symbolic maintenance plan for an update shape.
+
+        Derived on each call, for inspection: :meth:`apply` runs the fused
+        plans of the spec's plan table instead.
+        """
+        return maintenance_expressions(self.spec, updated, **options)
 
     def apply(self, update: Update) -> Dict[str, Delta]:
         """Incrementally fold a reported source update into the warehouse.
 
         Returns the effective per-warehouse-relation deltas. Touches no
         source database. The refresh interprets the fused plan of this
-        update's shape and side mask (derived once per spec); with the
-        default persistent cache, sub-expressions over relations this
+        update's shape and side mask (derived once per spec); through the
+        persistent cache, sub-expressions over relations this
         update leaves unchanged are reused from earlier refreshes;
         per-refresh counters land in :attr:`last_refresh_stats`.
         """
@@ -558,7 +541,7 @@ class Warehouse:
         working = self._refresh_over(update)
         stats = EvalStats()
         started = perf_counter()
-        tracer = self._tracer_for(self._sanitize)
+        tracer = self._tracer_for()
         with span_of(tracer, "refresh", relations=sorted(update.relations())) as root:
             new_state, applied = plans.refresh(
                 working, update, cache=self._cache, stats=stats,

@@ -379,7 +379,7 @@ class AsyncConcurrentIntegrator:
         if parts:
             indices = sorted(parts)
             locks = self._shard_locks()
-            # Under REPRO_CHECK_RACES=1 the tracker verifies the protocol
+            # Under REPRO_CHECK_INVARIANTS=1 the tracker verifies the protocol
             # the W01xx lint states statically: ascending lock order, no
             # overlapping uncommitted refreshes, commit inside the locks.
             tracker = self.warehouse.race_tracker

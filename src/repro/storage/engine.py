@@ -2,7 +2,7 @@
 
 It imports only the standard library and :mod:`repro.errors`, so the
 evaluator, the storage layer and the analysis package can all resolve
-their settings here without an import cycle. The four variables the
+their settings here without an import cycle. The two variables the
 program reads:
 
 * ``REPRO_ENGINE`` — the default physical engine (:func:`resolve_engine`):
@@ -12,12 +12,14 @@ program reads:
   differential reference). Both run under the one interpreter of
   :mod:`repro.algebra.evaluator`. Read **once at import**; tests that
   flip the process default monkeypatch :data:`DEFAULT_ENGINE`.
-* ``REPRO_CHECK_INVARIANTS`` / ``REPRO_CHECK_QUERIES`` /
-  ``REPRO_CHECK_RACES`` — the runtime sanitizers of :mod:`repro.analysis`,
-  each read once per warehouse construction.
+* ``REPRO_CHECK_INVARIANTS`` — arms every runtime sanitizer of
+  :mod:`repro.analysis` (:func:`sanitizer_enabled`): refresh read sets,
+  answer read sets and the shard race tracker. Each asks whether a run
+  stayed inside its statically derived footprint. Read once per
+  warehouse construction.
 
-The three on/off variables share :func:`env_flag`. None is ever read on the
-evaluator hot path (``scripts/check_hotpath.py`` rule R5).
+Neither is ever read on the evaluator hot path (``scripts/check_hotpath.py``
+rule R5).
 """
 
 from __future__ import annotations
@@ -25,20 +27,27 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, WarehouseError
 
 ENGINE_ENV = "REPRO_ENGINE"
 SANITIZER_ENV = "REPRO_CHECK_INVARIANTS"
-QUERIES_ENV = "REPRO_CHECK_QUERIES"
-RACES_ENV = "REPRO_CHECK_RACES"
 
 ENGINE_TUPLE = "tuple"
 ENGINE_COLUMNAR = "columnar"
 
 
-def env_flag(name: str) -> bool:
-    """Whether the on/off variable ``name`` is set (unset/empty/``0`` = off)."""
-    return os.environ.get(name, "") not in ("", "0")
+def sanitizer_enabled() -> bool:
+    """Whether ``REPRO_CHECK_INVARIANTS`` arms the runtime sanitizers.
+
+    Unset, empty and ``0`` mean off; ``1`` means on; surrounding spaces
+    are ignored. Any other value raises, so ``=false`` cannot arm the
+    checks it reads as disarming.
+    """
+    raw = os.environ.get(SANITIZER_ENV, "")
+    value = raw.strip()
+    if value in ("", "0", "1"):
+        return value == "1"
+    raise WarehouseError(f"{SANITIZER_ENV}={raw!r}: expected unset, '0' or '1'")
 
 
 def resolve_engine(engine: Optional[str]) -> str:

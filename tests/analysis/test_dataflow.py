@@ -9,12 +9,12 @@ from repro.analysis.dataflow import (
     DataflowReport,
     UpdateShape,
     check_refresh_reads,
-    sanitizer_enabled,
     spec_read_sets,
     static_refresh_reads,
     views_only_read_sets,
 )
 from repro.obs.trace import Span
+from repro.storage.engine import sanitizer_enabled
 
 
 def figure1_catalog():
@@ -138,6 +138,13 @@ class TestSanitizerRuntime:
         assert not sanitizer_enabled()
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         assert sanitizer_enabled()
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", " 1 ")
+        assert sanitizer_enabled()
+        # Anything else is refused, never read as "on": ``false`` used to
+        # arm the sanitizer it meant to disarm.
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "false")
+        with pytest.raises(WarehouseError, match="REPRO_CHECK_INVARIANTS='false'"):
+            sanitizer_enabled()
 
     def test_apply_clean_under_sanitizer(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")

@@ -130,7 +130,7 @@ class TestQueryPlans:
         self, figure1_catalog, figure1_database, sold_view, monkeypatch
     ):
         # An armed query sanitizer re-translates per answer, by design.
-        monkeypatch.delenv("REPRO_CHECK_QUERIES", raising=False)
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
         # Count the way the benchmark suite's probe does: rebind the
         # function in its module and wherever it was imported by name.
         translated = []

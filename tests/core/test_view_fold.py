@@ -208,7 +208,7 @@ class TestServing:
     def test_query_sanitizer_checks_folded_sharded_answers(
         self, tpcd, monkeypatch, poison_plan, shards
     ):
-        monkeypatch.setenv("REPRO_CHECK_QUERIES", "1")
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         instance, _ = tpcd
         sharded = ShardedWarehouse.specify(
             instance.catalog,

@@ -115,15 +115,6 @@ class TestUpdates:
         full.apply_full(update)
         assert incremental.state == full.state
 
-    def test_plan_cache_reused(self, warehouse):
-        first = warehouse.maintenance_plan(["Sale"])
-        second = warehouse.maintenance_plan(["Sale"])
-        assert first is second
-
-    def test_plan_with_options_not_cached(self, warehouse):
-        special = warehouse.maintenance_plan(["Sale"], insert_only=True)
-        assert special is not warehouse.maintenance_plan(["Sale"])
-
 
 class TestDescribe:
     def test_describe_shows_spec(self, warehouse):
@@ -131,10 +122,10 @@ class TestDescribe:
 
 
 class TestQuerySanitizer:
-    """REPRO_CHECK_QUERIES=1: answer() cross-checks its traced reads."""
+    """REPRO_CHECK_INVARIANTS=1: answer() cross-checks its traced reads."""
 
     def armed(self, catalog, db, monkeypatch) -> Warehouse:
-        monkeypatch.setenv("REPRO_CHECK_QUERIES", "1")
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         wh = Warehouse.specify(catalog, [View("Sold", parse("Sale join Emp"))])
         wh.initialize(db)
         return wh
@@ -158,7 +149,7 @@ class TestQuerySanitizer:
     def test_same_poison_goes_unnoticed_when_disarmed(
         self, catalog, db, monkeypatch, poison_plan
     ):
-        monkeypatch.delenv("REPRO_CHECK_QUERIES", raising=False)
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
         wh = Warehouse.specify(catalog, [View("Sold", parse("Sale join Emp"))])
         wh.initialize(db)
         poison_plan(wh.spec, "Emp", "pi[clerk](C_Sale)")

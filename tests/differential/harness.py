@@ -181,14 +181,14 @@ def run_schema(
 
     definitions = spec.definitions_over_sources()
 
-    fast = Warehouse(spec, cached=True)
+    fast = Warehouse(spec)
     if trace_sink is not None:
         fast.enable_tracing(capacity=1, sink=trace_sink)
     fast.initialize(database)
     uncached_state = {name: rel for name, rel in fast.state.items()}
     columnar = None
     if config.columnar_track:
-        columnar = Warehouse(spec, cached=True, engine="columnar")
+        columnar = Warehouse(spec, engine="columnar")
         columnar.initialize(database)
     mirror = database.copy()
 

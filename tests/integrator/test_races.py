@@ -1,4 +1,4 @@
-"""The ``REPRO_CHECK_RACES=1`` runtime race sanitizer, end to end.
+"""The runtime race sanitizer (``REPRO_CHECK_INVARIANTS=1``), end to end.
 
 The sanitizer cross-checks the live refresh protocol against the static
 claims of the shard-independence prover: ascending lock order (W0102's
@@ -18,9 +18,10 @@ import asyncio
 import pytest
 
 from repro import Catalog, Relation, Update, View, WarehouseError, parse
-from repro.analysis.races import RaceTracker, races_enabled
+from repro.analysis.races import RaceTracker
 from repro.core.sharding import ShardedWarehouse, ShardRouting
 from repro.integrator import AsyncChannel, AsyncConcurrentIntegrator, AsyncSource
+from repro.storage.engine import sanitizer_enabled
 
 
 @pytest.fixture
@@ -41,8 +42,8 @@ INIT = {
 
 
 def enable_races(monkeypatch):
-    monkeypatch.setenv("REPRO_CHECK_RACES", "1")
-    assert races_enabled()
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+    assert sanitizer_enabled()
 
 
 class BackwardLockIntegrator(AsyncConcurrentIntegrator):
@@ -100,12 +101,12 @@ def make_integrator(catalog, cls=AsyncConcurrentIntegrator):
 
 class TestTrackerWiring:
     def test_tracker_absent_by_default(self, catalog, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECK_RACES", raising=False)
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
         warehouse = ShardedWarehouse.specify(catalog, VIEWS, routings=ROUTINGS)
         assert warehouse.race_tracker is None
 
     def test_zero_counts_as_disabled(self, catalog, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK_RACES", "0")
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "0")
         warehouse = ShardedWarehouse.specify(catalog, VIEWS, routings=ROUTINGS)
         assert warehouse.race_tracker is None
 
@@ -133,7 +134,7 @@ class TestLockOrder:
     ):
         # The point of the sanitizer: without it, the descending-order bug
         # only matters under contention, so a single-worker run never trips.
-        monkeypatch.delenv("REPRO_CHECK_RACES", raising=False)
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
         integrator, source = make_integrator(catalog, BackwardLockIntegrator)
 
         async def scenario():

@@ -494,7 +494,7 @@ class TestOneAnswerPath:
     def test_armed_sanitizer_checks_sharded_answers(
         self, catalog, monkeypatch, poison_plan
     ):
-        monkeypatch.setenv("REPRO_CHECK_QUERIES", "1")
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         sharded, _ = make_pair(catalog, [ShardRouting("Sale", "item", shards=4)])
         assert sharded.answer("Emp") == INIT["Emp"]
         # Corrupt the shared plan for Emp: it now reads C_Sale, outside the

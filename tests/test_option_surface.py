@@ -13,9 +13,12 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import repro
-from repro import Warehouse, evaluate
-from repro.core.sharding import ShardedWarehouse
+from repro import Catalog, Relation, View, Warehouse, WarehouseError, evaluate, parse
+from repro.analysis import dataflow
+from repro.core.sharding import ShardedWarehouse, ShardRouting
 from repro.core.translation import answer_query
 from repro.storage import engine
 
@@ -23,13 +26,8 @@ from repro.storage import engine
 #: the shard layout, the caller's memo, the caller's counters.
 NOT_OPTIONS = {"router", "shards", "cache", "stats"}
 
-PARAMETERS = {"engine", "cached", "fastpath", "tracer"}
-VARIABLES = {
-    "REPRO_ENGINE",
-    "REPRO_CHECK_INVARIANTS",
-    "REPRO_CHECK_QUERIES",
-    "REPRO_CHECK_RACES",
-}
+PARAMETERS = {"engine", "fastpath", "tracer"}
+VARIABLES = {"REPRO_ENGINE", "REPRO_CHECK_INVARIANTS"}
 
 
 def defaulted(function) -> set:
@@ -41,12 +39,12 @@ def defaulted(function) -> set:
     }
 
 
-def test_keyword_options_are_the_ledgers_four():
+def test_keyword_options_are_the_ledgers_three():
     surfaces = (Warehouse.__init__, ShardedWarehouse.__init__, evaluate, answer_query)
     assert set().union(*map(defaulted, surfaces)) == PARAMETERS
 
 
-def test_environment_variables_are_the_ledgers_four():
+def test_environment_variables_are_the_ledgers_two():
     declared = {
         value for name, value in vars(engine).items() if name.endswith("_ENV")
     }
@@ -67,3 +65,42 @@ def test_specify_adds_the_complement_method_and_one_frozen_keyword():
     assert defaulted(ShardedWarehouse.specify) - defaulted(
         ShardedWarehouse.__init__
     ) == {"routings", "method"}
+
+
+@pytest.mark.parametrize("armed", [True, False], ids=["armed", "unset"])
+def test_one_switch_arms_every_seam(armed, monkeypatch, poison_plan):
+    # REPRO_CHECK_INVARIANTS alone arms the shard race tracker, the refresh
+    # read-set check and the answer read-set check; unset, none fires.
+    if armed:
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+    else:
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+    refresh_checks = []
+    real_check = dataflow.check_refresh_reads
+
+    def counting_check(*args):
+        refresh_checks.append(args)
+        real_check(*args)
+
+    monkeypatch.setattr(dataflow, "check_refresh_reads", counting_check)
+    catalog = Catalog()
+    catalog.relation("Sale", ("item", "clerk"))
+    catalog.relation("Emp", ("clerk", "age"), key=("clerk",))
+    warehouse = ShardedWarehouse.specify(
+        catalog,
+        [View("Sold", parse("Sale join Emp"))],
+        routings=[ShardRouting("Sale", "item", shards=4)],
+    )
+    warehouse.initialize({
+        "Sale": Relation(("item", "clerk"), [("TV", "Mary")]),
+        "Emp": Relation(("clerk", "age"), [("Mary", 23), ("Ann", 31)]),
+    })
+    assert (warehouse.race_tracker is not None) == armed
+    warehouse.insert("Sale", [("Radio", "Ann")])
+    assert bool(refresh_checks) == armed
+    poison_plan(warehouse.spec, "Emp", "pi[clerk](C_Sale)")
+    if armed:
+        with pytest.raises(WarehouseError, match="query sanitizer"):
+            warehouse.answer("Emp")
+    else:
+        warehouse.answer("Emp")
