@@ -20,6 +20,8 @@ Rules (``I``/``D`` are the child deltas, ``Eo``/``En`` old and new values)::
 
     sigma_C(E):   I' = sigma_C(I)                 D' = sigma_C(D)
     pi_Z(E):      I' = pi_Z(I) - pi_Z(Eo)         D' = pi_Z(D) - pi_Z(En)
+    pi_Z(E), E has a key K ⊆ Z (keys given):
+                  I' = pi_Z(I) - pi_Z(D)          D' = pi_Z(D) - pi_Z(I)
     E1 join E2:   I' = (I1 join E2n) + (E1n join I2)
                   D' = (D1 join E2o) + (E1o join D2)
     E1 union E2:  I' = (I1 + I2) - (E1o + E2o)    D' = (D1 + D2) - (E1n + E2n)
@@ -27,11 +29,28 @@ Rules (``I``/``D`` are the child deltas, ``Eo``/``En`` old and new values)::
     rho_m(E):     I' = rho_m(I)                   D' = rho_m(D)
 
 (``∩`` is encoded as ``x - (x - y)``; ``+`` is union, ``-`` difference.)
+
+The keyed projection rule reads only the child's deltas, so a deletion no
+longer re-evaluates ``En``. Its precondition is that ``K`` (inferred by
+:func:`infer_keys` from the declared base keys) holds in both the old and
+the new state: a deleted row ``d`` and a surviving row ``e`` with
+``pi_Z(d) = pi_Z(e)`` agree on ``K``, so ``e = d`` unless ``e`` is new, that
+is ``e ∈ I``. Callers pass ``keys`` only when the states are promised to
+satisfy them; without ``keys`` the general rule applies.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, NamedTuple, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ExpressionError
 from repro.algebra.expressions import (
@@ -105,11 +124,67 @@ def _intersect(left: Expression, right: Expression) -> Expression:
     return Difference(left, Difference(left, right))
 
 
+#: Declared keys by base relation name (``Catalog.key`` of each relation).
+Keys = Mapping[str, Sequence[str]]
+
+
+def _minimal(candidates: Iterable[FrozenSet[str]]) -> FrozenSet[FrozenSet[str]]:
+    pool = set(candidates)
+    return frozenset(key for key in pool if not any(other < key for other in pool))
+
+
+def infer_keys(
+    expression: Expression, scope: Scope, keys: Keys
+) -> FrozenSet[FrozenSet[str]]:
+    """The minimal attribute sets that are keys of ``expression``'s value.
+
+    They hold in every state whose base relations satisfy the declared
+    ``keys``. Selection and difference keep the (left) child's keys,
+    projection those inside its attributes, and a join one side's keys
+    when the shared attributes contain a key of the other side; the union
+    of a key from each side is always a key. Union and rename claim
+    nothing, and the full attribute set is always a key (set semantics),
+    so the result is never empty.
+
+    >>> from repro.algebra.parser import parse
+    >>> scope = {"Sale": ("item", "clerk"), "Emp": ("clerk", "age")}
+    >>> keys = {"Emp": ("clerk",)}
+    >>> [sorted(key) for key in infer_keys(parse("Sale join Emp"), scope, keys)]
+    [['clerk', 'item']]
+    >>> [sorted(key) for key in infer_keys(parse("pi[clerk](Emp)"), scope, keys)]
+    [['clerk']]
+    """
+    full = frozenset(expression.attributes(scope))
+    if isinstance(expression, RelationRef):
+        declared = keys.get(expression.name)
+        return frozenset([frozenset(declared) if declared else full])
+    if isinstance(expression, Select):
+        return infer_keys(expression.child, scope, keys)
+    if isinstance(expression, Difference):
+        return infer_keys(expression.left, scope, keys)
+    if isinstance(expression, Project):
+        child = infer_keys(expression.child, scope, keys)
+        return _minimal([key for key in child if key <= full] + [full])
+    if isinstance(expression, Join):
+        left = infer_keys(expression.left, scope, keys)
+        right = infer_keys(expression.right, scope, keys)
+        shared = expression.left.attribute_set(scope)
+        shared &= expression.right.attribute_set(scope)
+        candidates = [one | other for one in left for other in right]
+        if any(key <= shared for key in right):
+            candidates.extend(left)
+        if any(key <= shared for key in left):
+            candidates.extend(right)
+        return _minimal(candidates)
+    return frozenset([full])
+
+
 def derive_delta(
     expression: Expression,
     updated: Iterable[str],
     scope: Scope,
     simplified: bool = True,
+    keys: Optional[Keys] = None,
 ) -> DeltaExpressions:
     """Derive symbolic insert/delete expressions for ``expression``.
 
@@ -127,6 +202,12 @@ def derive_delta(
         Name -> attribute tuple for every relation in ``expression``.
     simplified:
         Simplify the derived expressions (on by default).
+    keys:
+        Declared keys by base relation name, given only when the old and
+        the new state both satisfy them: a projection whose child has an
+        inferred key inside the projected attributes then takes the keyed
+        rule, which never re-evaluates the child's new value. ``None``
+        (the default) keeps the general rule everywhere.
 
     Returns
     -------
@@ -140,7 +221,7 @@ def derive_delta(
     unknown = updated_set - set(scope)
     if unknown:
         raise ExpressionError(f"updated relations {sorted(unknown)} not in scope")
-    result = _derive(expression, updated_set, scope)
+    result = _derive(expression, updated_set, scope, keys)
     if simplified:
         extended = delta_scope(scope, updated_set)
         result = result.map(lambda e: simplify(e, extended))
@@ -148,7 +229,7 @@ def derive_delta(
 
 
 def _derive(
-    expr: Expression, updated: FrozenSet[str], scope: Scope
+    expr: Expression, updated: FrozenSet[str], scope: Scope, keys: Optional[Keys]
 ) -> DeltaExpressions:
     if isinstance(expr, RelationRef):
         attrs = expr.attributes(scope)
@@ -162,14 +243,22 @@ def _derive(
         return DeltaExpressions(Empty(expr.attrs), Empty(expr.attrs))
 
     if isinstance(expr, Select):
-        child = _derive(expr.child, updated, scope)
+        child = _derive(expr.child, updated, scope, keys)
         return DeltaExpressions(
             Select(child.inserts, expr.condition),
             Select(child.deletes, expr.condition),
         )
 
     if isinstance(expr, Project):
-        child = _derive(expr.child, updated, scope)
+        child = _derive(expr.child, updated, scope, keys)
+        if keys is not None and any(
+            key <= frozenset(expr.attrs) for key in infer_keys(expr.child, scope, keys)
+        ):
+            inserts = Project(child.inserts, expr.attrs)
+            deletes = Project(child.deletes, expr.attrs)
+            return DeltaExpressions(
+                Difference(inserts, deletes), Difference(deletes, inserts)
+            )
         old_child = expr.child
         new_child = new_value_expression(expr.child, updated)
         return DeltaExpressions(
@@ -178,8 +267,8 @@ def _derive(
         )
 
     if isinstance(expr, Join):
-        left = _derive(expr.left, updated, scope)
-        right = _derive(expr.right, updated, scope)
+        left = _derive(expr.left, updated, scope, keys)
+        right = _derive(expr.right, updated, scope, keys)
         left_old, right_old = expr.left, expr.right
         left_new = new_value_expression(expr.left, updated)
         right_new = new_value_expression(expr.right, updated)
@@ -192,8 +281,8 @@ def _derive(
         return DeltaExpressions(inserts, deletes)
 
     if isinstance(expr, Union):
-        left = _derive(expr.left, updated, scope)
-        right = _derive(expr.right, updated, scope)
+        left = _derive(expr.left, updated, scope, keys)
+        right = _derive(expr.right, updated, scope, keys)
         old_value = Union(expr.left, expr.right)
         new_value = new_value_expression(old_value, updated)
         inserts = Difference(Union(left.inserts, right.inserts), old_value)
@@ -201,8 +290,8 @@ def _derive(
         return DeltaExpressions(inserts, deletes)
 
     if isinstance(expr, Difference):
-        left = _derive(expr.left, updated, scope)
-        right = _derive(expr.right, updated, scope)
+        left = _derive(expr.left, updated, scope, keys)
+        right = _derive(expr.right, updated, scope, keys)
         left_old, right_old = expr.left, expr.right
         left_new = new_value_expression(expr.left, updated)
         right_new = new_value_expression(expr.right, updated)
@@ -215,7 +304,7 @@ def _derive(
         return DeltaExpressions(inserts, deletes)
 
     if isinstance(expr, Rename):
-        child = _derive(expr.child, updated, scope)
+        child = _derive(expr.child, updated, scope, keys)
         return DeltaExpressions(
             Rename(child.inserts, expr.mapping), Rename(child.deletes, expr.mapping)
         )

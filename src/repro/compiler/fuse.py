@@ -271,11 +271,10 @@ def fused_plan(
 
     ``insert_only`` / ``delete_only`` specialize the plan to a delta side
     mask (the unused side folds to ``Empty`` before fusion — Example
-    4.1's compact forms); ``reuse_values`` enables the Equation (4)
+    4.1's compact forms; both at once raises ``ValueError`` in
+    :func:`maintenance_expressions`); ``reuse_values`` enables the Equation (4)
     old/new value-reuse rewrites documented in the module docstring.
     """
-    if insert_only and delete_only:
-        raise ValueError("insert_only and delete_only are mutually exclusive")
     plan = maintenance_expressions(
         spec, updated, insert_only=insert_only, delete_only=delete_only
     )

@@ -99,8 +99,17 @@ def maintenance_expressions(
         Specialize the derivation for pure insertions (the paper's set
         ``s``) or pure deletions: the unused delta relations are replaced by
         the empty relation and simplified away, which reproduces the compact
-        expressions of Example 4.1.
+        expressions of Example 4.1. Both at once is a ``ValueError``.
+
+    A ``thm22`` spec already assumes its sources satisfy the declared keys
+    and inclusion dependencies, so its derivation is given the catalog's
+    keys: a projection that keeps a key of its child then takes the keyed
+    delta rule (:mod:`repro.algebra.deltas`) and never re-evaluates the
+    child's new value. ``prop22`` and ``trivial`` specs promise exactness
+    on every state and keep the general rule.
     """
+    if insert_only and delete_only:
+        raise ValueError("insert_only and delete_only are mutually exclusive")
     updated_set = frozenset(updated)
     unknown = updated_set - set(spec.inverses)
     if unknown:
@@ -128,9 +137,17 @@ def maintenance_expressions(
         for name, definition in spec.definitions_over_sources().items()
     }
 
+    keys = None
+    if spec.method == "thm22":
+        keys = {
+            schema.name: schema.key
+            for schema in spec.catalog.schemas()
+            if schema.key is not None
+        }
+
     expressions: Dict[str, DeltaExpressions] = {}
     for name, definition in spec.definitions_over_sources().items():
-        derived = derive_delta(definition, updated_set, source_scope)
+        derived = derive_delta(definition, updated_set, source_scope, keys=keys)
         derived = derived.map(lambda e: fold_occurrences(e, foldable))
         # Replace remaining base relations by their inverses (step (ii)).
         derived = derived.map(lambda e: substitute(e, spec.inverses))

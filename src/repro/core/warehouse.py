@@ -40,6 +40,7 @@ from repro.core.maintenance import (
     State,
     full_recompute_state,
     maintenance_expressions,
+    side_mask,
 )
 from repro.core.translation import answer_query, translate_query, translation_read_set
 
@@ -108,7 +109,8 @@ class Warehouse:
         # Sanitizer mode (REPRO_CHECK_INVARIANTS=1): every apply() and
         # answer() is traced (with a private tracer if tracing is off) and
         # its runtime reads are cross-checked against the static read set —
-        # Theorem 4.1's per refresh, Theorem 3.1's per query. Read once
+        # Theorem 4.1's per refresh, Theorem 3.1's per query — and a thm22
+        # warehouse refuses updates that break a declared key. Read once
         # here — never on the evaluator hot path (scripts/check_hotpath.py
         # rule R5).
         self._sanitize = sanitizer_enabled()
@@ -213,11 +215,12 @@ class Warehouse:
         return Tracer() if self._sanitize and self._tracer is None else self._tracer
 
     def _record_refresh_metrics(
-        self, elapsed: float, applied: Dict[str, Delta], stats: EvalStats
+        self, elapsed: float, mode: str, applied: Dict[str, Delta], stats: EvalStats
     ) -> None:
         metrics = self._metrics
         metrics.counter("warehouse.refreshes").inc()
         metrics.histogram("warehouse.refresh_seconds").observe(elapsed)
+        metrics.histogram(f"warehouse.refresh_seconds.{mode}").observe(elapsed)
         metrics.counter("warehouse.relations_touched").inc(len(applied))
         if not applied:
             metrics.counter("warehouse.refreshes_noop").inc()
@@ -534,15 +537,23 @@ class Warehouse:
         update's shape and side mask (derived once per spec); through the
         persistent cache, sub-expressions over relations this
         update leaves unchanged are reused from earlier refreshes;
-        per-refresh counters land in :attr:`last_refresh_stats`.
+        per-refresh counters land in :attr:`last_refresh_stats`. Under
+        ``REPRO_CHECK_INVARIANTS=1`` the refresh's reads are checked
+        against the static read set, and a ``thm22`` warehouse raises
+        before committing an update that breaks a declared key.
         """
         plans = self._refresh_plans
         compiles, plan_hits = plans.compiles, plans.plan_hits
         working = self._refresh_over(update)
+        if self._sanitize and self.spec.method == "thm22":
+            self._check_keys(working, update)
         stats = EvalStats()
+        mode = side_mask(update)
         started = perf_counter()
         tracer = self._tracer_for()
-        with span_of(tracer, "refresh", relations=sorted(update.relations())) as root:
+        with span_of(
+            tracer, "refresh", relations=sorted(update.relations()), mode=mode
+        ) as root:
             new_state, applied = plans.refresh(
                 working, update, cache=self._cache, stats=stats,
                 tracer=tracer, engine=self.engine,
@@ -557,7 +568,7 @@ class Warehouse:
         applied = self._kept(applied)
         elapsed = perf_counter() - started
         self._commit(new_state, applied)
-        self._record_refresh_metrics(elapsed, applied, stats)
+        self._record_refresh_metrics(elapsed, mode, applied, stats)
         # The plan table is shared by every warehouse on this spec; count
         # only what this refresh derived or found.
         metrics = self._metrics
@@ -565,6 +576,33 @@ class Warehouse:
         metrics.counter("compiler.plan_cache_hits").inc(plans.plan_hits - plan_hits)
         metrics.gauge("compiler.plans").set(plans.plan_count)
         return applied
+
+    def _check_keys(self, state: State, update: Update) -> None:
+        """The key sanitizer: refuse an update that breaks a declared key.
+
+        A ``thm22`` spec's refresh plans are exact only on sources that
+        satisfy the declared keys (the keyed projection rule of
+        :mod:`repro.algebra.deltas`). Each updated relation is
+        reconstructed over ``state`` (Equation 4, through the persistent
+        cache the refresh then reads) and the update applied; a key the
+        result violates raises before anything is committed.
+        """
+        catalog = self.spec.catalog
+        for delta in update:
+            schema = catalog.get(delta.relation)
+            if schema is None or schema.key is None:
+                continue
+            current = evaluate(
+                self.spec.inverses[delta.relation], state, cache=self._cache,
+                engine=self.engine,
+            )
+            after = delta.apply_to(current)
+            if len(after.project(schema.key)) != len(after):
+                first, second = after.key_violations(schema.key)[0]
+                raise WarehouseError(
+                    f"key sanitizer: the update to {delta.relation} breaks its "
+                    f"key {schema.key}: {first!r} and {second!r}"
+                )
 
     def apply_batch(self, updates: Iterable[Update]) -> Dict[str, Delta]:
         """Fold a batch of reported updates in with a single refresh.

@@ -16,6 +16,7 @@ from repro.algebra.deltas import (
     del_name,
     delta_scope,
     derive_delta,
+    infer_keys,
     ins_name,
     new_value_expression,
 )
@@ -94,6 +95,126 @@ def test_deltas_are_exact(text, updated):
         deletes = evaluate(derived.deletes, combined)
         assert inserts == new_value.difference(old_value), (text, seed)
         assert deletes == old_value.difference(new_value), (text, seed)
+
+
+#: Declared keys for the keyed rule: ``a`` keys R, ``b`` keys S; T has none.
+KEYS = {"R": ("a",), "S": ("b",)}
+
+KEYED_EXPRESSIONS = [
+    "pi[a](R)",
+    "pi[b](R)",
+    "pi[a](sigma[b >= 1](R))",
+    "pi[a, c](R join S)",
+    "pi[a](R join S)",
+    "pi[b, c](R join S)",
+    "pi[a](R minus T)",
+    "pi[a](R union T)",
+    "pi[a](pi[a, b](R) join S)",
+]
+
+
+def keyed_state_and_deltas(seed: int, updated):
+    """Random states and effective deltas under which ``KEYS`` hold, old and
+    new; an insert may reuse a deleted row's key (a modification)."""
+    rng = random.Random(seed)
+    state, bindings = {}, {}
+    for name, attrs in SCOPE.items():
+        key = KEYS.get(name)
+        position = attrs.index(key[0]) if key else None
+        rows = {}
+        for _ in range(rng.randint(0, 5)):
+            row = tuple(rng.randrange(4) for _ in attrs)
+            rows[row[position] if key else row] = row
+        relation = Relation(attrs, rows.values())
+        state[name] = relation
+        if name not in updated:
+            continue
+        existing = sorted(relation.rows)
+        deletes = rng.sample(existing, min(len(existing), rng.randint(0, 2)))
+        taken = {row[position] for row in existing if row not in deletes} if key else set()
+        inserts = []
+        for _ in range(3):
+            row = tuple(rng.randrange(4) for _ in attrs)
+            if row in relation.rows or (key and row[position] in taken):
+                continue
+            if key:
+                taken.add(row[position])
+            inserts.append(row)
+        bindings[ins_name(name)] = Relation(attrs, inserts)
+        bindings[del_name(name)] = Relation(attrs, deletes)
+    return state, bindings
+
+
+@pytest.mark.parametrize("text", KEYED_EXPRESSIONS)
+@pytest.mark.parametrize("updated", [("R",), ("S",), ("R", "S", "T")])
+def test_keyed_deltas_are_exact_where_keys_hold(text, updated):
+    expr = parse(text)
+    if not (set(updated) & expr.relation_names()):
+        pytest.skip("update does not touch the expression")
+    derived = derive_delta(expr, updated, SCOPE, keys=KEYS)
+    for seed in range(12):
+        state, bindings = keyed_state_and_deltas(seed, updated)
+        combined = {**state, **bindings}
+        old_value = evaluate(expr, state)
+        new_value = evaluate(expr, new_state(state, bindings, updated))
+        assert evaluate(derived.inserts, combined) == new_value.difference(old_value)
+        assert evaluate(derived.deletes, combined) == old_value.difference(new_value)
+
+
+class TestKeyedProjectionRule:
+    def test_projection_keeping_a_key_reads_only_the_child_deltas(self):
+        derived = derive_delta(parse("pi[a, c](R join S)"), ["R"], SCOPE, keys=KEYS)
+        assert str(derived.inserts) == (
+            "pi[a, c](R__ins join S) minus pi[a, c](R__del join S)"
+        )
+        assert str(derived.deletes) == (
+            "pi[a, c](R__del join S) minus pi[a, c](R__ins join S)"
+        )
+
+    def test_projection_dropping_every_key_keeps_the_general_rule(self):
+        keyed = derive_delta(parse("pi[b](R)"), ["R"], SCOPE, keys=KEYS)
+        assert keyed == derive_delta(parse("pi[b](R)"), ["R"], SCOPE)
+
+
+class TestInferKeys:
+    SCOPE = {**SCOPE, "U": ("c", "d")}
+    KEYS = {**KEYS, "U": ("c",)}
+
+    def keys_of(self, text):
+        return {frozenset(key) for key in infer_keys(parse(text), self.SCOPE, self.KEYS)}
+
+    def test_relation_has_its_declared_key(self):
+        assert self.keys_of("R") == {frozenset("a")}
+
+    def test_relation_without_a_declared_key_is_keyed_by_its_attributes(self):
+        assert self.keys_of("T") == {frozenset("ab")}
+
+    def test_selection_keeps_the_child_keys(self):
+        assert self.keys_of("sigma[b = 1](R)") == {frozenset("a")}
+
+    def test_projection_keeps_the_keys_inside_its_attributes(self):
+        assert self.keys_of("pi[a](R)") == {frozenset("a")}
+        assert self.keys_of("pi[b](R)") == {frozenset("b")}
+
+    def test_join_on_the_other_sides_key_keeps_this_sides_keys(self):
+        # R join S on b, which keys S: each R row meets at most one S row.
+        assert self.keys_of("R join S") == {frozenset("a")}
+
+    def test_join_without_a_shared_key_unions_one_key_from_each_side(self):
+        assert self.keys_of("R join U") == {frozenset("ac")}
+        assert self.keys_of("T join S") == {frozenset("ab")}
+
+    def test_difference_keeps_the_left_keys(self):
+        assert self.keys_of("R minus T") == {frozenset("a")}
+
+    def test_union_has_no_key_but_its_attributes(self):
+        assert self.keys_of("R union T") == {frozenset("ab")}
+
+    def test_rename_claims_only_its_attributes(self):
+        assert self.keys_of("rho[a -> x](R)") == {frozenset("xb")}
+
+    def test_empty_is_keyed_by_its_attributes(self):
+        assert self.keys_of("empty[a, b]") == {frozenset("ab")}
 
 
 class TestHelpers:

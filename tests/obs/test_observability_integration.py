@@ -9,6 +9,8 @@ anti-join rewrite during initialization, and ``explain()`` names it.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro import Catalog, Database, Update, View, Warehouse, parse
@@ -140,6 +142,40 @@ class TestMetricsEndToEnd:
         assert metrics.value("integrator.updates.Sale") == 2
         assert "integrator.updates.Emp" not in metrics
         assert metrics.value("warehouse.refreshes") == 2
+
+
+class TestRefreshLatencyBySideMask:
+    """``docs/observability.md`` names the per-mask histograms and the
+    ``mode`` span attribute; every refresh records both."""
+
+    MASKS = ("insert-only", "delete-only", "mixed")
+
+    def documented(self):
+        text = (Path(__file__).parents[2] / "docs" / "observability.md").read_text()
+        rows = [line for line in text.splitlines() if line.startswith("| `")]
+        metric = next(r for r in rows if r.startswith("| `warehouse.refresh_seconds.<mask>`"))
+        span = next(r for r in rows if r.startswith("| `refresh` |"))
+        return metric, span
+
+    def test_documented_rows_are_recorded(self, traced_e1):
+        metric, span = self.documented()
+        assert "histogram" in metric and "`mode`" in span
+        for mask in self.MASKS:
+            assert f"`{mask}`" in metric and f"`{mask}`" in span
+        attrs = ("item", "clerk")
+        updates = {
+            "insert-only": Update.insert("Sale", attrs, [("Computer", "Paula")]),
+            "delete-only": Update.delete("Sale", attrs, [("Computer", "Paula")]),
+            "mixed": Update.modify("Sale", attrs, [("PC", "John")], [("Mac", "John")]),
+        }
+        for count, (mask, update) in enumerate(updates.items(), 1):
+            traced_e1.apply(update)
+            assert traced_e1.last_trace("refresh").attributes["mode"] == mask
+            histogram = traced_e1.metrics.get(
+                metric.split("`")[1].replace("<mask>", mask)
+            )
+            assert histogram.count == 1
+            assert traced_e1.metrics.get("warehouse.refresh_seconds").count == count
 
 
 class TestEveryRefreshIsObserved:

@@ -70,7 +70,8 @@ def test_specify_adds_the_complement_method_and_one_frozen_keyword():
 @pytest.mark.parametrize("armed", [True, False], ids=["armed", "unset"])
 def test_one_switch_arms_every_seam(armed, monkeypatch, poison_plan):
     # REPRO_CHECK_INVARIANTS alone arms the shard race tracker, the refresh
-    # read-set check and the answer read-set check; unset, none fires.
+    # read-set check, the answer read-set check and the key check of a
+    # thm22 spec's shards; unset, none fires.
     if armed:
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
     else:
@@ -104,3 +105,9 @@ def test_one_switch_arms_every_seam(armed, monkeypatch, poison_plan):
             warehouse.answer("Emp")
     else:
         warehouse.answer("Emp")
+    # Mary is already employed: the insert breaks Emp's key.
+    if armed:
+        with pytest.raises(WarehouseError, match="key sanitizer"):
+            warehouse.insert("Emp", [("Mary", 99)])
+    else:
+        warehouse.insert("Emp", [("Mary", 99)])
