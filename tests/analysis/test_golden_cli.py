@@ -1,0 +1,49 @@
+"""Golden stdout of the three prover commands over the example specs.
+
+``golden/cli/<command>.<txt|json>`` pins what ``python -m repro prove``,
+``prove-sharding --no-lint`` and ``prove-query`` print, in both formats,
+over every ``examples/specs/*.json`` — the verdict lines, the witnesses
+printed under them, the summary line and the JSON report. The certificate
+goldens pin the files ``--certificates`` writes; these pin the terminal.
+Regenerate after an intentional change with::
+
+    REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/analysis/test_golden_cli.py
+"""
+
+from __future__ import annotations
+
+import os
+from pathlib import Path
+
+import pytest
+
+from repro.__main__ import main
+
+REPO = Path(__file__).parents[2]
+GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
+SPECS = sorted(
+    path.relative_to(REPO).as_posix()
+    for path in (REPO / "examples" / "specs").glob("*.json")
+)
+
+#: Each prover command with the flags it runs under here.
+COMMANDS = {
+    "prove": [],
+    "prove-sharding": ["--no-lint"],
+    "prove-query": [],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_stdout_matches_golden(command, fmt, capsys, monkeypatch):
+    # Specs are passed repo-relative, as the CI steps pass them.
+    monkeypatch.chdir(REPO)
+    assert main([command, "--format", fmt, *COMMANDS[command], *SPECS]) == 0
+    rendered = capsys.readouterr().out
+    golden = GOLDEN_DIR / f"{command}.{'txt' if fmt == 'text' else 'json'}"
+    if os.environ.get("REGEN_GOLDEN"):
+        GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+        golden.write_text(rendered)
+    assert golden.exists(), "golden stdout missing; regenerate with REGEN_GOLDEN=1"
+    assert rendered == golden.read_text()
