@@ -1240,7 +1240,7 @@ class ShardingProofResult(NamedTuple):
     detail: str
     expect: str = "proved"
     certificate: Optional[Dict[str, object]] = None
-    witness: Optional[Dict[str, object]] = None
+    witness: Optional[object] = None  # an InterleavingWitness or ShardingWitness
     error: Optional[str] = None
 
     @property
@@ -1363,7 +1363,7 @@ def prove_sharding_target(
                 )
                 return ShardingProofResult(
                     target.path, REFUTED, detail,
-                    expect=expect, witness=witness.to_dict(),
+                    expect=expect, witness=witness,
                 )
         return ShardingProofResult(
             target.path, UNKNOWN, str(exc), expect=expect
@@ -1379,7 +1379,7 @@ def prove_sharding_target(
         )
         return ShardingProofResult(
             target.path, REFUTED, detail,
-            expect=expect, witness=first.witness.to_dict(),
+            expect=expect, witness=first.witness,
         )
 
     footprints = shape_footprints(spec, routings)

@@ -534,7 +534,8 @@ def render_text(results: Sequence[FileResult], strict: bool = False) -> str:
             if item.error is not None:
                 lines.append(f"{indent}  error: {item.error}")
             describe = getattr(item.witness, "describe", None)
-            if describe is not None:
+            # A witness the detail already spells out is not printed twice.
+            if describe is not None and describe() not in item.detail:
                 lines.extend(f"{indent}  {line}" for line in describe().splitlines())
     units = {"files": "file(s)", "queries": "query(ies)"}
     summary = ", ".join(

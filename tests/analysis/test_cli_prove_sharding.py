@@ -57,6 +57,8 @@ class TestExitCodes:
         assert main(["prove-sharding", write(tmp_path, REFUTED_SPEC)]) == 0
         out = capsys.readouterr().out
         assert "REFUTED" in out
+        # The replayed counterexample is printed under the verdict line.
+        assert "=> Fulfilled: global" in out
 
     def test_expectation_mismatch_exits_one(self, tmp_path, capsys):
         spec = json.loads(json.dumps(REFUTED_SPEC))

@@ -446,7 +446,7 @@ class TestProveShardingTarget:
         )
         assert result.verdict == REFUTED
         assert result.ok
-        assert result.witness["kind"] == "interleaving"
+        assert result.witness.to_dict()["kind"] == "interleaving"
 
     def test_mispartitioned_layout_refuted_with_sharding_witness(self):
         catalog = two_fact_catalog()
@@ -465,7 +465,7 @@ class TestProveShardingTarget:
         )
         assert result.verdict == REFUTED
         assert result.ok
-        assert result.witness["kind"] == "sharding"
+        assert result.witness.to_dict()["kind"] == "sharding"
         assert "confirmed by replay" in result.detail
 
     def test_inconsistent_shard_counts_are_unknown(self):

@@ -84,8 +84,8 @@ def test_refuted_examples_carry_replayable_witnesses():
     refuted = [r for r in map(prove_example, SHARDED_STEMS) if r.verdict == REFUTED]
     assert refuted, "no deliberately refuted sharded example spec"
     for result in refuted:
-        witness = result.witness
-        assert witness is not None
+        assert result.witness is not None
+        witness = result.witness.to_dict()
         if witness["kind"] == "interleaving":
             # Both orders must really diverge when replayed from scratch.
             from repro.analysis.concurrency import InterleavingWitness
