@@ -265,15 +265,14 @@ def fused_plan(
     updated: Iterable[str],
     insert_only: bool = False,
     delete_only: bool = False,
-    reuse_values: bool = True,
 ) -> FusedPlan:
     """Derive and chain-fuse the maintenance plan for an update shape.
 
     ``insert_only`` / ``delete_only`` specialize the plan to a delta side
     mask (the unused side folds to ``Empty`` before fusion — Example
     4.1's compact forms; both at once raises ``ValueError`` in
-    :func:`maintenance_expressions`); ``reuse_values`` enables the Equation (4)
-    old/new value-reuse rewrites documented in the module docstring.
+    :func:`maintenance_expressions`). The Equation (4) old/new value-reuse
+    rewrites documented in the module docstring always apply.
     """
     plan = maintenance_expressions(
         spec, updated, insert_only=insert_only, delete_only=delete_only
@@ -296,19 +295,15 @@ def fused_plan(
     )
     raw: Dict[str, Tuple[Expression, Expression]] = {}
     rewritten: Dict[str, Tuple[Expression, Expression]] = {}
-    maps = (
-        _value_maps(spec, plan.updated, base_scope, insert_only, delete_only)
-        if reuse_values
-        else None
-    )
+    maps = _value_maps(spec, plan.updated, base_scope, insert_only, delete_only)
     for name, exprs in plan.expressions.items():
         inserts = fuse_chains(exprs.inserts, base_scope)
         deletes = fuse_chains(exprs.deletes, base_scope)
         raw[name] = (inserts, deletes)
-        if maps is not None:
-            inserts = _reuse_values(inserts, maps, name)
-            deletes = _reuse_values(deletes, maps, name)
-        rewritten[name] = (inserts, deletes)
+        rewritten[name] = (
+            _reuse_values(inserts, maps, name),
+            _reuse_values(deletes, maps, name),
+        )
 
     # Kahn ordering on __new references; a cycle reverts every relation
     # still in it to its inline (unrewritten) expressions, after which
