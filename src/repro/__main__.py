@@ -86,10 +86,10 @@ from typing import Any, Callable, List, Mapping, NamedTuple, Optional
 
 from repro import Catalog, Database, View, Warehouse, parse, specify
 from repro.analysis import kernel
-from repro.analysis.concurrency import prove_sharding_file
-from repro.analysis.kernel import FileResult
-from repro.analysis.prover import prove_file
-from repro.analysis.query import prove_queries_file
+from repro.analysis.concurrency import prove_sharding_target
+from repro.analysis.kernel import QUERY_KIND, SHARDING_KIND, FileResult
+from repro.analysis.prover import prove_target
+from repro.analysis.query import prove_queries_target
 from repro.core.minimality import is_minimal_certificate
 from repro.core.selfmaint import self_maintenance_analysis
 from repro.storage.persist import catalog_from_dict
@@ -170,7 +170,8 @@ def _cmd_lint(args) -> int:
 class _Prover(NamedTuple):
     """One row of the verdict-CLI table: what a prover subcommand adds."""
 
-    prove_file: Callable[..., FileResult]  # decides one spec file
+    decide: Callable[..., FileResult]  # decides one loaded spec file
+    kind: Optional[str]  # the certificate kind of its documents
     suffix: str  # certificate file suffix under --certificates
     help: str
     flags: Mapping[str, Mapping[str, Any]] = {}  # argparse flags beyond the shared
@@ -178,7 +179,8 @@ class _Prover(NamedTuple):
 
 _PROVERS = {
     "prove": _Prover(
-        prove_file,
+        prove_target,
+        None,
         ".cert.json",
         "statically prove or refute spec independence (docs/prover.md)",
         {
@@ -192,7 +194,8 @@ _PROVERS = {
         },
     ),
     "prove-sharding": _Prover(
-        prove_sharding_file,
+        prove_sharding_target,
+        SHARDING_KIND,
         ".sharding.json",
         "statically prove or refute sharded-layout soundness "
         "(docs/integrator.md)",
@@ -204,7 +207,8 @@ _PROVERS = {
         },
     ),
     "prove-query": _Prover(
-        prove_queries_file,
+        prove_queries_target,
+        QUERY_KIND,
         ".query.json",
         "statically prove or refute warehouse-answerability of "
         "declared queries (docs/translation.md)",
@@ -220,7 +224,10 @@ def _cmd_prove(args) -> int:
     options = {"method": args.method}
     if "--max-model-size" in prover.flags:
         options["max_model_size"] = args.max_model_size
-    results = [prover.prove_file(path, **options) for path in args.files]
+    results = [
+        kernel.decide_file(path, prover.decide, prover.kind, **options)
+        for path in args.files
+    ]
     # prove-sharding's rider: the W01xx lint over the runtime sources
     # (findings stay None for the commands that have no such rider).
     findings = None

@@ -15,21 +15,23 @@ decides those preconditions *statically*, before any data flows:
   ``python -m repro lint`` engine and its JSON spec-file format;
 * :mod:`~repro.analysis.kernel` — the certificate kernel under the three
   provers: verdict vocabulary, the bounded determinacy search and its
-  shrinker, the certificate-validation scaffold, and the one result
-  presentation (:func:`exit_code`, text, JSON) behind ``prove``,
-  ``prove-sharding`` and ``prove-query``;
+  shrinker, the certificate-validation scaffold, and the one result shape
+  (:class:`Verdict`, :class:`FileResult`, :class:`Witness`) with its
+  presentation (:func:`exit_code`, text, JSON) and its load-or-error entry
+  (:func:`decide_file`) behind ``prove``, ``prove-sharding`` and
+  ``prove-query``;
 * :mod:`~repro.analysis.prover` — the ``python -m repro prove`` decision
   layer: symbolic inversion certificates, bounded counterexample search,
   and the plan-dataflow analysis
   (:mod:`~repro.analysis.dataflow`) with its runtime sanitizer;
 * :mod:`~repro.analysis.query` — the ``python -m repro prove-query``
   decision layer: per-query translation certificates (Theorem 3.1),
-  answer-divergence witnesses, the kernel cost model, and the runtime
-  answer sanitizer, with the ``W02xx`` lint checks in
-  :mod:`~repro.analysis.query_lint`.
+  answer-divergence witnesses and the kernel cost model, with the
+  ``W02xx`` lint checks in :mod:`~repro.analysis.query_lint`.
 
-``REPRO_CHECK_INVARIANTS=1`` arms both runtime sanitizers and the shard
-race tracker (:mod:`~repro.analysis.races`) together.
+``REPRO_CHECK_INVARIANTS=1`` arms the read-set sanitizer over refreshes
+and answers (:func:`check_reads`) and the shard race tracker
+(:mod:`~repro.analysis.races`) together.
 
 The diagnostic catalog is documented in ``docs/lint.md``; every code has a
 stable meaning, a paper reference, and a triggering test.
@@ -49,10 +51,17 @@ from repro.analysis.diagnostics import (
     has_errors,
     sort_diagnostics,
 )
-from repro.analysis.kernel import SearchOutcome, Witness
+from repro.analysis.kernel import (
+    FileResult,
+    SearchOutcome,
+    Verdict,
+    Witness,
+    decide_file,
+)
 from repro.analysis.dataflow import (
     DataflowReport,
     UpdateShape,
+    check_reads,
     check_refresh_reads,
     spec_read_sets,
     static_refresh_reads,
@@ -60,24 +69,17 @@ from repro.analysis.dataflow import (
 )
 from repro.analysis.lint import lint_spec, lint_views, psj_parts
 from repro.analysis.prover import (
-    ProofResult,
     build_certificate,
     check_certificate,
-    prove_file,
     prove_target,
     search_counterexample,
     verify_witness,
 )
 from repro.analysis.query import (
     CostEstimate,
-    QueryProofResult,
-    QueryVerdict,
-    QueryWitness,
     build_query_certificate,
     check_query_certificate,
-    check_translation_reads,
     estimate_cost,
-    prove_queries_file,
     prove_queries_target,
     search_query_counterexample,
     verify_query_witness,
@@ -110,25 +112,24 @@ __all__ = [
     "DataflowReport",
     "Diagnostic",
     "FileReport",
+    "FileResult",
     "LintTarget",
-    "ProofResult",
     "ProverOptions",
     "QueryOptions",
-    "QueryProofResult",
     "QuerySpec",
-    "QueryVerdict",
-    "QueryWitness",
     "SearchOutcome",
     "Severity",
     "SourceSpan",
     "UpdateShape",
+    "Verdict",
     "Witness",
     "build_certificate",
     "build_query_certificate",
     "check_certificate",
     "check_query_certificate",
+    "check_reads",
     "check_refresh_reads",
-    "check_translation_reads",
+    "decide_file",
     "display_path",
     "estimate_cost",
     "exit_code",
@@ -139,8 +140,6 @@ __all__ = [
     "lint_spec",
     "lint_views",
     "load_target",
-    "prove_file",
-    "prove_queries_file",
     "prove_queries_target",
     "prove_target",
     "psj_parts",

@@ -88,8 +88,10 @@ from repro.analysis.kernel import (
     CERTIFICATE_VERSION,
     PROVED,
     REFUTED,
+    SHARDING_KIND,
     UNKNOWN,
     UNSHARDED,
+    FileResult,
     Reader,
     Rows,
     State,
@@ -97,11 +99,8 @@ from repro.analysis.kernel import (
     _json_rows,
     _row_key,
     _sorted_rows,
-    evidence,
-    load_or_error,
-    met,
+    certified,
     replay_states,
-    tally,
 )
 from repro.analysis.report import display_path
 from repro.analysis.specfile import LintTarget, RoutingSpec
@@ -1002,7 +1001,7 @@ def build_sharding_certificate(
     }
     return {
         "version": CERTIFICATE_VERSION,
-        "kind": "sharding",
+        "kind": SHARDING_KIND,
         "shards": shard_count,
         "routings": [routings[name].to_dict() for name in sorted(routings)],
         "source_relations": {
@@ -1232,50 +1231,6 @@ def _check_interleaving(witness: Mapping[str, object]) -> List[str]:
 # ----------------------------------------------------------------------
 
 
-class ShardingProofResult(NamedTuple):
-    """The shard-independence prover's verdict for one spec file."""
-
-    path: str
-    verdict: str
-    detail: str
-    expect: str = "proved"
-    certificate: Optional[Dict[str, object]] = None
-    witness: Optional[object] = None  # an InterleavingWitness or ShardingWitness
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        """Whether the verdict matches the spec's declared expectation.
-
-        Unsharded files always do: there is nothing to decide.
-        """
-        return met(self)
-
-    def verdicts(self) -> Sequence[Verdict]:
-        """A spec-level result is its own one decided question."""
-        return (self,)
-
-    def counts(self) -> Dict[str, int]:
-        """Verdict counts for summaries."""
-        return tally([self.verdict], UNSHARDED)
-
-    def line(self) -> str:
-        """The one-line text form."""
-        return f"{display_path(self.path)}: {self.verdict} — {self.detail}"
-
-    def document(self) -> Dict[str, object]:
-        """The per-file JSON document (written as the certificate artifact)."""
-        return dict(
-            version=CERTIFICATE_VERSION,
-            kind="sharding",
-            spec=display_path(self.path),
-            verdict=self.verdict,
-            expect=self.expect,
-            detail=self.detail,
-            **evidence(self),
-        )
-
-
 def _routings_from_specs(
     specs: Sequence[RoutingSpec],
 ) -> Dict[str, ShardRouting]:
@@ -1301,19 +1256,25 @@ def _routings_from_specs(
 
 def prove_sharding_target(
     target: LintTarget, method: str = "thm22"
-) -> ShardingProofResult:
+) -> FileResult:
     """Decide one loaded spec file's sharded configuration."""
     options = target.sharding
     expect = options.expect if options is not None else "proved"
+    undecided = Verdict(display_path(target.path), UNKNOWN, "", expect)
+
+    def decided(verdict: Verdict) -> FileResult:
+        return FileResult(target.path, {"kind": SHARDING_KIND}, (verdict,))
+
     if options is None:
-        return ShardingProofResult(
-            target.path, UNSHARDED, "no sharding section; nothing to decide"
+        return decided(
+            undecided._replace(
+                verdict=UNSHARDED, detail="no sharding section; nothing to decide"
+            )
         )
 
-    def invalid(error: str) -> ShardingProofResult:
-        return ShardingProofResult(
-            target.path, UNKNOWN, "routing configuration is invalid",
-            expect=expect, error=error,
+    def invalid(error: str) -> FileResult:
+        return decided(
+            undecided._replace(detail="routing configuration is invalid", error=error)
         )
 
     catalog = target.catalog
@@ -1327,9 +1288,10 @@ def prove_sharding_target(
     try:
         spec = specify(catalog, target.views, method=method)
     except ReproError as exc:
-        return ShardingProofResult(
-            target.path, UNKNOWN, "complement construction failed",
-            expect=expect, error=str(exc),
+        return decided(
+            undecided._replace(
+                detail="complement construction failed", error=str(exc)
+            )
         )
     definitions = spec.definitions_over_sources()
     scope = spec.source_scope()
@@ -1361,13 +1323,12 @@ def prove_sharding_target(
                     f"diverges on a {sum(len(r) for r in witness.state.values())}-row "
                     f"state ({witness.states_examined} state(s) examined)"
                 )
-                return ShardingProofResult(
-                    target.path, REFUTED, detail,
-                    expect=expect, witness=witness,
+                return decided(
+                    undecided._replace(
+                        verdict=REFUTED, detail=detail, witness=witness
+                    )
                 )
-        return ShardingProofResult(
-            target.path, UNKNOWN, str(exc), expect=expect
-        )
+        return decided(undecided._replace(detail=str(exc)))
 
     if refuted_pairs:
         first = refuted_pairs[0]
@@ -1377,23 +1338,14 @@ def prove_sharding_target(
             f"relation(s) {list(first.shared)}; their batches do not commute "
             f"({first.witness.describe()})"
         )
-        return ShardingProofResult(
-            target.path, REFUTED, detail,
-            expect=expect, witness=first.witness,
+        return decided(
+            undecided._replace(verdict=REFUTED, detail=detail, witness=first.witness)
         )
 
     footprints = shape_footprints(spec, routings)
     certificate = build_sharding_certificate(
         spec, routings, report, footprints, commutativity, ownership
     )
-    problems = check_sharding_certificate(catalog, certificate)
-    if problems:
-        # Never claim PROVED on the strength of a broken certificate.
-        return ShardingProofResult(
-            target.path, UNKNOWN,
-            "derived sharding certificate failed self-validation",
-            expect=expect, error="; ".join(problems),
-        )
     modes = sorted(set(report.assembly.values()))
     detail = (
         f"{len(report.assembly)} relation(s) slice-assembled "
@@ -1401,16 +1353,6 @@ def prove_sharding_target(
         f"{len(report.co_partitioned)} co-partitioned group(s), "
         f"{len(commutativity)} source pair(s) commute"
     )
-    return ShardingProofResult(
-        target.path, PROVED, detail, expect=expect, certificate=certificate
-    )
-
-
-def prove_sharding_file(path: str, method: str = "thm22") -> ShardingProofResult:
-    """Load and decide one spec file; load failures become error results."""
-    target = load_or_error(path)
-    if isinstance(target, str):
-        return ShardingProofResult(
-            path, UNKNOWN, "spec file could not be loaded", error=target
-        )
-    return prove_sharding_target(target, method=method)
+    proved = undecided._replace(verdict=PROVED, detail=detail, certificate=certificate)
+    problems = check_sharding_certificate(catalog, certificate)
+    return decided(certified(proved, problems, "sharding certificate"))

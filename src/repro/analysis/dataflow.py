@@ -14,14 +14,15 @@ maintenance plan would have to read:
 * :func:`views_only_read_sets` — over a bare view set (no complement):
   the delta expressions are folded against the views themselves, so the
   read set is empty precisely when the views are syntactically
-  self-maintainable for that shape (the Section 4 closing case, and the
-  quantity :func:`repro.core.selfmaint.self_maintainable_without_complement`
-  decides per view);
+  self-maintainable for that shape (the Section 4 closing case; the
+  derivation is :func:`repro.core.selfmaint.base_reads_without_complement`,
+  which :func:`~repro.core.selfmaint.self_maintainable_without_complement`
+  reads per view);
 * the **sanitizer** (``REPRO_CHECK_INVARIANTS=1``): at runtime,
-  :meth:`repro.core.warehouse.Warehouse.apply` cross-checks the trace's
-  :func:`repro.obs.explain.source_relations_read` against the static set
-  (:func:`check_refresh_reads`) and fails loudly on divergence — a static
-  analysis that disagrees with the engine is a bug in one of them.
+  :meth:`repro.core.warehouse.Warehouse.apply` and ``answer`` cross-check
+  the relations their trace read against the static read set
+  (:func:`check_reads`) and fail loudly on divergence — a static analysis
+  that disagrees with the engine is a bug in one of them.
 """
 
 from __future__ import annotations
@@ -38,14 +39,11 @@ from typing import (
 )
 
 from repro.errors import WarehouseError
-from repro.algebra.deltas import del_name, delta_scope, derive_delta, ins_name
-from repro.algebra.expressions import Empty, Expression, RelationRef
-from repro.algebra.rewriting import fold_occurrences, substitute
-from repro.algebra.simplify import simplify
 from repro.schema.catalog import Catalog
 from repro.views.psj import View
 from repro.core.complement import WarehouseSpec
 from repro.core.maintenance import maintenance_expressions
+from repro.core.selfmaint import base_reads_without_complement
 from repro.storage.engine import SANITIZER_ENV
 
 if TYPE_CHECKING:
@@ -180,35 +178,18 @@ def views_only_read_sets(catalog: Catalog, views: Iterable[View]) -> DataflowRep
     True
     """
     view_list = list(views)
-    sources = frozenset(catalog.relation_names())
-    source_scope = {s.name: s.attributes for s in catalog.schemas()}
-    folds = {
-        view.definition: RelationRef(view.name) for view in view_list
-    }
     read_sets: List[Tuple[UpdateShape, Tuple[str, ...]]] = []
     for shape in _shapes(catalog):
-        extended = delta_scope(dict(source_scope), frozenset([shape.relation]))
-        for view in view_list:
-            extended[view.name] = view.definition.attributes(source_scope)
-        attrs = source_scope[shape.relation]
-        unused = (
-            del_name(shape.relation)
-            if shape.kind == "insert"
-            else ins_name(shape.relation)
+        per_view = base_reads_without_complement(
+            catalog,
+            view_list,
+            [shape.relation],
+            insert_only=shape.kind == "insert",
+            delete_only=shape.kind == "delete",
         )
-        specialize: Dict[str, Expression] = {unused: Empty(attrs)}
-        reads: Set[str] = set()
-        for view in view_list:
-            derived = derive_delta(
-                view.definition, frozenset([shape.relation]), source_scope
-            )
-            derived = derived.map(lambda e: substitute(e, specialize))
-            derived = derived.map(lambda e: fold_occurrences(e, folds))
-            derived = derived.map(lambda e: simplify(e, extended))
-            reads |= derived.inserts.relation_names()
-            reads |= derived.deletes.relation_names()
-        read_sets.append((shape, tuple(sorted(reads & sources))))
-    return DataflowReport(tuple(sorted(sources)), tuple(read_sets))
+        reads = {name for read in per_view.values() for name in read}
+        read_sets.append((shape, tuple(sorted(reads))))
+    return DataflowReport(tuple(sorted(catalog.relation_names())), tuple(read_sets))
 
 
 # ----------------------------------------------------------------------
@@ -237,27 +218,39 @@ def static_refresh_reads(
     return frozenset(reads) & sources
 
 
-def check_refresh_reads(
-    spec: WarehouseSpec, updated: Iterable[str], root: "Span"
+def check_reads(
+    spec: WarehouseSpec, allowed: Iterable[str], root: "Span", what: str
 ) -> None:
-    """Cross-check a refresh trace against the static read set.
+    """Cross-check a trace against its static read set (the sanitizer).
 
-    ``root`` is the refresh's root :class:`~repro.obs.trace.Span`. Raises
-    :class:`~repro.errors.WarehouseError` if the trace read a source
-    relation the static analysis says the plan never consults — either the
-    engine or the analysis is wrong, and silently continuing would hide a
-    broken independence guarantee. (The converse — static mentions, runtime
-    skipped, e.g. served from cache — is fine: the static set is an
-    over-approximation.)
+    ``root`` is the traced refresh or answer, ``allowed`` the source and
+    warehouse relations the static analysis says it may read, and ``what``
+    names it in the message. Raises :class:`~repro.errors.WarehouseError`
+    when the trace read any other relation of ``spec``: the engine and the
+    analysis disagree, and silently continuing would hide a broken
+    independence guarantee (Theorem 4.1 for a refresh, Theorem 3.1 for an
+    answer). The converse — static mentions, runtime skipped, e.g. served
+    from cache — is fine: the static set is an over-approximation.
     """
     from repro.obs.explain import source_relations_read
 
-    static = static_refresh_reads(spec, updated)
-    runtime = source_relations_read(root, spec.catalog.relation_names())
-    extra = sorted(set(runtime) - static)
+    static = frozenset(allowed)
+    names = spec.catalog.relation_names() + spec.warehouse_names()
+    extra = sorted(set(source_relations_read(root, names)) - static)
     if extra:
         raise WarehouseError(
-            f"sanitizer ({SANITIZER_ENV}=1): refresh read source relation(s) "
-            f"{extra} outside the static read set {sorted(static)} — "
-            "the maintenance engine and the dataflow analysis disagree"
+            f"{what} sanitizer ({SANITIZER_ENV}=1): the {what} read "
+            f"relation(s) {extra} outside the static read set {sorted(static)}"
         )
+
+
+def check_refresh_reads(
+    spec: WarehouseSpec, updated: Iterable[str], root: "Span"
+) -> None:
+    """:func:`check_reads` over one refresh of ``updated``.
+
+    A refresh may read every warehouse relation, and the source relations
+    of :func:`static_refresh_reads` — none, for a complement-carrying spec.
+    """
+    allowed = static_refresh_reads(spec, updated) | set(spec.warehouse_names())
+    check_reads(spec, allowed, root, "refresh")

@@ -10,7 +10,9 @@ defined here, once, so each of them is reduced to its decision procedure:
 the verdict vocabulary; canonical row/state forms; one bounded determinacy
 search (:func:`search`) with its witness checker and shrinker; one
 certificate-validation scaffold (:class:`Reader`, :func:`replay_states`);
-and one result protocol with its exit code, text and JSON presentation.
+and one result shape — a :class:`Verdict` per decided question, a
+:class:`FileResult` per spec file — with its exit code, text and JSON
+presentation.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -25,7 +28,6 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
-    Protocol,
     Sequence,
     Set,
     Tuple,
@@ -34,7 +36,7 @@ from typing import (
 
 from repro.errors import ReproError
 from repro.algebra.conditions import And, Comparison, Condition, Constant, Not, Or
-from repro.algebra.evaluator import evaluate_all
+from repro.algebra.evaluator import evaluate, evaluate_all
 from repro.algebra.expressions import Expression, Select
 from repro.algebra.parser import parse
 from repro.schema.catalog import Catalog
@@ -42,7 +44,11 @@ from repro.storage.database import Database
 from repro.storage.relation import Relation
 from repro.core.independence import enumerate_states
 from repro.analysis.digest import canonical_digest
-from repro.analysis.specfile import LintTarget, load_target
+from repro.analysis.report import display_path
+from repro.analysis.specfile import load_target
+
+if TYPE_CHECKING:
+    from repro.analysis.concurrency import InterleavingWitness, ShardingWitness
 
 CERTIFICATE_VERSION = 1
 
@@ -51,6 +57,11 @@ REFUTED = "REFUTED"
 UNKNOWN = "UNKNOWN"
 #: Nothing to decide (a spec file without a ``"sharding"`` section).
 UNSHARDED = "UNSHARDED"
+
+#: The certificate ``kind`` of the sharding and query provers' documents
+#: (the independence prover's predate the field and carry none).
+SHARDING_KIND = "sharding"
+QUERY_KIND = "query-translation"
 
 REPLAY_SEEDS = (0, 1, 2)
 REPLAY_ROWS = 12
@@ -96,16 +107,27 @@ def _state_valid(catalog: Catalog, state: State) -> bool:
     return Database(catalog, state, check=False).satisfies_constraints()
 
 
+class AnswerPair(NamedTuple):
+    """A query's answer on each side of a witness, as recorded."""
+
+    query: str
+    attributes: Tuple[str, ...]
+    left: Rows
+    right: Rows
+
+
 class Witness(NamedTuple):
     """Two source states with identical warehouse images.
 
     The evidence shape of every refutation: the stored image cannot tell
     the two apart, yet what the warehouse promised to determine — the
-    state itself, or a query's answer — differs between them.
+    state itself, or a query's answer — differs between them. A query
+    witness records both ``answers``, so its document replays on its own.
     """
 
     left: State
     right: State
+    answers: Optional[AnswerPair] = None
 
     def max_rows_per_relation(self) -> int:
         """The larger side's largest relation — the witness's "size"."""
@@ -120,9 +142,24 @@ class Witness(NamedTuple):
             sorted(name for name in self.left if self.left[name] != self.right[name])
         )
 
-    def states_document(self) -> Dict[str, object]:
-        """Both states as deterministic JSON-ready data (rows sorted)."""
-        return {
+    def answers_to(
+        self, query: Expression, definitions: Mapping[str, Expression]
+    ) -> AnswerPair:
+        """``query``'s answer on each side (it may name warehouse views)."""
+        left, right = (
+            evaluate(query, {**state, **evaluate_all(definitions, state)})
+            for state in (self.left, self.right)
+        )
+        return AnswerPair(
+            str(query),
+            tuple(left.attributes),
+            _sorted_rows(left.rows),
+            _sorted_rows(right.rows),
+        )
+
+    def to_dict(self) -> Dict[str, object]:
+        """A deterministic JSON-ready rendering (rows sorted)."""
+        document: Dict[str, object] = {
             "attributes": {
                 name: list(self.left[name].attributes) for name in sorted(self.left)
             },
@@ -130,21 +167,31 @@ class Witness(NamedTuple):
             "right": {n: _json_rows(self.right[n].rows) for n in sorted(self.right)},
             "max_rows_per_relation": self.max_rows_per_relation(),
         }
-
-    def to_dict(self) -> Dict[str, object]:
-        """A deterministic JSON-ready rendering (rows sorted)."""
+        if self.answers is None:
+            document["differs_in"] = list(self.differing_relations())
+            return document
         return dict(
-            self.states_document(), differs_in=list(self.differing_relations())
+            document,
+            kind="query",
+            query=self.answers.query,
+            answer_attributes=list(self.answers.attributes),
+            left_answer=[list(row) for row in self.answers.left],
+            right_answer=[list(row) for row in self.answers.right],
         )
 
     def describe(self) -> str:
-        """Human-readable two-column rendering of the pair."""
+        """Human-readable two-column rendering of the pair (and answers)."""
         lines = []
         for name in sorted(self.left):
             left_rows = sorted(self.left[name].rows, key=_row_key)
             right_rows = sorted(self.right[name].rows, key=_row_key)
             marker = "  <- differs" if left_rows != right_rows else ""
             lines.append(f"{name}: {left_rows} vs {right_rows}{marker}")
+        if self.answers is not None:
+            lines.append(
+                f"answer({self.answers.query}): {list(self.answers.left)} vs "
+                f"{list(self.answers.right)}"
+            )
         return "\n".join(lines)
 
 
@@ -414,76 +461,182 @@ def replay_states(
 
 
 # ----------------------------------------------------------------------
-# Results: one protocol, one exit code, one presentation
+# Results: one verdict, one file result, one exit code, one presentation
 # ----------------------------------------------------------------------
 
+#: What a refutation carries: a determinacy witness, or one of the
+#: sharding prover's replay witnesses (an interleaving or an unassemblable
+#: state). Each renders with ``to_dict()`` and ``describe()``.
+Evidence = Union[Witness, "InterleavingWitness", "ShardingWitness"]
 
-class Verdict(Protocol):
-    """One decided question: a spec-level result or one query's verdict."""
-
-    @property
-    def verdict(self) -> str: ...
-    @property
-    def expect(self) -> str: ...
-    @property
-    def error(self) -> Optional[str]: ...
-    @property
-    def certificate(self) -> Optional[Dict[str, object]]: ...
-    @property
-    def witness(self) -> object: ...
-    def line(self) -> str: ...
+#: The header facts a verdict's text line shows, in parentheses.
+LINE_FACTS = ("mode", "method")
 
 
-class FileResult(Protocol):
-    """A prover's outcome for one spec file.
+class Verdict(NamedTuple):
+    """One decided question: a spec's independence, its layout, or a query.
 
-    ``verdicts()`` are the decided questions it holds (a spec-level
-    result yields itself, a query result its per-query verdicts) and
-    ``counts()`` their tally, keyed in summary order.
+    ``subject`` names what was decided (the spec's path, or the query's
+    label); ``facts`` are the header fields the verdict's document leads
+    with (the prover's mode and method, a query's name and text). A PROVED
+    verdict carries its ``certificate``, a REFUTED one its ``witness``;
+    ``error`` marks a question that could not be decided at all.
     """
 
+    subject: str
+    verdict: str
+    detail: str
+    expect: str = "proved"
+    facts: Mapping[str, object] = {}
+    certificate: Optional[Dict[str, object]] = None
+    witness: Optional[Evidence] = None
+    error: Optional[str] = None
+
     @property
-    def path(self) -> str: ...
-    @property
-    def error(self) -> Optional[str]: ...
-    def verdicts(self) -> Sequence[Verdict]: ...
-    def counts(self) -> Dict[str, int]: ...
-    def line(self) -> str: ...
-    def document(self) -> Dict[str, object]: ...
+    def ok(self) -> bool:
+        """Whether the verdict matches its declared expectation.
+
+        :data:`UNSHARDED` always does: there is nothing to decide.
+        """
+        if self.error is not None:
+            return False
+        return self.verdict == UNSHARDED or self.verdict.lower() == self.expect
+
+    def line(self) -> str:
+        """The one-line text form."""
+        shown = [str(self.facts[key]) for key in LINE_FACTS if key in self.facts]
+        facts = f" ({', '.join(shown)})" if shown else ""
+        return f"{self.subject}: {self.verdict}{facts} — {self.detail}"
+
+    def document(self, digest: bool = True) -> Dict[str, object]:
+        """The verdict's JSON fields, ending with its evidence.
+
+        The certificate comes with the
+        :func:`~repro.analysis.digest.canonical_digest` that keys the plan
+        caches, when ``digest``.
+        """
+        out = dict(
+            self.facts, verdict=self.verdict, expect=self.expect, detail=self.detail
+        )
+        if self.certificate is not None:
+            out["certificate"] = self.certificate
+            if digest:
+                out["digest"] = canonical_digest(self.certificate)
+        if self.witness is not None:
+            out["witness"] = self.witness.to_dict()
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
 
-def met(item: Verdict) -> bool:
-    """Whether a verdict matches its declared expectation."""
-    if item.error is not None:
-        return False
-    return item.verdict == UNSHARDED or item.verdict.lower() == item.expect
+def certified(
+    verdict: Verdict, problems: Sequence[str], what: str = "certificate"
+) -> Verdict:
+    """``verdict``, PROVED on its certificate, unless that fails its check.
+
+    ``problems`` is what the certificate's own validator found. A
+    construction that succeeded but whose evidence does not check out is
+    UNKNOWN with the problems as its error — never PROVED on the strength
+    of a broken certificate.
+    """
+    if not problems:
+        return verdict
+    return verdict._replace(
+        verdict=UNKNOWN,
+        detail=f"derived {what} failed self-validation",
+        certificate=None,
+        error="; ".join(problems),
+    )
+
+
+class FileResult(NamedTuple):
+    """A prover's outcome for one spec file.
+
+    ``facts`` are the document's file-level header fields (the certificate
+    ``kind``; the query prover's mode and translation digest). The
+    independence and sharding provers decide one verdict about the file
+    itself; the query prover one per declared query, listed under a
+    heading line. ``error`` is a file that could not be loaded.
+    """
+
+    path: str
+    facts: Mapping[str, object] = {}
+    verdicts: Tuple[Verdict, ...] = ()
+    error: Optional[str] = None
+
+    @property
+    def per_query(self) -> bool:
+        """Whether the verdicts are about declared queries, not the file."""
+        return self.facts.get("kind") == QUERY_KIND
+
+    @property
+    def ok(self) -> bool:
+        """Whether the file loaded and every verdict met its expectation."""
+        return self.error is None and all(item.ok for item in self.verdicts)
+
+    def counts(self) -> Dict[str, int]:
+        """Verdict counts for summaries, keyed in summary order."""
+        listed = [item.verdict for item in self.verdicts]
+        if self.per_query:
+            return dict(queries=len(listed), **tally(listed))
+        sharding = self.facts.get("kind") == SHARDING_KIND
+        return tally(listed, *([UNSHARDED] if sharding else []))
+
+    def line(self) -> str:
+        """The heading line over a file's query verdicts, or its error."""
+        where = display_path(self.path)
+        if self.error is not None:
+            return f"{where}: error: {self.error}"
+        counts = self.counts()
+        return (
+            f"{where}: {counts['queries']} query(ies) — "
+            f"{counts['proved']} proved, {counts['refuted']} refuted, "
+            f"{counts['unknown']} unknown"
+        )
+
+    def document(self) -> Dict[str, object]:
+        """The per-file JSON document (written as the certificate artifact)."""
+        out = dict(
+            self.facts, version=CERTIFICATE_VERSION, spec=display_path(self.path)
+        )
+        if self.per_query:
+            out.update(
+                ok=self.ok,
+                summary=self.counts(),
+                queries=[item.document() for item in self.verdicts],
+            )
+        else:
+            for item in self.verdicts:  # the one verdict about the file
+                # The independence prover's documents predate the digest.
+                out.update(item.document(digest="kind" in self.facts))
+        if self.error is not None:
+            out["error"] = self.error
+        return out
+
+
+def decide_file(
+    path: str,
+    decide: Callable[..., FileResult],
+    kind: Optional[str] = None,
+    **options: object,
+) -> FileResult:
+    """Load one spec file and ``decide`` it under ``options``.
+
+    A file that does not load becomes a :class:`FileResult` whose error is
+    the load failure, with the prover's certificate ``kind``.
+    """
+    try:
+        target = load_target(path)
+    except (OSError, ValueError, ReproError) as exc:
+        facts: Dict[str, object] = {} if kind is None else {"kind": kind}
+        return FileResult(path, facts, error=str(exc))
+    return decide(target, **options)
 
 
 def tally(verdicts: Iterable[str], *also: str) -> Dict[str, int]:
     """Verdict counts, keyed in summary order (``also``: further verdicts)."""
     listed = list(verdicts)
     return {v.lower(): listed.count(v) for v in (PROVED, REFUTED, UNKNOWN) + also}
-
-
-def evidence(item: Verdict, digest: bool = True) -> Dict[str, object]:
-    """The evidence a verdict's document ends with.
-
-    Its certificate (with the :func:`~repro.analysis.digest.canonical_digest`
-    that keys the plan caches, when ``digest``), its witness and its error
-    — whichever the verdict carries.
-    """
-    out: Dict[str, object] = {}
-    if item.certificate is not None:
-        out["certificate"] = item.certificate
-        if digest:
-            out["digest"] = canonical_digest(item.certificate)
-    if item.witness is not None:
-        # The sharding prover's witnesses are already documents.
-        to_dict = getattr(item.witness, "to_dict", None)
-        out["witness"] = item.witness if to_dict is None else to_dict()
-    if item.error is not None:
-        out["error"] = item.error
-    return out
 
 
 def exit_code(results: Sequence[FileResult], strict: bool = False) -> int:
@@ -495,7 +648,7 @@ def exit_code(results: Sequence[FileResult], strict: bool = False) -> int:
     *unless* a query pinned ``"expect": "unknown"`` — an honest, documented
     incompleteness is not a CI failure, an accidental one is.
     """
-    verdicts = [item for result in results for item in result.verdicts()]
+    verdicts = [item for result in results for item in result.verdicts]
     if any(result.error is not None for result in results) or any(
         item.error is not None for item in verdicts
     ):
@@ -504,7 +657,7 @@ def exit_code(results: Sequence[FileResult], strict: bool = False) -> int:
         if item.verdict == UNKNOWN and item.expect != "unknown":
             if strict or item.expect == "refuted":
                 return 1
-        elif not met(item):
+        elif not item.ok:
             return 1
     return 0
 
@@ -521,22 +674,20 @@ def render_text(results: Sequence[FileResult], strict: bool = False) -> str:
     """Human-readable rendering for ``--format text``."""
     lines: List[str] = []
     for result in results:
-        items = result.verdicts()
-        nested = not (len(items) == 1 and items[0] is result)
-        if nested:
+        if result.per_query or result.error is not None:
             lines.append(result.line())
-        indent = "  " if nested else ""
-        for item in items:
+        indent = "  " if result.per_query else ""
+        for item in result.verdicts:
             lenient = item.verdict == UNKNOWN and not strict
-            expected = met(item) or (lenient and item.expect != "refuted")
+            expected = item.ok or (lenient and item.expect != "refuted")
             status = "" if expected else "  [unexpected]"
             lines.append(f"{indent}{item.line()}{status}")
             if item.error is not None:
                 lines.append(f"{indent}  error: {item.error}")
-            describe = getattr(item.witness, "describe", None)
+            shown = "" if item.witness is None else item.witness.describe()
             # A witness the detail already spells out is not printed twice.
-            if describe is not None and describe() not in item.detail:
-                lines.extend(f"{indent}  {line}" for line in describe().splitlines())
+            if shown not in item.detail:
+                lines.extend(f"{indent}  {line}" for line in shown.splitlines())
     units = {"files": "file(s)", "queries": "query(ies)"}
     summary = ", ".join(
         f"{count} {units.get(key, key)}" for key, count in _totals(results).items()
@@ -587,11 +738,3 @@ def write_documents(
     Path(directory).mkdir(parents=True, exist_ok=True)
     for name, result in targets.items():
         (Path(directory) / name).write_text(document_json(result.document()) + "\n")
-
-
-def load_or_error(path: str) -> Union[LintTarget, str]:
-    """The loaded spec file, or the load failure as an error string."""
-    try:
-        return load_target(path)
-    except (OSError, ValueError, ReproError) as exc:
-        return str(exc)

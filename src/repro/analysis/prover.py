@@ -35,16 +35,7 @@ must read — empty everywhere iff the spec is update-independent
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.algebra.evaluator import evaluate_all
@@ -69,69 +60,20 @@ from repro.analysis.kernel import (
     PROVED,
     REFUTED,
     UNKNOWN,
+    FileResult,
     Observe,
     Reader,
     SearchOutcome,
     State,
     Verdict,
     Witness,
-    evidence,
-    load_or_error,
-    met,
+    certified,
     replay_states,
     search,
-    tally,
     witness_problems,
 )
 from repro.analysis.report import display_path
 from repro.analysis.specfile import LintTarget
-
-
-class ProofResult(NamedTuple):
-    """The prover's verdict for one spec file."""
-
-    path: str
-    verdict: str
-    mode: str
-    method: str
-    detail: str
-    certificate: Optional[Dict[str, object]] = None
-    witness: Optional[Witness] = None
-    expect: str = "proved"
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        """Whether the verdict matches the spec's declared expectation."""
-        return met(self)
-
-    def verdicts(self) -> Sequence[Verdict]:
-        """A spec-level result is its own one decided question."""
-        return (self,)
-
-    def counts(self) -> Dict[str, int]:
-        """Verdict counts for summaries."""
-        return tally([self.verdict])
-
-    def line(self) -> str:
-        """The one-line text form."""
-        return (
-            f"{display_path(self.path)}: {self.verdict} "
-            f"({self.mode}, {self.method}) — {self.detail}"
-        )
-
-    def document(self) -> Dict[str, object]:
-        """The per-file JSON document (written as the certificate artifact)."""
-        return dict(
-            version=CERTIFICATE_VERSION,
-            spec=display_path(self.path),
-            verdict=self.verdict,
-            mode=self.mode,
-            method=self.method,
-            expect=self.expect,
-            detail=self.detail,
-            **evidence(self, digest=False),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -435,7 +377,7 @@ def prove_target(
     method: str = "thm22",
     max_model_size: Optional[int] = None,
     mode: Optional[str] = None,
-) -> ProofResult:
+) -> FileResult:
     """Decide one loaded spec file (see the module docstring for verdicts)."""
     options = target.prover
     chosen_mode = mode if mode is not None else options.mode
@@ -445,37 +387,48 @@ def prove_target(
     catalog = target.catalog
     views = target.views
     all_psj = all(view.is_psj() for view in views)
+    # The verdict under construction: what was decided, and under which mode.
+    undecided = Verdict(
+        display_path(target.path), UNKNOWN, "", options.expect,
+        {"mode": chosen_mode, "method": method},
+    )
 
-    if chosen_mode == "with-complement" and all_psj:
+    def decided(verdict: Verdict) -> FileResult:
+        return FileResult(target.path, verdicts=(verdict,))
+
+    sources = frozenset(catalog.relation_names())
+    views_only = chosen_mode == "views-only"
+    if all_psj and (
+        chosen_mode == "with-complement"
+        or (views_only and provably_empty_complements(catalog, views) >= sources)
+    ):
         try:
             spec = specify(catalog, views, method=method)
         except ReproError as exc:
-            return ProofResult(
-                target.path, UNKNOWN, chosen_mode, method,
-                "complement construction failed", expect=options.expect,
-                error=str(exc),
+            return decided(
+                undecided._replace(
+                    detail="complement construction failed", error=str(exc)
+                )
             )
-        return _proved(target, spec, spec_read_sets(spec), chosen_mode, method)
-
-    if chosen_mode == "views-only" and all_psj:
-        empty = provably_empty_complements(catalog, views)
-        if empty >= frozenset(catalog.relation_names()):
-            try:
-                spec = specify(catalog, views, method=method)
-            except ReproError as exc:
-                return ProofResult(
-                    target.path, UNKNOWN, chosen_mode, method,
-                    "complement construction failed", expect=options.expect,
-                    error=str(exc),
-                )
-            if not spec.complement_names():
-                # Every complement is provably empty: the views alone are
-                # invertible and the certificate's inversions mention view
-                # names only.
-                return _proved(
-                    target, spec, views_only_read_sets(catalog, views),
-                    chosen_mode, method,
-                )
+        # Views-only, every complement provably empty: the views alone are
+        # invertible and the certificate's inversions mention view names only.
+        if not (views_only and spec.complement_names()):
+            dataflow = (
+                views_only_read_sets(catalog, views)
+                if views_only
+                else spec_read_sets(spec)
+            )
+            certificate = build_certificate(spec, dataflow, chosen_mode)
+            detail = (
+                f"{len(sources)} relation(s) reconstructible "
+                "via Equation (4); update-independent: "
+                f"{'yes' if dataflow.update_independent else 'no'}"
+            )
+            proved = undecided._replace(
+                verdict=PROVED, detail=detail, certificate=certificate
+            )
+            problems = check_certificate(catalog, certificate)
+            return decided(certified(proved, problems))
 
     # No proof applies — search for an injectivity violation of V itself.
     definitions = {view.name: view.definition for view in views}
@@ -485,87 +438,28 @@ def prove_target(
         max_model_size=model_size,
         domain_size=options.domain_size,
     )
-    return _refuted_or_unknown(target, outcome, chosen_mode, method, definitions)
-
-
-def _proved(
-    target: LintTarget,
-    spec: WarehouseSpec,
-    dataflow: DataflowReport,
-    mode: str,
-    method: str,
-) -> ProofResult:
-    certificate = build_certificate(spec, dataflow, mode)
-    problems = check_certificate(target.catalog, certificate)
-    if problems:
-        # The construction succeeded but its own evidence does not check
-        # out — never claim PROVED on the strength of a broken certificate.
-        return ProofResult(
-            target.path, UNKNOWN, mode, method,
-            "derived certificate failed self-validation",
-            expect=target.prover.expect, error="; ".join(problems),
-        )
-    relations = len(target.catalog.relation_names())
-    independent = bool(dataflow.update_independent)
-    detail = (
-        f"{relations} relation(s) reconstructible via Equation (4); "
-        f"update-independent: {'yes' if independent else 'no'}"
-    )
-    return ProofResult(
-        target.path, PROVED, mode, method, detail,
-        certificate=certificate, expect=target.prover.expect,
-    )
-
-
-def _refuted_or_unknown(
-    target: LintTarget,
-    outcome: SearchOutcome,
-    mode: str,
-    method: str,
-    definitions: Mapping[str, Expression],
-) -> ProofResult:
-    if outcome.witness is not None:
-        problems = verify_witness(target.catalog, definitions, outcome.witness)
-        if problems:
-            return ProofResult(
-                target.path, UNKNOWN, mode, method,
-                "search produced an invalid witness",
-                expect=target.prover.expect, error="; ".join(problems),
-            )
+    if outcome.witness is None:
+        coverage = "exhaustively" if outcome.exhausted else "partially (budget hit)"
         detail = (
-            f"W is not injective: two distinct source states with identical "
-            f"warehouse images, ≤{outcome.witness.max_rows_per_relation()} "
-            f"row(s) per relation "
-            f"({outcome.states_examined} state(s) examined)"
+            f"no sufficient condition applied and the bounded model space "
+            f"({outcome.states_examined} state(s), searched {coverage}) "
+            "contains no collision"
         )
-        return ProofResult(
-            target.path, REFUTED, mode, method, detail,
-            witness=outcome.witness, expect=target.prover.expect,
+        return decided(undecided._replace(detail=detail))
+    problems = verify_witness(catalog, definitions, outcome.witness)
+    if problems:
+        return decided(
+            undecided._replace(
+                detail="search produced an invalid witness",
+                error="; ".join(problems),
+            )
         )
-    coverage = "exhaustively" if outcome.exhausted else "partially (budget hit)"
     detail = (
-        f"no sufficient condition applied and the bounded model space "
-        f"({outcome.states_examined} state(s), searched {coverage}) "
-        "contains no collision"
+        f"W is not injective: two distinct source states with identical "
+        f"warehouse images, ≤{outcome.witness.max_rows_per_relation()} "
+        f"row(s) per relation "
+        f"({outcome.states_examined} state(s) examined)"
     )
-    return ProofResult(
-        target.path, UNKNOWN, mode, method, detail, expect=target.prover.expect
-    )
-
-
-def prove_file(
-    path: str,
-    method: str = "thm22",
-    max_model_size: Optional[int] = None,
-    mode: Optional[str] = None,
-) -> ProofResult:
-    """Load and decide one spec file; load failures become error results."""
-    target = load_or_error(path)
-    if isinstance(target, str):
-        return ProofResult(
-            path, UNKNOWN, mode or "with-complement", method,
-            "spec file could not be loaded", error=target,
-        )
-    return prove_target(
-        target, method=method, max_model_size=max_model_size, mode=mode
+    return decided(
+        undecided._replace(verdict=REFUTED, detail=detail, witness=outcome.witness)
     )

@@ -43,18 +43,16 @@ and each file document records the
 :func:`repro.core.translation.translation_digest` of the mapping its
 verdicts were issued under.
 
-The ``REPRO_CHECK_INVARIANTS=1`` runtime sanitizer
-(:func:`check_translation_reads`, wired through
-:meth:`repro.core.warehouse.Warehouse.answer`) cross-checks the traced
-spans of every translated-query evaluation against the static read set:
-Theorem 3.1's "no source reads" becomes assertable per query, not just
-per refresh.
+Under ``REPRO_CHECK_INVARIANTS=1``,
+:meth:`repro.core.warehouse.Warehouse.answer` cross-checks the traced
+reads of every translated-query evaluation against the static read set
+(:func:`repro.analysis.dataflow.check_reads`): Theorem 3.1's "no source
+reads" becomes assertable per query, not just per refresh.
 """
 
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     List,
@@ -65,11 +63,8 @@ from typing import (
     Tuple,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.obs.trace import Span
-
 from repro.errors import ReproError, WarehouseError
-from repro.algebra.evaluator import evaluate, evaluate_all
+from repro.algebra.evaluator import evaluate
 from repro.algebra.expressions import (
     Difference,
     Empty,
@@ -86,7 +81,6 @@ from repro.algebra.parser import parse
 from repro.algebra.rewriting import fold_occurrences
 from repro.algebra.simplify import simplify
 from repro.schema.catalog import Catalog
-from repro.storage.engine import SANITIZER_ENV
 from repro.views.psj import View
 from repro.core.complement import WarehouseSpec, specify
 from repro.core.translation import translate_query
@@ -96,24 +90,21 @@ from repro.analysis.kernel import (
     DEFAULT_MAX_MODEL_SIZE,
     DEFAULT_MAX_STATES,
     PROVED,
+    QUERY_KIND,
     REFUTED,
     UNKNOWN,
+    FileResult,
     Observe,
     Reader,
-    Rows,
+    SearchOutcome,
     State,
     Verdict,
     Witness,
-    _sorted_rows,
-    evidence,
-    load_or_error,
-    met,
+    certified,
     replay_states,
     search,
-    tally,
     witness_problems,
 )
-from repro.analysis.report import display_path
 from repro.analysis.specfile import LintTarget, QuerySpec
 
 #: Row estimate for relations the spec file gives no ``queries.rows`` entry.
@@ -263,48 +254,6 @@ def estimate_cost(
 # ----------------------------------------------------------------------
 
 
-class QueryWitness(NamedTuple):
-    """Two states with identical warehouse images but different answers."""
-
-    query: str
-    left: State
-    right: State
-    answer_attributes: Tuple[str, ...]
-    left_answer: Rows
-    right_answer: Rows
-
-    def max_rows_per_relation(self) -> int:
-        """The larger side's largest relation — the witness's "size"."""
-        return Witness(self.left, self.right).max_rows_per_relation()
-
-    def to_dict(self) -> Dict[str, object]:
-        """A deterministic JSON-ready rendering (rows sorted)."""
-        return dict(
-            Witness(self.left, self.right).states_document(),
-            kind="query",
-            query=self.query,
-            answer_attributes=list(self.answer_attributes),
-            left_answer=[list(row) for row in self.left_answer],
-            right_answer=[list(row) for row in self.right_answer],
-        )
-
-    def describe(self) -> str:
-        """Human-readable rendering of the two states and answers."""
-        return (
-            f"{Witness(self.left, self.right).describe()}\n"
-            f"answer({self.query}): {list(self.left_answer)} vs "
-            f"{list(self.right_answer)}"
-        )
-
-
-class QuerySearchOutcome(NamedTuple):
-    """Result of :func:`search_query_counterexample`."""
-
-    witness: Optional[QueryWitness]
-    states_examined: int
-    exhausted: bool
-
-
 def observe_answer(query: Expression) -> Observe:
     """Observe ``Q(state ∪ image)`` — Theorem 3.1's question.
 
@@ -319,28 +268,11 @@ def observe_answer(query: Expression) -> Observe:
     return observe
 
 
-def _make_witness(
-    definitions: Mapping[str, Expression], query: Expression, pair: Witness
-) -> QueryWitness:
-    answers = [
-        evaluate(query, {**state, **evaluate_all(definitions, state)})
-        for state in (pair.left, pair.right)
-    ]
-    return QueryWitness(
-        query=str(query),
-        left=pair.left,
-        right=pair.right,
-        answer_attributes=tuple(answers[0].attributes),
-        left_answer=_sorted_rows(answers[0].rows),
-        right_answer=_sorted_rows(answers[1].rows),
-    )
-
-
 def verify_query_witness(
     catalog: Catalog,
     definitions: Mapping[str, Expression],
     query: Expression,
-    witness: QueryWitness,
+    witness: Witness,
 ) -> List[str]:
     """Independently check a query witness; returns problem descriptions.
 
@@ -349,18 +281,20 @@ def verify_query_witness(
     answers to ``query`` — and the recorded answers must match a fresh
     evaluation, so golden witnesses replay against today's evaluator.
     """
-    pair = Witness(witness.left, witness.right)
     problems = witness_problems(
         catalog,
         definitions,
         observe_answer(query),
-        pair,
+        witness,
         same="the two states give the same query answer",
     )
-    fresh = _make_witness(definitions, query, pair)
-    if fresh.left_answer != tuple(witness.left_answer):
+    recorded = witness.answers
+    if recorded is None:
+        return problems + ["witness records no query answers"]
+    fresh = witness.answers_to(query, definitions)
+    if fresh.left != tuple(recorded.left):
         problems.append("recorded left answer does not replay")
-    if fresh.right_answer != tuple(witness.right_answer):
+    if fresh.right != tuple(recorded.right):
         problems.append("recorded right answer does not replay")
     return problems
 
@@ -372,14 +306,14 @@ def search_query_counterexample(
     max_model_size: int = DEFAULT_MAX_MODEL_SIZE,
     domain_size: int = DEFAULT_DOMAIN_SIZE,
     max_states: int = DEFAULT_MAX_STATES,
-) -> QuerySearchOutcome:
+) -> SearchOutcome:
     """Search for two states with equal images but different answers.
 
     The kernel's determinacy search (:func:`repro.analysis.kernel.search`)
     observing the query's answer: constants mentioned by views, checks
     *and the query* seed the small domains; the first image group holding
-    two different answers is returned, shrunk to a minimal witness.
-    Deterministic end to end.
+    two different answers is returned, shrunk to a minimal witness that
+    records both answers. Deterministic end to end.
     """
     outcome = search(
         catalog,
@@ -390,12 +324,10 @@ def search_query_counterexample(
         domain_size=domain_size,
         max_states=max_states,
     )
-    witness = (
-        None
-        if outcome.witness is None
-        else _make_witness(definitions, query, outcome.witness)
-    )
-    return QuerySearchOutcome(witness, outcome.states_examined, outcome.exhausted)
+    if outcome.witness is None:
+        return outcome
+    answers = outcome.witness.answers_to(query, definitions)
+    return outcome._replace(witness=outcome.witness._replace(answers=answers))
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +361,7 @@ def build_query_certificate(
     warehouse_names = frozenset(warehouse)
     certificate: Dict[str, object] = {
         "version": CERTIFICATE_VERSION,
-        "kind": "query-translation",
+        "kind": QUERY_KIND,
         "mode": mode,
         "method": method,
         "query": str(query),
@@ -522,100 +454,6 @@ def check_query_certificate(
 
 
 # ----------------------------------------------------------------------
-# Results
-# ----------------------------------------------------------------------
-
-
-class QueryVerdict(NamedTuple):
-    """The prover's verdict for one declared query."""
-
-    name: str
-    query: str
-    verdict: str
-    method: str
-    detail: str
-    expect: str = "proved"
-    certificate: Optional[Dict[str, object]] = None
-    witness: Optional[QueryWitness] = None
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        """Whether the verdict matches the query's declared expectation."""
-        return met(self)
-
-    def line(self) -> str:
-        """The one-line text form."""
-        return f"{self.name}: {self.verdict} ({self.method}) — {self.detail}"
-
-    def document(self) -> Dict[str, object]:
-        """The per-query JSON document (nested in the file document)."""
-        return dict(
-            name=self.name,
-            query=self.query,
-            verdict=self.verdict,
-            method=self.method,
-            expect=self.expect,
-            detail=self.detail,
-            **evidence(self),
-        )
-
-
-class QueryProofResult(NamedTuple):
-    """The prover's verdicts for one spec file."""
-
-    path: str
-    mode: str
-    queries: Tuple[QueryVerdict, ...] = ()
-    translation_digest: Optional[str] = None
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        """Whether every query's verdict matches its expectation."""
-        return self.error is None and all(verdict.ok for verdict in self.queries)
-
-    def verdicts(self) -> Sequence[Verdict]:
-        """The decided questions: one per declared query."""
-        return self.queries
-
-    def counts(self) -> Dict[str, int]:
-        """Verdict counts for summaries."""
-        return dict(
-            queries=len(self.queries),
-            **tally(verdict.verdict for verdict in self.queries),
-        )
-
-    def line(self) -> str:
-        """The one-line text form heading the per-query lines."""
-        if self.error is not None:
-            return f"{display_path(self.path)}: error: {self.error}"
-        counts = self.counts()
-        return (
-            f"{display_path(self.path)}: {counts['queries']} query(ies) — "
-            f"{counts['proved']} proved, {counts['refuted']} refuted, "
-            f"{counts['unknown']} unknown"
-        )
-
-    def document(self) -> Dict[str, object]:
-        """The per-file JSON document (the certificate artifact)."""
-        out = dict(
-            version=CERTIFICATE_VERSION,
-            kind="query-translation",
-            spec=display_path(self.path),
-            mode=self.mode,
-            ok=self.ok,
-            summary=self.counts(),
-            queries=[verdict.document() for verdict in self.queries],
-        )
-        if self.translation_digest is not None:
-            out["translation_digest"] = self.translation_digest
-        if self.error is not None:
-            out["error"] = self.error
-        return out
-
-
-# ----------------------------------------------------------------------
 # The decision procedure
 # ----------------------------------------------------------------------
 
@@ -672,20 +510,24 @@ def _decide_query(
     target: LintTarget,
     spec: Optional[WarehouseSpec],
     item: QuerySpec,
-    method: str,
     rows: Mapping[str, int],
     budget: Optional[int],
-) -> QueryVerdict:
+) -> Verdict:
     catalog = target.catalog
     views = target.views
     mode = target.prover.mode
-    label = item.label()
+
+    def undecided(query: str, method: str) -> Verdict:
+        """The verdict under construction for ``item`` by ``method``."""
+        label = item.label()
+        facts = {"name": label, "query": query, "method": method}
+        return Verdict(label, UNKNOWN, "", item.expect, facts)
+
     try:
         query = parse(item.query)
     except ReproError as exc:
-        return QueryVerdict(
-            label, item.query, UNKNOWN, "none",
-            "query failed to parse", expect=item.expect, error=str(exc),
+        return undecided(item.query, "none")._replace(
+            detail="query failed to parse", error=str(exc)
         )
     source_scope, view_scope = _scopes(catalog, views)
     known = set(source_scope) | set(view_scope)
@@ -693,15 +535,14 @@ def _decide_query(
         known |= set(spec.warehouse_names())
     undeclared = sorted(query.relation_names() - known)
     if undeclared:
-        return QueryVerdict(
-            label, str(query), UNKNOWN, "none",
-            "query references undeclared relations", expect=item.expect,
+        return undecided(str(query), "none")._replace(
+            detail="query references undeclared relations",
             error=f"undeclared relation(s) {undeclared}",
         )
 
     if spec is not None:
         return _prove_by_inversion(
-            target, spec, item, label, query, mode, rows, budget
+            undecided(str(query), "inversion"), spec, query, mode, rows, budget
         )
 
     # Lossy warehouse: try folding the view definitions out of the query.
@@ -714,10 +555,12 @@ def _decide_query(
     sources = frozenset(catalog.relation_names())
     if not (folded.relation_names() & sources):
         return _prove_by_fold(
-            target, item, label, query, folded, mode, view_scope, rows, budget
+            undecided(str(query), "view-fold"),
+            target, query, folded, mode, view_scope, rows, budget,
         )
 
     # Neither proof applies — search for an answer-divergence witness.
+    searched = undecided(str(query), "search")
     definitions = {view.name: view.definition for view in views}
     outcome = search_query_counterexample(
         catalog,
@@ -726,47 +569,36 @@ def _decide_query(
         max_model_size=target.prover.max_model_size,
         domain_size=target.prover.domain_size,
     )
-    if outcome.witness is not None:
-        problems = verify_query_witness(
-            catalog, definitions, query, outcome.witness
-        )
-        if problems:
-            return QueryVerdict(
-                label, str(query), UNKNOWN, "search",
-                "search produced an invalid witness", expect=item.expect,
-                error="; ".join(problems),
-            )
+    if outcome.witness is None:
+        coverage = "exhaustively" if outcome.exhausted else "partially (budget hit)"
         detail = (
-            "warehouse state underdetermines the answer: two states with "
-            "identical images but different query answers, "
-            f"≤{outcome.witness.max_rows_per_relation()} row(s) per relation "
-            f"({outcome.states_examined} state(s) examined)"
+            "no translation method applied and the bounded model space "
+            f"({outcome.states_examined} state(s), searched {coverage}) "
+            "contains no answer divergence"
         )
-        return QueryVerdict(
-            label, str(query), REFUTED, "search", detail,
-            expect=item.expect, witness=outcome.witness,
+        return searched._replace(detail=detail)
+    problems = verify_query_witness(catalog, definitions, query, outcome.witness)
+    if problems:
+        return searched._replace(
+            detail="search produced an invalid witness", error="; ".join(problems)
         )
-    coverage = "exhaustively" if outcome.exhausted else "partially (budget hit)"
     detail = (
-        "no translation method applied and the bounded model space "
-        f"({outcome.states_examined} state(s), searched {coverage}) "
-        "contains no answer divergence"
+        "warehouse state underdetermines the answer: two states with "
+        "identical images but different query answers, "
+        f"≤{outcome.witness.max_rows_per_relation()} row(s) per relation "
+        f"({outcome.states_examined} state(s) examined)"
     )
-    return QueryVerdict(
-        label, str(query), UNKNOWN, "search", detail, expect=item.expect
-    )
+    return searched._replace(verdict=REFUTED, detail=detail, witness=outcome.witness)
 
 
 def _prove_by_inversion(
-    target: LintTarget,
+    undecided: Verdict,
     spec: WarehouseSpec,
-    item: QuerySpec,
-    label: str,
     query: Expression,
     mode: str,
     rows: Mapping[str, int],
     budget: Optional[int],
-) -> QueryVerdict:
+) -> Verdict:
     try:
         translated = translate_query(spec, query)
         optimized = translate_query(spec, query, optimized=True)
@@ -774,14 +606,11 @@ def _prove_by_inversion(
             optimized, spec.warehouse_scope(), rows=rows, budget=budget
         )
     except ReproError as exc:
-        return QueryVerdict(
-            label, str(query), UNKNOWN, "inversion",
-            "translation failed", expect=item.expect, error=str(exc),
-        )
+        return undecided._replace(detail="translation failed", error=str(exc))
     referenced = sorted(query.relation_names() & set(spec.inverses))
     inversions = {name: spec.inverse_for(name) for name in referenced}
     certificate = build_query_certificate(
-        target.catalog,
+        spec.catalog,
         spec.definitions_over_sources(),
         query,
         translated,
@@ -791,45 +620,32 @@ def _prove_by_inversion(
         cost,
         inversions=inversions,
     )
-    problems = check_query_certificate(target.catalog, certificate)
-    if problems:
-        # Never claim PROVED on the strength of a broken certificate.
-        return QueryVerdict(
-            label, str(query), UNKNOWN, "inversion",
-            "derived certificate failed self-validation", expect=item.expect,
-            error="; ".join(problems),
-        )
     detail = (
         f"translated via Equation (4) inversion of {len(inversions)} base "
         f"relation(s); reads {len(sorted(optimized.relation_names()))} "
         f"warehouse relation(s), estimated cost {cost.total}"
     )
-    return QueryVerdict(
-        label, str(query), PROVED, "inversion", detail,
-        expect=item.expect, certificate=certificate,
-    )
+    proved = undecided._replace(verdict=PROVED, detail=detail, certificate=certificate)
+    return certified(proved, check_query_certificate(spec.catalog, certificate))
 
 
 def _prove_by_fold(
+    undecided: Verdict,
     target: LintTarget,
-    item: QuerySpec,
-    label: str,
     query: Expression,
     folded: Expression,
     mode: str,
     view_scope: Mapping[str, Tuple[str, ...]],
     rows: Mapping[str, int],
     budget: Optional[int],
-) -> QueryVerdict:
+) -> Verdict:
     views = target.views
     try:
         optimized = optimize(folded, dict(view_scope))
         cost = estimate_cost(optimized, view_scope, rows=rows, budget=budget)
     except ReproError as exc:
-        return QueryVerdict(
-            label, str(query), UNKNOWN, "view-fold",
-            "folded translation failed to optimize", expect=item.expect,
-            error=str(exc),
+        return undecided._replace(
+            detail="folded translation failed to optimize", error=str(exc)
         )
     used = folded.relation_names() | optimized.relation_names()
     folds = {
@@ -847,86 +663,27 @@ def _prove_by_fold(
         cost,
         folds=folds,
     )
-    problems = check_query_certificate(target.catalog, certificate)
-    if problems:
-        return QueryVerdict(
-            label, str(query), UNKNOWN, "view-fold",
-            "derived certificate failed self-validation", expect=item.expect,
-            error="; ".join(problems),
-        )
     detail = (
         f"query folds onto {len(folds)} warehouse view(s) without touching "
         f"a source; estimated cost {cost.total}"
     )
-    return QueryVerdict(
-        label, str(query), PROVED, "view-fold", detail,
-        expect=item.expect, certificate=certificate,
-    )
+    proved = undecided._replace(verdict=PROVED, detail=detail, certificate=certificate)
+    return certified(proved, check_query_certificate(target.catalog, certificate))
 
 
-def prove_queries_target(
-    target: LintTarget, method: str = "thm22"
-) -> QueryProofResult:
+def prove_queries_target(target: LintTarget, method: str = "thm22") -> FileResult:
     """Decide every declared (or synthesized) query of one loaded spec."""
     options = target.queries
     items = options.items if options is not None else default_queries(target)
     rows: Dict[str, int] = dict(options.rows or {}) if options is not None else {}
     budget = options.budget if options is not None else None
     spec = invertible_spec(target, method=method)
-    digest: Optional[str] = None
+    facts: Dict[str, object] = {"kind": QUERY_KIND, "mode": target.prover.mode}
     if spec is not None:
         from repro.core.translation import translation_digest
 
-        digest = translation_digest(spec)
+        facts["translation_digest"] = translation_digest(spec)
     verdicts = tuple(
-        _decide_query(target, spec, item, method, rows, budget)
-        for item in items
+        _decide_query(target, spec, item, rows, budget) for item in items
     )
-    return QueryProofResult(
-        target.path, target.prover.mode, verdicts, translation_digest=digest
-    )
-
-
-def prove_queries_file(path: str, method: str = "thm22") -> QueryProofResult:
-    """Load and decide one spec file; load failures become error results."""
-    target = load_or_error(path)
-    if isinstance(target, str):
-        return QueryProofResult(path, "with-complement", (), error=target)
-    return prove_queries_target(target, method=method)
-
-
-# ----------------------------------------------------------------------
-# Runtime sanitizer (REPRO_CHECK_INVARIANTS=1)
-# ----------------------------------------------------------------------
-
-
-def check_translation_reads(
-    spec: WarehouseSpec,
-    static_reads: Iterable[str],
-    root: "Span",
-) -> None:
-    """Cross-check a traced translated-query evaluation (the sanitizer).
-
-    ``root`` is the captured evaluation span tree. Raises
-    :class:`~repro.errors.WarehouseError` when the trace read any source
-    relation (Theorem 3.1 violated at runtime) or any warehouse relation
-    outside the certificate's static read set (the plan the certificate
-    describes is not the plan that ran).
-    """
-    from repro.obs.explain import source_relations_read
-
-    source_reads = source_relations_read(root, spec.catalog.relation_names())
-    if source_reads:
-        raise WarehouseError(
-            f"query sanitizer ({SANITIZER_ENV}=1): translated query read "
-            f"source relation(s) {source_reads}; Theorem 3.1 promises "
-            "warehouse-only answering"
-        )
-    allowed = frozenset(static_reads)
-    touched = source_relations_read(root, spec.warehouse_names())
-    extra = sorted(set(touched) - allowed)
-    if extra:
-        raise WarehouseError(
-            f"query sanitizer ({SANITIZER_ENV}=1): runtime read(s) {extra} "
-            f"outside the static read set {sorted(allowed)}"
-        )
+    return FileResult(target.path, facts, verdicts)

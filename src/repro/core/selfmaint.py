@@ -12,7 +12,8 @@ This module provides
 * :func:`self_maintainable_without_complement` — a syntactic
   self-maintainability check in the spirit of Quass et al. [18]: derive each
   view's maintenance expressions, fold occurrences of the warehouse views
-  back into view references, and test whether any base relation remains. It
+  back into view references, and test whether any base relation remains
+  (:func:`base_reads_without_complement` names the ones that do). It
   is *conservative* (sound "yes", possibly pessimistic "no" — e.g. it does
   not discover Example 2.1's Huyn-style multi-view self-maintainability,
   which the complement machinery handles instead);
@@ -22,7 +23,7 @@ This module provides
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, NamedTuple, Sequence, Tuple
 
 from repro.algebra.deltas import (
     del_name,
@@ -69,24 +70,25 @@ def _fold_views(expression: Expression, views: Sequence[View]) -> Expression:
     )
 
 
-def self_maintainable_without_complement(
+def base_reads_without_complement(
     catalog: Catalog,
     views: Sequence[View],
     updated: Iterable[str],
     insert_only: bool = False,
     delete_only: bool = False,
-) -> Dict[str, bool]:
-    """Syntactic self-maintainability per view, without auxiliary data.
+) -> Dict[str, FrozenSet[str]]:
+    """The base relations each view's maintenance still reads, per view.
 
-    For each view, derives the delta expressions for updates to ``updated``,
-    folds view definitions back into view references, simplifies, and checks
-    that no base relation reference survives (delta relations ``R__ins`` /
-    ``R__del`` are allowed — they are part of the reported update).
-
-    Returns ``{view name: bool}``.
+    For each view, derives the delta expressions for updates to ``updated``
+    (the unused side folded to ``Empty`` under ``insert_only`` /
+    ``delete_only``), folds view definitions back into view references,
+    simplifies, and reads off the base relations that survive. Delta
+    relations ``R__ins`` / ``R__del`` are not among them — they are part of
+    the reported update.
     """
     updated_set = frozenset(updated)
     source_scope = {s.name: s.attributes for s in catalog.schemas()}
+    sources = frozenset(source_scope)
     extended = delta_scope(source_scope, updated_set)
     for view in views:
         extended[view.name] = view.definition.attributes(source_scope)
@@ -99,24 +101,36 @@ def self_maintainable_without_complement(
         if delete_only:
             specialize[ins_name(relation)] = Empty(attrs)
 
-    allowed = (
-        {view.name for view in views}
-        | {ins_name(r) for r in updated_set}
-        | {del_name(r) for r in updated_set}
-    )
-
-    verdict: Dict[str, bool] = {}
+    reads: Dict[str, FrozenSet[str]] = {}
     for view in views:
         derived = derive_delta(view.definition, updated_set, source_scope)
         if specialize:
             derived = derived.map(lambda e: substitute(e, specialize))
         derived = derived.map(lambda e: _fold_views(e, views))
         derived = derived.map(lambda e: simplify(e, extended))
-        remaining = (
+        reads[view.name] = sources & (
             derived.inserts.relation_names() | derived.deletes.relation_names()
-        ) - allowed
-        verdict[view.name] = not remaining
-    return verdict
+        )
+    return reads
+
+
+def self_maintainable_without_complement(
+    catalog: Catalog,
+    views: Sequence[View],
+    updated: Iterable[str],
+    insert_only: bool = False,
+    delete_only: bool = False,
+) -> Dict[str, bool]:
+    """Syntactic self-maintainability per view, without auxiliary data.
+
+    A view is self-maintainable for updates to ``updated`` when no base
+    relation reference survives its folded maintenance expressions
+    (:func:`base_reads_without_complement`). Returns ``{view name: bool}``.
+    """
+    reads = base_reads_without_complement(
+        catalog, views, updated, insert_only=insert_only, delete_only=delete_only
+    )
+    return {name: not read for name, read in reads.items()}
 
 
 class SelfMaintenanceReport(NamedTuple):

@@ -475,14 +475,15 @@ class Warehouse:
             self.spec, state, expression, tracer=tracer, engine=self.engine
         )
         if self._sanitize:
-            from repro.analysis.query import check_translation_reads
+            from repro.analysis.dataflow import check_reads
 
             # The static read set is recomputed from the spec, not taken
             # from the plan table — a corrupted plan must not self-certify.
-            check_translation_reads(
+            check_reads(
                 self.spec,
                 translation_read_set(self.spec, expression),
                 tracer.last_root,
+                "query",
             )
         return result
 

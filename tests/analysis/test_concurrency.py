@@ -30,10 +30,18 @@ from repro.analysis.concurrency import (
     shape_footprints,
     verify_sharding_witness,
     write_footprint,
-    ShardingProofResult,
 )
 from repro.analysis.digest import canonical_digest
-from repro.analysis.kernel import PROVED, REFUTED, UNKNOWN, UNSHARDED, exit_code
+from repro.analysis.kernel import (
+    PROVED,
+    REFUTED,
+    SHARDING_KIND,
+    UNKNOWN,
+    UNSHARDED,
+    FileResult,
+    Verdict,
+    exit_code,
+)
 from repro.analysis.specfile import LintTarget, RoutingSpec, ShardingOptions
 from repro.core.complement import specify
 from repro.core.routing import ShardRouting
@@ -378,10 +386,16 @@ def make_target(catalog, views, sharding):
     return LintTarget("spec.json", catalog, views, {}, sharding=sharding)
 
 
+def decide(target):
+    """The one verdict the sharding prover reaches on ``target``."""
+    (verdict,) = prove_sharding_target(target).verdicts
+    return verdict
+
+
 class TestProveShardingTarget:
     def test_no_sharding_section_is_unsharded(self):
         catalog = sale_emp_catalog()
-        result = prove_sharding_target(
+        result = decide(
             make_target(catalog, [View("Sold", parse("Sale join Emp"))], None)
         )
         assert result.verdict == UNSHARDED
@@ -389,7 +403,7 @@ class TestProveShardingTarget:
 
     def test_proved_layout_carries_certificate(self):
         catalog = sale_emp_catalog()
-        result = prove_sharding_target(
+        result = decide(
             make_target(
                 catalog,
                 [View("Sold", parse("Sale join Emp"))],
@@ -404,7 +418,7 @@ class TestProveShardingTarget:
 
     def test_invalid_routing_is_unknown_with_error(self):
         catalog = sale_emp_catalog()
-        result = prove_sharding_target(
+        result = decide(
             make_target(
                 catalog,
                 [View("Sold", parse("Sale join Emp"))],
@@ -418,7 +432,7 @@ class TestProveShardingTarget:
 
     def test_unknown_owned_relation_is_unknown_with_error(self):
         catalog = sale_emp_catalog()
-        result = prove_sharding_target(
+        result = decide(
             make_target(
                 catalog,
                 [View("Sold", parse("Sale join Emp"))],
@@ -433,7 +447,7 @@ class TestProveShardingTarget:
 
     def test_shared_sources_refuted_with_interleaving_witness(self):
         catalog = sale_emp_catalog()
-        result = prove_sharding_target(
+        result = decide(
             make_target(
                 catalog,
                 [View("Sold", parse("Sale join Emp"))],
@@ -450,7 +464,7 @@ class TestProveShardingTarget:
 
     def test_mispartitioned_layout_refuted_with_sharding_witness(self):
         catalog = two_fact_catalog()
-        result = prove_sharding_target(
+        result = decide(
             make_target(
                 catalog,
                 [View("Fulfilled", parse("Orders join Shipments"))],
@@ -470,7 +484,7 @@ class TestProveShardingTarget:
 
     def test_inconsistent_shard_counts_are_unknown(self):
         catalog = two_fact_catalog()
-        result = prove_sharding_target(
+        result = decide(
             make_target(
                 catalog,
                 [View("Fulfilled", parse("Orders join Shipments"))],
@@ -488,9 +502,8 @@ class TestProveShardingTarget:
 
 class TestExitCodes:
     def r(self, verdict, expect="proved", error=None):
-        return ShardingProofResult(
-            "spec.json", verdict, "d", expect=expect, error=error
-        )
+        item = Verdict("spec.json", verdict, "d", expect, error=error)
+        return FileResult("spec.json", {"kind": SHARDING_KIND}, (item,))
 
     def test_all_expectations_met(self):
         results = [

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.kernel import PROVED, REFUTED, document_json
-from repro.analysis.prover import prove_file
+from repro.analysis.kernel import PROVED, REFUTED, decide_file, document_json
+from repro.analysis.prover import prove_target
 
 REPO = Path(__file__).parents[2]
 SPEC_DIR = REPO / "examples" / "specs"
@@ -29,7 +29,7 @@ STEMS = sorted(path.stem for path in SPEC_DIR.glob("*.json"))
 
 
 def prove_example(stem):
-    result = prove_file(str(SPEC_DIR / f"{stem}.json"))
+    result = decide_file(str(SPEC_DIR / f"{stem}.json"), prove_target)
     # Pin a repo-relative spec path regardless of the runner's cwd.
     return result._replace(path=f"examples/specs/{stem}.json")
 
@@ -42,8 +42,9 @@ def test_there_are_example_specs():
 def test_every_example_spec_is_decided(stem):
     result = prove_example(stem)
     assert result.error is None
-    assert result.verdict in (PROVED, REFUTED)
-    assert result.ok, f"{stem}: {result.verdict} but expected {result.expect}"
+    (verdict,) = result.verdicts
+    assert verdict.verdict in (PROVED, REFUTED)
+    assert verdict.ok, f"{stem}: {verdict.verdict} but expected {verdict.expect}"
 
 
 @pytest.mark.parametrize("stem", STEMS)
@@ -58,11 +59,12 @@ def test_certificate_matches_golden(stem):
 
 
 def test_at_least_one_refuted_example_with_small_witness():
-    refuted = [r for r in map(prove_example, STEMS) if r.verdict == REFUTED]
+    verdicts = [v for stem in STEMS for v in prove_example(stem).verdicts]
+    refuted = [v for v in verdicts if v.verdict == REFUTED]
     assert refuted, "no deliberately non-independent example spec"
-    for result in refuted:
-        assert result.witness is not None
-        assert result.witness.max_rows_per_relation() <= 3
+    for verdict in refuted:
+        assert verdict.witness is not None
+        assert verdict.witness.max_rows_per_relation() <= 3
 
 
 def test_golden_documents_are_valid_json_with_version():

@@ -22,11 +22,19 @@ from pathlib import Path
 import pytest
 
 from repro.algebra.parser import parse
-from repro.analysis.kernel import PROVED, REFUTED, UNKNOWN, document_json
+from repro.analysis.kernel import (
+    PROVED,
+    QUERY_KIND,
+    REFUTED,
+    UNKNOWN,
+    AnswerPair,
+    Witness,
+    decide_file,
+    document_json,
+)
 from repro.analysis.query import (
-    QueryWitness,
     check_query_certificate,
-    prove_queries_file,
+    prove_queries_target,
     verify_query_witness,
 )
 from repro.analysis.specfile import load_target
@@ -40,7 +48,8 @@ STEMS = sorted(path.stem for path in SPEC_DIR.glob("*.json"))
 
 
 def prove_example(stem):
-    result = prove_queries_file(str(SPEC_DIR / f"{stem}.json"))
+    path = str(SPEC_DIR / f"{stem}.json")
+    result = decide_file(path, prove_queries_target, QUERY_KIND)
     # Pin a repo-relative spec path regardless of the runner's cwd.
     return result._replace(path=f"examples/specs/{stem}.json")
 
@@ -58,11 +67,11 @@ def test_there_are_example_specs():
 def test_every_example_spec_queries_are_decided(stem):
     result = prove_example(stem)
     assert result.error is None
-    assert result.queries, f"{stem}: no query received a verdict"
-    for verdict in result.queries:
+    assert result.verdicts, f"{stem}: no query received a verdict"
+    for verdict in result.verdicts:
         assert verdict.verdict in (PROVED, REFUTED, UNKNOWN)
         assert verdict.ok, (
-            f"{stem}/{verdict.name}: {verdict.verdict} but expected "
+            f"{stem}/{verdict.subject}: {verdict.verdict} but expected "
             f"{verdict.expect} ({verdict.error})"
         )
 
@@ -100,7 +109,7 @@ def test_refuted_queries_carry_replayable_witnesses():
     refuted = [
         (stem, verdict)
         for stem in STEMS
-        for verdict in prove_example(stem).queries
+        for verdict in prove_example(stem).verdicts
         if verdict.verdict == REFUTED
     ]
     assert refuted, "no deliberately refuted query in any example spec"
@@ -111,10 +120,10 @@ def test_refuted_queries_carry_replayable_witnesses():
         problems = verify_query_witness(
             target.catalog,
             witness_definitions(stem, target),
-            parse(verdict.query),
+            parse(verdict.facts["query"]),
             witness,
         )
-        assert problems == [], f"{stem}/{verdict.name}: {problems}"
+        assert problems == [], f"{stem}/{verdict.subject}: {problems}"
 
 
 def test_golden_witnesses_replay_from_json_alone():
@@ -130,8 +139,7 @@ def test_golden_witnesses_replay_from_json_alone():
             attributes = {
                 name: tuple(attrs) for name, attrs in doc["attributes"].items()
             }
-            witness = QueryWitness(
-                query=doc["query"],
+            witness = Witness(
                 left={
                     name: Relation(
                         attributes[name], [tuple(r) for r in rows]
@@ -144,9 +152,12 @@ def test_golden_witnesses_replay_from_json_alone():
                     )
                     for name, rows in doc["right"].items()
                 },
-                answer_attributes=tuple(doc["answer_attributes"]),
-                left_answer=tuple(tuple(r) for r in doc["left_answer"]),
-                right_answer=tuple(tuple(r) for r in doc["right_answer"]),
+                answers=AnswerPair(
+                    query=doc["query"],
+                    attributes=tuple(doc["answer_attributes"]),
+                    left=tuple(tuple(r) for r in doc["left_answer"]),
+                    right=tuple(tuple(r) for r in doc["right_answer"]),
+                ),
             )
             problems = verify_query_witness(
                 target.catalog,
@@ -161,7 +172,7 @@ def test_golden_witnesses_replay_from_json_alone():
 
 def test_at_least_one_of_each_verdict_across_examples():
     verdicts = {
-        verdict.verdict for stem in STEMS for verdict in prove_example(stem).queries
+        verdict.verdict for stem in STEMS for verdict in prove_example(stem).verdicts
     }
     assert PROVED in verdicts
     assert REFUTED in verdicts

@@ -21,11 +21,17 @@ import pytest
 
 from repro.analysis.concurrency import (
     check_sharding_certificate,
-    prove_sharding_file,
+    prove_sharding_target,
     replay_interleaving,
     verify_sharding_witness,
 )
-from repro.analysis.kernel import PROVED, REFUTED, document_json
+from repro.analysis.kernel import (
+    PROVED,
+    REFUTED,
+    SHARDING_KIND,
+    decide_file,
+    document_json,
+)
 from repro.analysis.specfile import load_target
 from repro.core.routing import ShardRouting
 
@@ -41,7 +47,8 @@ SHARDED_STEMS = sorted(
 
 
 def prove_example(stem):
-    result = prove_sharding_file(str(SPEC_DIR / f"{stem}.json"))
+    path = str(SPEC_DIR / f"{stem}.json")
+    result = decide_file(path, prove_sharding_target, SHARDING_KIND)
     # Pin a repo-relative spec path regardless of the runner's cwd.
     return result._replace(path=f"examples/specs/{stem}.json")
 
@@ -54,8 +61,9 @@ def test_there_are_sharded_example_specs():
 def test_every_sharded_example_is_decided(stem):
     result = prove_example(stem)
     assert result.error is None
-    assert result.verdict in (PROVED, REFUTED)
-    assert result.ok, f"{stem}: {result.verdict} but expected {result.expect}"
+    (verdict,) = result.verdicts
+    assert verdict.verdict in (PROVED, REFUTED)
+    assert verdict.ok, f"{stem}: {verdict.verdict} but expected {verdict.expect}"
 
 
 @pytest.mark.parametrize("stem", SHARDED_STEMS)
@@ -81,11 +89,16 @@ def test_golden_certificate_revalidates(stem):
 
 
 def test_refuted_examples_carry_replayable_witnesses():
-    refuted = [r for r in map(prove_example, SHARDED_STEMS) if r.verdict == REFUTED]
+    refuted = [
+        (stem, verdict)
+        for stem in SHARDED_STEMS
+        for verdict in prove_example(stem).verdicts
+        if verdict.verdict == REFUTED
+    ]
     assert refuted, "no deliberately refuted sharded example spec"
-    for result in refuted:
-        assert result.witness is not None
-        witness = result.witness.to_dict()
+    for stem, verdict in refuted:
+        assert verdict.witness is not None
+        witness = verdict.witness.to_dict()
         if witness["kind"] == "interleaving":
             # Both orders must really diverge when replayed from scratch.
             from repro.analysis.concurrency import InterleavingWitness
@@ -111,9 +124,7 @@ def test_refuted_examples_carry_replayable_witnesses():
             assert other == rebuilt.second_then_first
         else:
             assert witness["kind"] == "sharding"
-            target = load_target(
-                str(SPEC_DIR / Path(result.path).name)
-            )
+            target = load_target(str(SPEC_DIR / f"{stem}.json"))
             from repro.core.complement import specify
 
             spec = specify(target.catalog, target.views)

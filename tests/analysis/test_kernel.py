@@ -15,15 +15,17 @@ from pathlib import Path
 import pytest
 
 from repro import Catalog, parse
-from repro.analysis.concurrency import (
-    ShardingProofResult,
-    check_sharding_certificate,
-)
+from repro.analysis import concurrency, prover, query as query_prover
+from repro.analysis.concurrency import check_sharding_certificate, prove_sharding_target
 from repro.analysis.kernel import (
     PROVED,
+    QUERY_KIND,
     REFUTED,
+    SHARDING_KIND,
     UNKNOWN,
     UNSHARDED,
+    FileResult,
+    Verdict,
     Witness,
     _without,
     exit_code,
@@ -31,15 +33,14 @@ from repro.analysis.kernel import (
     witness_problems,
 )
 from repro.analysis.prover import (
-    ProofResult,
     check_certificate,
     observe_state,
+    prove_target,
     search_counterexample,
 )
 from repro.analysis.query import (
-    QueryProofResult,
-    QueryVerdict,
     check_query_certificate,
+    prove_queries_target,
     observe_answer,
     search_query_counterexample,
 )
@@ -131,19 +132,20 @@ def test_shrunk_witness_verifies_and_is_locally_minimal(observation):
 
 
 def spec_level(verdict, expect, error=None):
-    return ProofResult(
-        "x.json", verdict, "with-complement", "thm22", "d",
-        expect=expect, error=error,
-    )
+    facts = {"mode": "with-complement", "method": "thm22"}
+    item = Verdict("x.json", verdict, "d", expect, facts, error=error)
+    return FileResult("x.json", verdicts=(item,))
 
 
 def sharding(verdict, expect, error=None):
-    return ShardingProofResult("x.json", verdict, "d", expect=expect, error=error)
+    item = Verdict("x.json", verdict, "d", expect, error=error)
+    return FileResult("x.json", {"kind": SHARDING_KIND}, (item,))
 
 
 def query(verdict, expect, error=None):
-    item = QueryVerdict("q", "R", verdict, "search", "d", expect=expect, error=error)
-    return QueryProofResult("x.json", "with-complement", (item,))
+    facts = {"name": "q", "query": "R", "method": "search"}
+    item = Verdict("q", verdict, "d", expect, facts, error=error)
+    return FileResult("x.json", {"kind": QUERY_KIND}, (item,))
 
 
 # (verdict, expect) -> (lenient exit code, strict exit code)
@@ -176,9 +178,37 @@ def test_exit_code_nothing_to_decide_and_pinned_incompleteness():
     assert exit_code([query(UNKNOWN, "unknown")], strict=True) == 0
     assert exit_code([query(PROVED, "unknown")]) == 1
     # A file-level load error is an error too.
-    broken = QueryProofResult("x.json", "with-complement", (), error="io")
+    broken = FileResult("x.json", {"kind": QUERY_KIND}, error="io")
     assert exit_code([broken]) == 2
     assert exit_code([]) == 0
+
+
+# ----------------------------------------------------------------------
+# Never PROVED on a certificate that fails its own check
+# ----------------------------------------------------------------------
+
+#: Each prover with the module-level validator its PROVED verdicts pass.
+SELF_CHECKS = {
+    "prove": (prover, "check_certificate", prove_target),
+    "prove-sharding": (
+        concurrency, "check_sharding_certificate", prove_sharding_target
+    ),
+    "prove-query": (
+        query_prover, "check_query_certificate", prove_queries_target
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SELF_CHECKS))
+def test_a_certificate_failing_its_own_check_is_unknown(command, monkeypatch):
+    module, validator, decide = SELF_CHECKS[command]
+    monkeypatch.setattr(module, validator, lambda catalog, certificate: ["planted"])
+    result = decide(load_target(str(SPEC_DIR / "figure1.json")))
+    assert result.verdicts
+    for item in result.verdicts:
+        assert (item.verdict, item.error) == (UNKNOWN, "planted")
+        assert item.certificate is None
+        assert "failed self-validation" in item.detail
 
 
 # ----------------------------------------------------------------------

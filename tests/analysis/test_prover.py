@@ -11,15 +11,16 @@ from repro.analysis.kernel import (
     PROVED,
     REFUTED,
     UNKNOWN,
+    FileResult,
+    Verdict,
+    decide_file,
     exit_code,
     render_text,
     report_document,
 )
 from repro.analysis.prover import (
-    ProofResult,
     build_certificate,
     check_certificate,
-    prove_file,
     prove_target,
 )
 from repro.analysis.dataflow import spec_read_sets
@@ -63,9 +64,15 @@ def write(tmp_path, data, name="spec.json"):
     return str(path)
 
 
+def decide(target, **options):
+    """The one verdict the independence prover reaches on ``target``."""
+    (verdict,) = prove_target(target, **options).verdicts
+    return verdict
+
+
 class TestProveTarget:
     def test_figure1_proved_with_certificate(self, tmp_path):
-        result = prove_target(load_target(write(tmp_path, FIGURE1_SPEC)))
+        result = decide(load_target(write(tmp_path, FIGURE1_SPEC)))
         assert result.verdict == PROVED
         assert result.ok
         assert result.certificate is not None
@@ -73,15 +80,15 @@ class TestProveTarget:
         assert set(result.certificate["inversion"]) == {"Sale", "Emp"}
 
     def test_views_only_replica_proved(self, tmp_path):
-        result = prove_target(load_target(write(tmp_path, REPLICA_SPEC)))
+        result = decide(load_target(write(tmp_path, REPLICA_SPEC)))
         assert result.verdict == PROVED
-        assert result.mode == "views-only"
+        assert result.facts["mode"] == "views-only"
         # Views-only inversions reference view names, never sources.
         refs = result.certificate["inversion"]["Emp"]["references"]
         assert refs == ["Staff"]
 
     def test_views_only_lossy_refuted_with_minimal_witness(self, tmp_path):
-        result = prove_target(load_target(write(tmp_path, LOSSY_SPEC)))
+        result = decide(load_target(write(tmp_path, LOSSY_SPEC)))
         assert result.verdict == REFUTED
         assert result.ok  # expectation is "refuted"
         assert result.witness is not None
@@ -96,7 +103,7 @@ class TestProveTarget:
             "views": [{"name": "V", "definition": "A minus B"}],
             "prover": {"expect": "refuted"},
         }
-        result = prove_target(load_target(write(tmp_path, spec)))
+        result = decide(load_target(write(tmp_path, spec)))
         assert result.verdict == REFUTED
 
     def test_unknown_when_search_exhausts_without_collision(self, tmp_path):
@@ -108,15 +115,15 @@ class TestProveTarget:
             "views": [{"name": "V", "definition": "sigma[x >= 0](A)"}],
             "prover": {"mode": "views-only"},
         }
-        result = prove_target(load_target(write(tmp_path, spec)))
+        result = decide(load_target(write(tmp_path, spec)))
         assert result.verdict == UNKNOWN
         assert "exhaustively" in result.detail
 
     def test_mode_override_wins(self, tmp_path):
-        result = prove_target(
+        result = decide(
             load_target(write(tmp_path, FIGURE1_SPEC)), mode="views-only"
         )
-        assert result.mode == "views-only"
+        assert result.facts["mode"] == "views-only"
         assert result.verdict == REFUTED  # the join view alone is lossy
 
 
@@ -189,10 +196,9 @@ class TestCertificates:
 
 class TestExitCodes:
     def _result(self, verdict, expect="proved", error=None):
-        return ProofResult(
-            "x.json", verdict, "with-complement", "thm22", "d",
-            expect=expect, error=error,
-        )
+        facts = {"mode": "with-complement", "method": "thm22"}
+        item = Verdict("x.json", verdict, "d", expect, facts, error=error)
+        return FileResult("x.json", verdicts=(item,))
 
     def test_all_expectations_met(self):
         results = [self._result(PROVED), self._result(REFUTED, expect="refuted")]
@@ -217,15 +223,15 @@ class TestExitCodes:
 class TestRendering:
     def test_text_summary_counts_verdicts(self, tmp_path):
         results = [
-            prove_file(write(tmp_path, FIGURE1_SPEC, "a.json")),
-            prove_file(write(tmp_path, LOSSY_SPEC, "b.json")),
+            decide_file(write(tmp_path, FIGURE1_SPEC, "a.json"), prove_target),
+            decide_file(write(tmp_path, LOSSY_SPEC, "b.json"), prove_target),
         ]
         text = render_text(results)
         assert "OK: 2 file(s), 1 proved, 1 refuted, 0 unknown" in text
         assert "<- differs" in text  # the witness is printed inline
 
     def test_json_document_shape(self, tmp_path):
-        results = [prove_file(write(tmp_path, FIGURE1_SPEC))]
+        results = [decide_file(write(tmp_path, FIGURE1_SPEC), prove_target)]
         document = report_document(results)
         assert document["ok"] is True
         assert document["summary"]["proved"] == 1

@@ -10,19 +10,21 @@ from repro import Catalog, parse
 from repro.__main__ import main
 from repro.analysis.kernel import (
     PROVED,
+    QUERY_KIND,
     REFUTED,
     UNKNOWN,
+    FileResult,
+    Verdict,
     Witness,
+    decide_file,
     exit_code,
     shrink,
 )
 from repro.analysis.query import (
     DEFAULT_ROW_ESTIMATE,
-    QueryProofResult,
-    QueryVerdict,
     check_query_certificate,
     estimate_cost,
-    prove_queries_file,
+    prove_queries_target,
     search_query_counterexample,
     verify_query_witness,
 )
@@ -48,6 +50,10 @@ def write(tmp_path, data, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def prove_spec_file(path):
+    return decide_file(path, prove_queries_target, QUERY_KIND)
 
 
 def with_queries(base, items, **options):
@@ -185,7 +191,8 @@ class TestWitnessSearch:
         witness = search_query_counterexample(catalog, definitions, query).witness
         tampered = witness._replace(right=dict(witness.left))
         assert verify_query_witness(catalog, definitions, query, tampered)
-        tampered = witness._replace(left_answer=witness.right_answer)
+        answers = witness.answers._replace(left=witness.answers.right)
+        tampered = witness._replace(answers=answers)
         assert verify_query_witness(catalog, definitions, query, tampered)
 
     def test_determined_view_query_finds_no_witness(self):
@@ -210,51 +217,51 @@ class TestDecisionProcedure:
             INVERTIBLE_SPEC,
             [{"query": "pi[age](sigma[item = 'TV'](Sale) join Emp)"}],
         )
-        result = prove_queries_file(write(tmp_path, spec))
-        (verdict,) = result.queries
+        result = prove_spec_file(write(tmp_path, spec))
+        (verdict,) = result.verdicts
         assert verdict.verdict == PROVED
-        assert verdict.method == "inversion"
+        assert verdict.facts["method"] == "inversion"
         assert verdict.ok
         assert "inversions" in verdict.certificate
-        assert result.translation_digest is not None
+        assert result.facts["translation_digest"] is not None
 
     def test_lossy_view_instance_proves_by_fold(self, tmp_path):
         spec = with_queries(
             LOSSY_SPEC, [{"query": "pi[clerk](Sale)", "expect": "proved"}]
         )
-        result = prove_queries_file(write(tmp_path, spec))
-        (verdict,) = result.queries
+        result = prove_spec_file(write(tmp_path, spec))
+        (verdict,) = result.verdicts
         assert verdict.verdict == PROVED
-        assert verdict.method == "view-fold"
+        assert verdict.facts["method"] == "view-fold"
         assert verdict.certificate["folds"] == {"Clerks": "pi[clerk](Sale)"}
         assert verdict.certificate["read_set"] == ["Clerks"]
 
     def test_lossy_identity_is_refuted_with_witness(self, tmp_path):
         spec = with_queries(LOSSY_SPEC, [{"query": "Sale", "expect": "refuted"}])
-        result = prove_queries_file(write(tmp_path, spec))
-        (verdict,) = result.queries
+        result = prove_spec_file(write(tmp_path, spec))
+        (verdict,) = result.verdicts
         assert verdict.verdict == REFUTED
-        assert verdict.method == "search"
+        assert verdict.facts["method"] == "search"
         assert verdict.witness is not None
         assert verdict.certificate is None
 
     def test_undeclared_relation_is_an_error(self, tmp_path):
         spec = with_queries(INVERTIBLE_SPEC, [{"query": "Sale join Ghost"}])
-        result = prove_queries_file(write(tmp_path, spec))
-        (verdict,) = result.queries
+        result = prove_spec_file(write(tmp_path, spec))
+        (verdict,) = result.verdicts
         assert verdict.verdict == UNKNOWN
         assert verdict.error is not None
         assert not verdict.ok
 
     def test_default_queries_are_per_relation_identities(self, tmp_path):
-        result = prove_queries_file(write(tmp_path, INVERTIBLE_SPEC))
-        assert sorted(v.name for v in result.queries) == ["Emp", "Sale"]
-        assert all(v.verdict == PROVED for v in result.queries)
+        result = prove_spec_file(write(tmp_path, INVERTIBLE_SPEC))
+        assert sorted(v.subject for v in result.verdicts) == ["Emp", "Sale"]
+        assert all(v.verdict == PROVED for v in result.verdicts)
 
     def test_load_failure_becomes_error_result(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        result = prove_queries_file(str(path))
+        result = prove_spec_file(str(path))
         assert result.error is not None
         assert not result.ok
 
@@ -263,8 +270,8 @@ class TestCertificateChecking:
     def proved_certificate(self, tmp_path):
         spec = with_queries(INVERTIBLE_SPEC, [{"query": "pi[age](Emp)"}])
         path = write(tmp_path, spec)
-        result = prove_queries_file(path)
-        (verdict,) = result.queries
+        result = prove_spec_file(path)
+        (verdict,) = result.verdicts
         assert verdict.verdict == PROVED
         return load_target(path).catalog, verdict.certificate
 
@@ -311,16 +318,9 @@ class TestCertificateChecking:
 
 
 def result_with(verdict, expect, error=None):
-    return QueryProofResult(
-        "spec.json",
-        "with-complement",
-        (
-            QueryVerdict(
-                "q", "Sale", verdict, "search", "detail",
-                expect=expect, error=error,
-            ),
-        ),
-    )
+    facts = {"name": "q", "query": "Sale", "method": "search"}
+    item = Verdict("q", verdict, "detail", expect, facts, error=error)
+    return FileResult("spec.json", {"kind": QUERY_KIND}, (item,))
 
 
 class TestExitCodeSemantics:
@@ -347,7 +347,7 @@ class TestExitCodeSemantics:
 
     def test_errors_exit_two(self):
         assert exit_code([result_with(UNKNOWN, "proved", error="boom")]) == 2
-        broken = QueryProofResult("spec.json", "with-complement", (), error="io")
+        broken = FileResult("spec.json", {"kind": QUERY_KIND}, error="io")
         assert exit_code([broken]) == 2
 
 

@@ -25,7 +25,7 @@ INIT = {
 
 
 def certificate_for(catalog):
-    return prove_sharding_target(
+    (verdict,) = prove_sharding_target(
         LintTarget(
             "spec.json",
             catalog,
@@ -36,7 +36,8 @@ def certificate_for(catalog):
                 expect="proved",
             ),
         )
-    )
+    ).verdicts
+    return verdict
 
 
 def make_sharded(catalog):
