@@ -24,8 +24,7 @@ MODULES = [
     "repro.analysis.specfile", "repro.analysis.report",
     "repro.analysis.dataflow", "repro.analysis.digest",
     "repro.analysis.kernel", "repro.analysis.prover",
-    "repro.analysis.concurrency", "repro.analysis.concurrency_lint",
-    "repro.analysis.races",
+    "repro.analysis.concurrency",
     "repro.analysis.query", "repro.analysis.query_lint",
     "repro.core.covers", "repro.core.complement", "repro.core.independence",
     "repro.core.translation", "repro.core.maintenance", "repro.core.warehouse",

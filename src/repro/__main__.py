@@ -33,9 +33,7 @@ Commands
       co-partitioned groups, per-update-shape footprints and batch
       commutativity (hashed like the spec certificate of ``compile``);
       the witness is an interleaving that diverges, or a source state
-      whose global image no shard assembly rebuilds. The W01xx
-      concurrency lint over the runtime sources rides along (exit 1
-      when it finds errors; ``--no-lint`` skips it).
+      whose global image no shard assembly rebuilds.
     * ``prove-query`` — the ``"queries"`` section (or synthesized
       identity queries): the rewritten ``Q ∘ W^{-1}``, the inversions or
       view folds it leans on, a static read set with zero source
@@ -199,12 +197,6 @@ _PROVERS = {
         ".sharding.json",
         "statically prove or refute sharded-layout soundness "
         "(docs/integrator.md)",
-        {
-            "--no-lint": dict(
-                action="store_true",
-                help="skip the W01xx concurrency lint over the runtime sources",
-            )
-        },
     ),
     "prove-query": _Prover(
         prove_queries_target,
@@ -217,9 +209,6 @@ _PROVERS = {
 
 
 def _cmd_prove(args) -> int:
-    from repro.analysis.concurrency_lint import lint_concurrency
-    from repro.analysis.diagnostics import has_errors, sort_diagnostics
-
     prover = _PROVERS[args.command]
     options = {"method": args.method}
     if "--max-model-size" in prover.flags:
@@ -228,11 +217,6 @@ def _cmd_prove(args) -> int:
         kernel.decide_file(path, prover.decide, prover.kind, **options)
         for path in args.files
     ]
-    # prove-sharding's rider: the W01xx lint over the runtime sources
-    # (findings stay None for the commands that have no such rider).
-    findings = None
-    if "--no-lint" in prover.flags:
-        findings = [] if args.no_lint else sort_diagnostics(lint_concurrency())
     if args.certificates:
         try:
             kernel.write_documents(results, args.certificates, prover.suffix)
@@ -241,23 +225,10 @@ def _cmd_prove(args) -> int:
             return 2
     if args.format == "json":
         document = kernel.report_document(results, strict=args.strict)
-        if findings is not None:
-            document["lint"] = [d.to_dict() for d in findings]
-            document["ok"] = document["ok"] and not has_errors(findings)
         print(kernel.document_json(document))
     else:
         print(kernel.render_text(results, strict=args.strict))
-        if findings:
-            print()
-            print("concurrency lint (W01xx):")
-            for diagnostic in findings:
-                print("  " + diagnostic.render())
-        elif findings is not None and not args.no_lint:
-            print("concurrency lint (W01xx): clean")
-    code = kernel.exit_code(results, strict=args.strict)
-    if code == 0 and findings and has_errors(findings):
-        code = 1
-    return code
+    return kernel.exit_code(results, strict=args.strict)
 
 
 def _cmd_compile(args) -> int:

@@ -30,8 +30,9 @@ decides those preconditions *statically*, before any data flows:
   ``W02xx`` lint checks in :mod:`~repro.analysis.query_lint`.
 
 ``REPRO_CHECK_INVARIANTS=1`` arms the read-set sanitizer over refreshes
-and answers (:func:`check_reads`) and the shard race tracker
-(:mod:`~repro.analysis.races`) together.
+and answers (:func:`check_reads`). The sharded runtime's lock and commit
+protocol is checked by exploring its interleavings
+(``tests/integrator/explore.py``), not at runtime.
 
 The diagnostic catalog is documented in ``docs/lint.md``; every code has a
 stable meaning, a paper reference, and a triggering test.

@@ -39,9 +39,7 @@ certificates hashed with the same canonical digest as the PR-7 plan cache
   dataflow (:mod:`repro.analysis.dataflow`) from source *reads* to
   warehouse *writes*: which stored relations each update shape's
   maintenance plan can change, and whether the shape routes to a single
-  shard or broadcasts. :func:`write_footprint` is the per-refresh form the
-  ``REPRO_CHECK_INVARIANTS=1`` sanitizer (:mod:`repro.analysis.races`)
-  cross-checks at runtime.
+  shard or broadcasts.
 
 Certificates hash with :func:`repro.analysis.digest.canonical_digest`, like
 the spec certificate of :func:`repro.compiler.certificate.certify`;
@@ -430,9 +428,7 @@ class ShapeFootprint(NamedTuple):
     ``routed`` — whether the shape's deltas route to a single shard (its
     relation is partitioned) or broadcast to all shards; ``reads`` /
     ``writes`` — the warehouse relations the shape's maintenance plan
-    references / can change. The runtime sanitizer
-    (:mod:`repro.analysis.races`) checks actual refresh writes against
-    ``writes``.
+    references / can change.
     """
 
     shape: UpdateShape
@@ -487,19 +483,6 @@ def shape_footprints(
                 )
             )
     return tuple(out)
-
-
-def write_footprint(spec: WarehouseSpec, updated: Iterable[str]) -> FrozenSet[str]:
-    """The warehouse relations a refresh for ``updated`` can change.
-
-    The static over-approximation the race tracker (armed by
-    ``REPRO_CHECK_INVARIANTS=1``) compares actual per-shard refresh writes
-    against: a warehouse relation
-    is in the footprint iff its maintenance delta for this update-relation
-    set is not statically empty.
-    """
-    _, writes = _plan_writes(spec, sorted(set(updated)))
-    return frozenset(writes)
 
 
 # ----------------------------------------------------------------------

@@ -23,11 +23,6 @@ Code ranges
     Complement quality (provable emptiness, minimality certificates).
 ``W005x``
     View-set hygiene (duplicates, shadowing, equivalent definitions).
-``W01xx``
-    Concurrency protocol defects in the integrator/sharding runtime
-    sources, found by the AST lint in
-    :mod:`repro.analysis.concurrency_lint` (commit atomicity, lock order,
-    lock-scoped mutation).
 ``W02xx``
     Query-translation defects in a spec file's declared queries, found by
     :mod:`repro.analysis.query_lint` (undeclared relations, translations
@@ -224,24 +219,6 @@ CATALOG: Dict[str, CodeInfo] = {
         Severity.ERROR,
         "Section 3: query translation substitutes base relation names; "
         "shadowing makes W^{-1} ambiguous",
-    ),
-    "W0101": CodeInfo(
-        "suspension point inside a commit block",
-        Severity.ERROR,
-        "MVCC publication: a commit must capture every touched shard's "
-        "state in one synchronous block, or readers observe torn batches",
-    ),
-    "W0102": CodeInfo(
-        "shard locks not provably acquired in sorted order",
-        Severity.ERROR,
-        "Deadlock freedom: concurrent workers acquiring shard locks in "
-        "different orders can deadlock the integrator",
-    ),
-    "W0103": CodeInfo(
-        "shared warehouse state mutated outside a lock scope",
-        Severity.ERROR,
-        "Batch commutativity (prove-sharding) is only sound when refreshes "
-        "and commits happen under the touched shards' locks",
     ),
     # -- W02xx: query translation (prove-query) ------------------------
     "W0201": CodeInfo(

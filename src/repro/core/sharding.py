@@ -27,30 +27,24 @@ the routings are **co-partitioned** (equal values land on the same shard —
 :meth:`repro.core.routing.ShardRouting.compatible_with`); anything else
 raises at construction with the prover's reasoned refusal.
 
-Under ``REPRO_CHECK_INVARIANTS=1``, which also arms every shard's read-set
-sanitizers, a :class:`repro.analysis.races.RaceTracker` cross-checks the
-refresh protocol at runtime: shard locks acquired in ascending order, no
-overlapping uncommitted refreshes on a shard, and every refresh's writes
-inside the statically derived footprint
-(:func:`repro.analysis.concurrency.write_footprint`).
-
 Commits are MVCC-style: each shard refresh swaps that shard's immutable
 state mapping, and :meth:`ShardedWarehouse.commit` publishes the batch by
 capturing the touched shards' state references in one synchronous block —
 readers resolving :meth:`ShardedWarehouse.snapshot` therefore never observe
 a half-applied batch, and a reader holding a snapshot keeps a consistent
 image while any number of later commits land (see
-:mod:`repro.storage.snapshot`). Every commit is appended to
-:attr:`ShardedWarehouse.commit_log`, which is the replay script the
-concurrency correctness harness feeds back through a synchronous reference
-integrator (``tests/integrator/test_async_integrator.py``).
+:mod:`repro.storage.snapshot`). A batch that raises on one shard is undone on
+the shards it already refreshed (:meth:`ShardedWarehouse.rollback`), so it
+publishes nothing. Every commit is appended to
+:attr:`ShardedWarehouse.commit_log`, the replay script that the seeded
+interleaving explorer (``tests/integrator/explore.py``) feeds back through
+an unsharded reference warehouse after every schedule it runs.
 """
 
 from __future__ import annotations
 
 from typing import (
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -62,10 +56,10 @@ from typing import (
 )
 
 from repro.errors import WarehouseError
+from repro.algebra.evaluator import evaluate
 from repro.obs.metrics import MetricsRegistry
 from repro.schema.catalog import Catalog
 from repro.storage.database import Database
-from repro.storage.engine import sanitizer_enabled
 from repro.storage.relation import Relation
 from repro.storage.update import Delta, Update
 from repro.views.psj import View
@@ -75,9 +69,7 @@ from repro.analysis.concurrency import (
     ASSEMBLE_UNION,
     AssemblyReport,
     classify_assembly,
-    write_footprint,
 )
-from repro.analysis.races import RaceTracker
 from repro.core.complement import WarehouseSpec, specify
 from repro.core.routing import ShardRouting, _stable_hash  # noqa: F401 — re-export
 from repro.core.warehouse import StateLike, Warehouse
@@ -386,10 +378,6 @@ class ShardedWarehouse:
         # updates keep all their replicas identical.
         self._report: AssemblyReport = self._validate_routings()
         self._assembly: Dict[str, str] = dict(self._report.assembly)
-        self._race_tracker: Optional[RaceTracker] = (
-            RaceTracker(router.shards) if sanitizer_enabled() else None
-        )
-        self._footprints: Dict[FrozenSet[str], FrozenSet[str]] = {}
         self.shards: Tuple[Warehouse, ...] = tuple(
             Warehouse(spec, engine=engine) for _ in range(router.shards)
         )
@@ -508,12 +496,16 @@ class ShardedWarehouse:
         return sum(shard.storage_rows() for shard in self.shards)
 
     def reconstruct(self, relation: str) -> Relation:
-        """Recompute one base relation via Equation (4), across shards."""
-        if self.router.is_routed(relation):
-            return _union_all(
-                [shard.reconstruct(relation) for shard in self.shards]
-            )
-        return self.shards[0].reconstruct(relation)
+        """Recompute one base relation via Equation (4), across shards.
+
+        Like :meth:`answer`, it reads the newest committed snapshot: a
+        shard's live state may hold a refresh whose batch has not
+        committed yet.
+        """
+        return evaluate(
+            self.spec.inverse_for(relation), self.snapshot().state(),
+            engine=self.shards[0].engine,
+        )
 
     def answer(self, query) -> Relation:
         """Answer a source query from the newest committed snapshot.
@@ -532,41 +524,14 @@ class ShardedWarehouse:
         """Route an update: non-empty per-shard parts keyed by shard index."""
         return self.router.split_update(update)
 
-    def _write_footprint(self, update: Update) -> FrozenSet[str]:
-        """The static write footprint of one update part (memoized by shape)."""
-        updated = frozenset(delta.relation for delta in update)
-        cached = self._footprints.get(updated)
-        if cached is None:
-            cached = write_footprint(self.spec, updated)
-            self._footprints[updated] = cached
-        return cached
-
     def apply_to_shard(self, index: int, update: Update) -> Dict[str, Delta]:
         """Refresh one shard with its part of a batch (no publication).
 
         The shard's state swap is locally atomic, but readers keep seeing
         the previous *committed* snapshot until :meth:`commit` publishes
         the whole batch — this is what keeps multi-shard batches untorn.
-        Under ``REPRO_CHECK_INVARIANTS=1`` the refresh is bracketed by the
-        race tracker: an uncommitted refresh by another worker on this
-        shard, or a write outside the static footprint, fails loudly.
         """
-        tracker = self._race_tracker
-        footprint: FrozenSet[str] = frozenset()
-        if tracker is not None:
-            footprint = self._write_footprint(update)
-            tracker.begin_refresh(index, footprint)
         applied = self.shards[index].apply(update)
-        if tracker is not None:
-            tracker.check_written(
-                index,
-                footprint,
-                [
-                    name
-                    for name, delta in applied.items()
-                    if len(delta.inserts) or len(delta.deletes)
-                ],
-            )
         metrics = self._metrics
         metrics.counter(f"warehouse.shard_refreshes.{index}").inc()
         rows = sum(len(d.inserts) + len(d.deletes) for d in applied.values())
@@ -593,10 +558,21 @@ class ShardedWarehouse:
         self._snapshot = None
         if update is not None:
             self._commit_log.append(CommitRecord(self._version, update, touched))
-        if self._race_tracker is not None:
-            self._race_tracker.end_commit(touched)
         self._metrics.counter("warehouse.commits").inc()
         return self._version
+
+    def rollback(self, shard_indices: Iterable[int]) -> None:
+        """Return shards to their committed state, dropping uncommitted refreshes.
+
+        A batch that raises on shard *k* has already refreshed the shards
+        before *k*; without this, the next commit touching them would
+        publish those changes under a log record that does not name them.
+        """
+        for index in shard_indices:
+            committed = self._committed[index]
+            shard = self.shards[index]
+            if committed is not None and shard.state is not committed:
+                shard._commit(committed)
 
     def apply(self, update: Update) -> Dict[str, Delta]:
         """Split, refresh every affected shard, and commit — synchronously.
@@ -611,17 +587,21 @@ class ShardedWarehouse:
         if not parts:
             return {}
         merged: Dict[str, Delta] = {}
-        for index in sorted(parts):
-            for name, delta in self.apply_to_shard(index, parts[index]).items():
-                existing = merged.get(name)
-                if existing is None or name not in self._assembly:
-                    merged[name] = delta
-                else:
-                    merged[name] = Delta(
-                        name,
-                        inserts=existing.inserts.union(delta.inserts),
-                        deletes=existing.deletes.union(delta.deletes),
-                    )
+        try:
+            for index in sorted(parts):
+                for name, delta in self.apply_to_shard(index, parts[index]).items():
+                    existing = merged.get(name)
+                    if existing is None or name not in self._assembly:
+                        merged[name] = delta
+                    else:
+                        merged[name] = Delta(
+                            name,
+                            inserts=existing.inserts.union(delta.inserts),
+                            deletes=existing.deletes.union(delta.deletes),
+                        )
+        except BaseException:
+            self.rollback(parts)
+            raise
         self.commit(parts, update)
         return merged
 
@@ -664,11 +644,6 @@ class ShardedWarehouse:
     def co_partitioned(self) -> Tuple[Tuple[str, ...], ...]:
         """Groups of routed relations admitted via co-partitioning."""
         return self._report.co_partitioned
-
-    @property
-    def race_tracker(self) -> Optional[RaceTracker]:
-        """The ``REPRO_CHECK_INVARIANTS=1`` tracker (``None`` when disabled)."""
-        return self._race_tracker
 
     def require_commutativity(self, certificate: Mapping[str, object]) -> None:
         """Refuse a sharding certificate that refutes batch commutativity.

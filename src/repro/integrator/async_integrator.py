@@ -29,9 +29,10 @@ self-contained (warehouse relations + the notification, no source reads),
 so delivery lag cannot poison a refresh; different sources own disjoint
 relations, so their net batches commute and any interleaving the locks
 admit serializes to the commit-log order; and the commit protocol never
-exposes a half-applied multi-shard batch. The harness in
-``tests/integrator/test_async_integrator.py`` checks exactly this by
-replaying the commit log through a synchronous reference warehouse.
+exposes a half-applied multi-shard batch. The seeded interleaving explorer
+(``tests/integrator/explore.py``) checks exactly this, schedule by
+schedule, by replaying the commit log through a synchronous reference
+warehouse.
 """
 
 from __future__ import annotations
@@ -362,7 +363,11 @@ class AsyncConcurrentIntegrator:
         await self.process_batch((notification,))
 
     async def process_batch(self, notifications: Sequence[Notification]) -> int:
-        """Fold a batch as one net update under the touched shards' locks."""
+        """Fold a batch as one net update under the touched shards' locks.
+
+        A batch that raises is rolled back on the shards it already
+        refreshed (:meth:`ShardedWarehouse.rollback`): it publishes nothing.
+        """
         notifications = list(notifications)
         if not notifications:
             return 0
@@ -379,14 +384,8 @@ class AsyncConcurrentIntegrator:
         if parts:
             indices = sorted(parts)
             locks = self._shard_locks()
-            # Under REPRO_CHECK_INVARIANTS=1 the tracker verifies the protocol
-            # the W01xx lint states statically: ascending lock order, no
-            # overlapping uncommitted refreshes, commit inside the locks.
-            tracker = self.warehouse.race_tracker
             for index in indices:
                 await locks[index].acquire()
-                if tracker is not None:
-                    tracker.note_acquire(index)
             try:
                 for index in indices:
                     self.warehouse.apply_to_shard(index, parts[index])
@@ -395,11 +394,12 @@ class AsyncConcurrentIntegrator:
                     # what the commit protocol must tolerate.
                     await asyncio.sleep(0)
                 self.warehouse.commit(indices, net)
+            except BaseException:
+                self.warehouse.rollback(indices)
+                raise
             finally:
                 for index in indices:
                     locks[index].release()
-                    if tracker is not None:
-                        tracker.note_release(index)
         self._processed += len(notifications)
         metrics.counter("integrator.notifications").inc(len(notifications))
         for notification in notifications:

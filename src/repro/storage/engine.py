@@ -14,9 +14,9 @@ program reads:
   flip the process default monkeypatch :data:`DEFAULT_ENGINE`.
 * ``REPRO_CHECK_INVARIANTS`` — arms every runtime sanitizer of
   :mod:`repro.analysis` (:func:`sanitizer_enabled`): refresh read sets,
-  answer read sets and the shard race tracker. Each asks whether a run
-  stayed inside its statically derived footprint. Read once per
-  warehouse construction.
+  answer read sets and, on a thm22 spec, the key check. Each asks
+  whether a run stayed inside what the static analysis assumed. Read
+  once per warehouse construction.
 
 Neither is ever read on the evaluator hot path (``scripts/check_hotpath.py``
 rule R5).

@@ -95,7 +95,6 @@ class TestJsonFormat:
         assert result["verdict"] == "PROVED"
         assert "digest" in result
         assert result["certificate"]["shards"] == 2
-        assert document["lint"] == []
 
     def test_json_refuted_carries_witness(self, tmp_path, capsys):
         path = write(tmp_path, REFUTED_SPEC)
@@ -128,15 +127,3 @@ class TestCertificatesFlag:
         assert proved_doc["verdict"] == "PROVED"
         assert refuted_doc["verdict"] == "REFUTED"
 
-
-class TestLintIntegration:
-    def test_lint_rides_along_and_reports_clean(self, tmp_path, capsys):
-        assert main(["prove-sharding", write(tmp_path, PROVED_SPEC)]) == 0
-        assert "W01xx" in capsys.readouterr().out
-
-    def test_no_lint_suppresses_it(self, tmp_path, capsys):
-        assert (
-            main(["prove-sharding", write(tmp_path, PROVED_SPEC), "--no-lint"])
-            == 0
-        )
-        assert "W01xx" not in capsys.readouterr().out

@@ -29,8 +29,8 @@ from repro.analysis.concurrency import (
     search_sharding_counterexample,
     shape_footprints,
     verify_sharding_witness,
-    write_footprint,
 )
+from repro.analysis.dataflow import UpdateShape
 from repro.analysis.digest import canonical_digest
 from repro.analysis.kernel import (
     PROVED,
@@ -45,6 +45,13 @@ from repro.analysis.kernel import (
 from repro.analysis.specfile import LintTarget, RoutingSpec, ShardingOptions
 from repro.core.complement import specify
 from repro.core.routing import ShardRouting
+from repro.core.warehouse import Warehouse
+from repro.workloads.generator import (
+    random_catalog,
+    random_database,
+    random_update_stream,
+    random_views,
+)
 
 
 def sale_emp_catalog() -> Catalog:
@@ -189,12 +196,20 @@ class TestFootprints:
         assert by_relation["Sale"] is True
         assert by_relation["Emp"] is False
 
-    def test_write_footprint_covers_actual_refresh_writes(self):
-        catalog = sale_emp_catalog()
-        spec = specify(catalog, [View("Sold", parse("Sale join Emp"))])
-        writes = write_footprint(spec, ["Sale"])
-        assert "Sold" in writes
-        assert write_footprint(spec, []) == frozenset()
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shape_writes_cover_actual_refresh_writes(self, seed):
+        # Every relation a refresh of one shape changes is in its writes.
+        catalog = random_catalog(seed)
+        database = random_database(seed, catalog, rows_per_relation=10)
+        warehouse = Warehouse.specify(catalog, random_views(seed, catalog))
+        warehouse.initialize(database)
+        footprints = shape_footprints(warehouse.spec, {})
+        writes = {fp.shape: set(fp.writes) for fp in footprints}
+        for update in random_update_stream(seed, database, n_updates=12):
+            (delta,) = update
+            shape = UpdateShape(delta.relation, "insert" if delta.inserts else "delete")
+            applied = warehouse.apply(update)
+            assert {n for n, d in applied.items() if d.inserts or d.deletes} <= writes[shape]
 
 
 class TestCommutativity:

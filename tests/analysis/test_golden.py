@@ -62,13 +62,7 @@ def test_every_wxxxx_code_has_a_fixture():
     from repro.analysis import CATALOG
 
     covered = {expected_code(stem) for stem in FIXTURES}
-    # W01xx diagnostics lint Python source (the concurrency protocol), not
-    # spec files; their trigger samples live in test_concurrency_lint.py.
-    lint_codes = {
-        code
-        for code in CATALOG
-        if code.startswith("W") and not code.startswith("W01")
-    }
+    lint_codes = {code for code in CATALOG if code.startswith("W")}
     assert lint_codes <= covered
 
 

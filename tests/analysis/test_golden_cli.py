@@ -1,7 +1,7 @@
 """Golden stdout of the three prover commands over the example specs.
 
 ``golden/cli/<command>.<txt|json>`` pins what ``python -m repro prove``,
-``prove-sharding --no-lint`` and ``prove-query`` print, in both formats,
+``prove-sharding`` and ``prove-query`` print, in both formats,
 over every ``examples/specs/*.json`` — the verdict lines, the witnesses
 printed under them, the summary line and the JSON report. The certificate
 goldens pin the files ``--certificates`` writes; these pin the terminal.
@@ -26,20 +26,12 @@ SPECS = sorted(
     for path in (REPO / "examples" / "specs").glob("*.json")
 )
 
-#: Each prover command with the flags it runs under here.
-COMMANDS = {
-    "prove": [],
-    "prove-sharding": ["--no-lint"],
-    "prove-query": [],
-}
-
-
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("command", ["prove", "prove-query", "prove-sharding"])
 def test_stdout_matches_golden(command, fmt, capsys, monkeypatch):
     # Specs are passed repo-relative, as the CI steps pass them.
     monkeypatch.chdir(REPO)
-    assert main([command, "--format", fmt, *COMMANDS[command], *SPECS]) == 0
+    assert main([command, "--format", fmt, *SPECS]) == 0
     rendered = capsys.readouterr().out
     golden = GOLDEN_DIR / f"{command}.{'txt' if fmt == 'text' else 'json'}"
     if os.environ.get("REGEN_GOLDEN"):

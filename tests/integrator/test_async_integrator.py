@@ -423,58 +423,6 @@ class TestConcurrentIntegrator:
         assert ("TV", "Zoe", 40) in naive.relation("Sold")  # diverged
 
 
-class TestInterleavingSweep:
-    """Vary producer pacing to explore many interleavings deterministically.
-
-    asyncio scheduling is a pure function of the program, so each pacing
-    pattern is one reproducible adversarial schedule; across patterns the
-    workers' lock acquisition, mid-batch suspension points, and commits
-    interleave differently. Every schedule must replay exactly.
-    """
-
-    @pytest.mark.parametrize("pacing", [(0, 0), (1, 0), (0, 2), (3, 1)])
-    def test_every_schedule_replays_exactly(self, catalog, pacing):
-        sales_yields, company_yields = pacing
-
-        async def scenario():
-            sales, company = make_async_pipeline(catalog, capacity=2)
-            integrator = AsyncConcurrentIntegrator(
-                catalog,
-                VIEWS,
-                routings=[ShardRouting("Sale", "item", boundaries=["M"])],
-            )
-            integrator.initialize([sales, company])
-
-            async def sales_script():
-                for k in range(8):
-                    await sales.insert_async("Sale", [(f"i{k}", "Ann")])
-                    for _ in range(sales_yields):
-                        await asyncio.sleep(0)
-                await sales.delete_async("Sale", [("i3", "Ann")])
-                sales.channel.close()
-
-            async def company_script():
-                await company.insert_async("Emp", [("Zoe", 40)])
-                for _ in range(company_yields):
-                    await asyncio.sleep(0)
-                await company.delete_async("Emp", [("Zoe", 40)])
-                company.channel.close()
-
-            await asyncio.gather(
-                sales_script(), company_script(), integrator.run()
-            )
-            return sales, company, integrator
-
-        sales, company, integrator = asyncio.run(scenario())
-        live = {
-            "Sale": sales.relation("Sale"),
-            "Emp": company.relation("Emp"),
-        }
-        assert integrator.relation("Sold") == evaluate(VIEWS[0].definition, live)
-        states = reference_replay(catalog, integrator.warehouse.commit_log)
-        assert states[integrator.warehouse.version] == integrator.warehouse.state()
-
-
 class TestCoPartitionedConcurrent:
     """E16 oracle gate for the co-partitioning admission.
 

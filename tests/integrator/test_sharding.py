@@ -423,6 +423,7 @@ class TestMVCCCommits:
             sharded.apply_to_shard(index, parts[index])
             # Shard state moved, but nothing is published yet.
             assert sharded.relation("Sold") == before
+            assert sharded.reconstruct("Sale") == INIT["Sale"]
         sharded.commit(parts, update)
         assert ("Amp", "Bob", 44) in sharded.relation("Sold")
 
@@ -432,6 +433,25 @@ class TestMVCCCommits:
         )
         for update in TestShardedWarehouseEquivalence.OPS:
             sharded.apply(update)
+        replay = Warehouse(specify(catalog, VIEWS))
+        replay.initialize(INIT)
+        for record in sharded.commit_log:
+            replay.apply(record.update)
+        assert replay.state == sharded.state()
+
+    def test_batch_rejected_on_one_shard_publishes_nothing(
+        self, catalog, monkeypatch
+    ):
+        # Shard 1 refuses Mary's key-breaking row after shard 0 took Bob's.
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        sharded, _ = make_pair(
+            catalog, [ShardRouting("Emp", "clerk", boundaries=["M"])]
+        )
+        before = sharded.state()
+        with pytest.raises(WarehouseError, match="key sanitizer"):
+            sharded.insert("Emp", [("Bill", 40), ("Mary", 99)])
+        assert sharded.state() == before
+        sharded.insert("Sale", [("Amp", "Mary")])
         replay = Warehouse(specify(catalog, VIEWS))
         replay.initialize(INIT)
         for record in sharded.commit_log:

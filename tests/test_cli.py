@@ -129,8 +129,7 @@ class TestProveCertificates:
             path.write_text(json.dumps(self.SPEC))
             paths.append(str(path))
         out = tmp_path / "out"
-        skip_lint = ["--no-lint"] if command == "prove-sharding" else []
-        assert main([command, *paths, "--certificates", str(out), *skip_lint]) == 2
+        assert main([command, *paths, "--certificates", str(out)]) == 2
         err = capsys.readouterr().err
         assert paths[0] in err and paths[1] in err
         assert not out.exists()

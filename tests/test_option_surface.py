@@ -69,9 +69,9 @@ def test_specify_adds_the_complement_method_and_one_frozen_keyword():
 
 @pytest.mark.parametrize("armed", [True, False], ids=["armed", "unset"])
 def test_one_switch_arms_every_seam(armed, monkeypatch, poison_plan):
-    # REPRO_CHECK_INVARIANTS alone arms the shard race tracker, the refresh
-    # read-set check, the answer read-set check and the key check of a
-    # thm22 spec's shards; unset, none fires.
+    # REPRO_CHECK_INVARIANTS alone arms the refresh read-set check, the
+    # answer read-set check and the key check of a thm22 spec's shards;
+    # unset, none fires.
     if armed:
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
     else:
@@ -96,7 +96,6 @@ def test_one_switch_arms_every_seam(armed, monkeypatch, poison_plan):
         "Sale": Relation(("item", "clerk"), [("TV", "Mary")]),
         "Emp": Relation(("clerk", "age"), [("Mary", 23), ("Ann", 31)]),
     })
-    assert (warehouse.race_tracker is not None) == armed
     warehouse.insert("Sale", [("Radio", "Ann")])
     assert bool(refresh_checks) == armed
     poison_plan(warehouse.spec, "Emp", "pi[clerk](C_Sale)")
