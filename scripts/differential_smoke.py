@@ -8,8 +8,10 @@ Usage::
 
 Exit status 0 iff the four maintenance tracks (cached fast path, uncached
 evaluator, full recompute from sources, columnar engine) agree on every
-step. See
-``tests/differential/harness.py`` for the track definitions.
+step and the fast track took the evaluator's delta-driven restriction at
+least once (its count is printed: with none, the oracle would not be
+checking that path). See ``tests/differential/harness.py`` for the track
+definitions.
 
 ``--trace-out`` enables tracing on the fast track and streams every
 refresh's span tree to a JSONL file (summarize it with
@@ -61,7 +63,9 @@ def main(argv=None) -> int:
         print(f"fast-track traces written to {args.trace_out}")
     for disagreement in report.disagreements:
         print(f"  {disagreement}", file=sys.stderr)
-    return 0 if report.ok else 1
+    if not report.restrictions:
+        print("  the fast track never took delta-driven restriction", file=sys.stderr)
+    return 0 if report.ok and report.restrictions else 1
 
 
 if __name__ == "__main__":

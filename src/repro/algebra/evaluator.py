@@ -21,7 +21,13 @@ Beyond the per-call memo, two performance layers live here:
 * join *fast paths* — ``pi_Z(L join R)`` with ``Z`` inside one operand's
   schema evaluates as a semi-join (never materializing the wide join), and
   the complement shape ``R minus pi_{attr(R)}(R join S)`` of Proposition 2.2
-  evaluates as a hash anti-join without computing the join at all.
+  evaluates as a hash anti-join without computing the join at all;
+* *delta-driven restriction* — in a state binding delta relations
+  (``R__ins`` / ``R__del``), a join, semi-join or difference whose one
+  operand reads a delta and is small against the relations bound under
+  the other evaluates the other only at the delta's key values, pushed
+  down to the leaves' persistent join indexes (:func:`_against`). A state
+  binding no delta (an answer, a reconstruction) never takes it.
 
 :class:`EvalStats` counts what happened (nodes evaluated, cache hits and
 misses, rows joined, fast-path uses); the warehouse runtime and the
@@ -50,6 +56,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Mapping, NamedTuple, Opt
 from typing import Sequence, Tuple, Union as TypingUnion
 
 from repro.errors import EvaluationError
+from repro.algebra.deltas import DELETE_SUFFIX, INSERT_SUFFIX
 from repro.algebra.expressions import (
     Difference,
     Empty,
@@ -66,6 +73,11 @@ from repro.storage.engine import ENGINE_COLUMNAR, ENGINE_TUPLE, resolve_engine
 from repro.storage.relation import Relation
 
 State = Mapping[str, Relation]
+
+#: Delta-driven restriction's crossover: an operand is restricted to a delta
+#: operand's key values only when the delta operand's rows times this are at
+#: most the rows bound under the restricted operand (docs/fastpath.md).
+RESTRICTION_RATIO = 16
 
 
 class EvalStats:
@@ -84,6 +96,8 @@ class EvalStats:
     semijoin_fastpaths / antijoin_fastpaths:
         Uses of the ``pi``-over-join semi-join path and the complement-shape
         anti-join path.
+    restrictions:
+        Operands evaluated restricted to a delta operand's key values.
     """
 
     __slots__ = (
@@ -95,6 +109,7 @@ class EvalStats:
         "rows_joined",
         "semijoin_fastpaths",
         "antijoin_fastpaths",
+        "restrictions",
     )
 
     def __init__(self) -> None:
@@ -110,6 +125,7 @@ class EvalStats:
         self.rows_joined = 0
         self.semijoin_fastpaths = 0
         self.antijoin_fastpaths = 0
+        self.restrictions = 0
 
     def merge(self, other: "EvalStats") -> "EvalStats":
         """Add ``other``'s counters into this one (returns self)."""
@@ -301,7 +317,10 @@ _BACKENDS = {
 class _Context:
     """Per-call plumbing: backend, memo, optional cache, stats, flags."""
 
-    __slots__ = ("backend", "state", "memo", "cache", "stats", "fastpath", "tracer")
+    __slots__ = (
+        "backend", "state", "memo", "cache", "stats", "fastpath", "tracer",
+        "deltas", "shapes",
+    )
 
     def __init__(
         self,
@@ -322,6 +341,13 @@ class _Context:
         self.stats = EvalStats() if stats is None else stats
         self.fastpath = fastpath
         self.tracer = tracer
+        # The delta bindings seed restriction; with none bound (an answer,
+        # a reconstruction) the walk below is the plain one.
+        self.deltas = frozenset(
+            name for name in state if name.endswith((INSERT_SUFFIX, DELETE_SUFFIX))
+        ) if fastpath else frozenset()
+        # id(expression) -> (attribute set, relation names), per call.
+        self.shapes: Dict[int, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
 
 
 def evaluate(
@@ -355,9 +381,9 @@ def evaluate(
     stats:
         Optional :class:`EvalStats` to increment (shared across calls).
     fastpath:
-        Enable the semi-join / anti-join evaluation fast paths (on by
-        default; the differential oracle turns it off for its reference
-        tracks).
+        Enable the semi-join / anti-join evaluation fast paths and
+        delta-driven restriction (on by default; the differential oracle
+        turns it off for its reference tracks).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`. When given, every node
         actually computed opens a span annotated with operator kind and
@@ -562,24 +588,169 @@ def anti_join_partner(
     return None
 
 
+def _shape(expr: Expression, ctx: _Context) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    """``expr``'s attribute set and relation names, derived once per call."""
+    shape = ctx.shapes.get(id(expr))
+    if shape is None:
+        shape = ctx.shapes[id(expr)] = (
+            expr.attribute_set(_scope(ctx)), expr.relation_names()
+        )
+    return shape
+
+
+def _operands(left_expr: Expression, right_expr: Expression, ctx: _Context):
+    """Both operands of a join or semi-join, or ``None`` if one is empty.
+
+    The left goes first, and an empty left spares the right — unless only
+    the right reads a delta binding: it then goes first, so that it can
+    restrict the left (:func:`_against`).
+    """
+    deltas = ctx.deltas
+    if (
+        deltas
+        and deltas & _shape(right_expr, ctx)[1]
+        and not deltas & _shape(left_expr, ctx)[1]
+    ):
+        right = _eval(right_expr, ctx)
+        if not right:
+            return None
+        left = _against(left_expr, right_expr, right, ctx)
+        return (left, right) if left else None
+    left = _eval(left_expr, ctx)
+    if not left:
+        return None
+    right = _against(right_expr, left_expr, left, ctx)
+    return (left, right) if right else None
+
+
+def _against(expr: Expression, seed_expr: Expression, seed, ctx: _Context):
+    """``expr``, the operand that meets ``seed`` (``seed_expr``'s value) in a
+    join, a semi-join or a difference.
+
+    Delta-driven restriction: only the rows of ``expr`` that agree with
+    ``seed`` on their shared attributes can meet it, so when ``seed_expr``
+    reads a delta binding and ``seed`` has at most 1/``RESTRICTION_RATIO``
+    of the rows bound under ``expr``, ``expr`` is evaluated as
+    ``sigma_{shared in keys(seed)}(expr)`` (:func:`_restrict`). Otherwise —
+    or when ``expr`` is already memoized — it is evaluated in full.
+    """
+    if (
+        ctx.deltas
+        and ctx.deltas & _shape(seed_expr, ctx)[1]
+        and _memo_key(expr, ctx) not in ctx.memo
+    ):
+        schema, names = _shape(expr, ctx)
+        state = ctx.state
+        bound = sum(len(state[name]) for name in names if name in state)
+        shared = tuple(sorted(seed.attribute_set & schema))
+        if shared and len(seed) * RESTRICTION_RATIO <= bound:
+            ctx.stats.restrictions += 1
+            keys = ctx.backend.decode(seed).project(shared).rows
+            return ctx.backend.read(_restrict(expr, shared, keys, ctx))
+    return _eval(expr, ctx)
+
+
+def _keys_on(attrs: Tuple[str, ...], keys, subset: Tuple[str, ...]):
+    positions = tuple(attrs.index(a) for a in subset)
+    return {tuple(key[p] for p in positions) for key in keys}
+
+
+def _restrict(expr: Expression, attrs: Tuple[str, ...], keys, ctx: _Context) -> Relation:
+    """``expr`` at ``keys``: a tuple ``Relation`` holding exactly the rows
+    of ``expr`` whose ``attrs`` values lie in ``keys``, plus possibly rows
+    whose values do not.
+
+    ``attrs`` is a sorted tuple of attributes of ``expr`` and ``keys`` a set
+    of value tuples aligned with it. The rows outside ``keys`` are never
+    looked at: the seed's join, semi-join or difference only meets rows
+    that agree with the seed. The filter is pushed through ``pi`` (which
+    keeps ``attrs``), ``sigma``, union and difference down to the leaves,
+    where :meth:`Relation.restrict` answers it from a persistent join index
+    under a ``read`` span marked ``restricted=True``. A join restricts the
+    operands holding some of ``attrs``, then the other operand by its
+    shared attributes with them. Any other node is evaluated in full and
+    filtered, and so is a memoized value no larger than the keys allow a
+    restriction to be. Results are never memoized: they are not
+    ``expr``'s value.
+    """
+    hit = ctx.memo.get(_memo_key(expr, ctx))
+    if hit is not None and len(hit) <= len(keys) * RESTRICTION_RATIO:
+        return ctx.backend.decode(hit).restrict(attrs, keys)
+    if isinstance(expr, RelationRef):
+        relation = _bound(expr, ctx)
+        with span_of(
+            ctx.tracer, "read", relation=expr.name, restricted=True,
+            **ctx.backend.span_attributes,
+        ) as span:
+            result = relation.restrict(attrs, keys)
+            span.set(rows_out=len(result))
+        return result
+    if isinstance(expr, Project):
+        return _restrict(expr.child, attrs, keys, ctx).project(expr.attrs)
+    if isinstance(expr, Select):
+        child = _restrict(expr.child, attrs, keys, ctx)
+        return child.select(expr.condition.compile(child.attributes))
+    if isinstance(expr, Union):
+        left = _restrict(expr.left, attrs, keys, ctx)
+        return left.union(_restrict(expr.right, attrs, keys, ctx))
+    if isinstance(expr, Difference):
+        left = _restrict(expr.left, attrs, keys, ctx)
+        return left.difference(_restrict(expr.right, attrs, keys, ctx)) if left else left
+    if isinstance(expr, Join):
+        return _restrict_join(expr, attrs, keys, ctx)
+    return ctx.backend.decode(_eval(expr, ctx)).restrict(attrs, keys)
+
+
+def _restrict_join(expr: Join, attrs: Tuple[str, ...], keys, ctx: _Context) -> Relation:
+    operands = (expr.left, expr.right)
+    schemas = [_shape(operand, ctx)[0] for operand in operands]
+    parts: list = [None, None]
+    for side in (0, 1):
+        mine = tuple(a for a in attrs if a in schemas[side])
+        if mine:
+            parts[side] = _restrict(
+                operands[side], mine, _keys_on(attrs, keys, mine), ctx
+            )
+            if not parts[side]:
+                return Relation.empty(expr.attributes(_scope(ctx)))
+    for side in (0, 1):
+        if parts[side] is None:
+            known = parts[1 - side]
+            shared = tuple(sorted(known.attribute_set & schemas[side]))
+            parts[side] = (
+                _restrict(operands[side], shared, known.project(shared).rows, ctx)
+                if shared
+                else ctx.backend.decode(_eval(operands[side], ctx))
+            )
+    result = parts[0].natural_join(parts[1])
+    ctx.stats.joins += 1
+    ctx.stats.rows_joined += len(result)
+    return result
+
+
 def _eval_project(expr: Project, ctx: _Context):
     child = expr.child
     # Skipped when the join itself is already memoized (projecting it is
-    # then cheaper than a semi-join).
+    # then cheaper than a semi-join), and — with deltas bound, where an
+    # operand may come back restricted and must not be restricted twice —
+    # when the schemas already rule the semi-join out.
     if (
         ctx.fastpath
         and isinstance(child, Join)
         and _memo_key(child, ctx) not in ctx.memo
+        and not (
+            ctx.deltas
+            and semi_join_side(
+                expr.attrs, _shape(child.left, ctx)[0], _shape(child.right, ctx)[0]
+            ) is None
+        )
     ):
-        left = _eval(child.left, ctx)
-        if not left:
+        operands = _operands(child.left, child.right, ctx)
+        if operands is None:
             return ctx.backend.empty(expr.attrs)
-        right = _eval(child.right, ctx)
-        if not right:
-            return ctx.backend.empty(expr.attrs)
+        left, right = operands
         side = semi_join_side(expr.attrs, left.attribute_set, right.attribute_set)
         if side is not None:
-            operands = (left, right)
             ctx.stats.semijoin_fastpaths += 1
             if ctx.tracer is not None:
                 ctx.tracer.annotate(fastpath="semi_join")
@@ -593,7 +764,7 @@ def _eval_difference(expr: Difference, ctx: _Context, left):
     if ctx.fastpath:
         partner = anti_join_partner(expr, left.attribute_set)
         if partner is not None and _memo_key(expr.right, ctx) not in ctx.memo:
-            other = _eval(partner, ctx)
+            other = _against(partner, expr.left, left, ctx)
             ctx.stats.antijoin_fastpaths += 1
             if ctx.tracer is not None:
                 ctx.tracer.annotate(
@@ -603,19 +774,23 @@ def _eval_difference(expr: Difference, ctx: _Context, left):
                     ),
                 )
             return left.anti_join(other)
-    return left.difference(_eval(expr.right, ctx))
+    return left.difference(_against(expr.right, expr.left, left, ctx))
+
+
+def _bound(expr: RelationRef, ctx: _Context) -> Relation:
+    relation = ctx.state.get(expr.name)
+    if relation is None:
+        raise EvaluationError(
+            f"relation {expr.name!r} is not bound in the evaluation state "
+            f"(bound: {sorted(ctx.state)})"
+        )
+    return relation
 
 
 def _eval_node(expr: Expression, ctx: _Context):
     backend = ctx.backend
     if isinstance(expr, RelationRef):
-        relation = ctx.state.get(expr.name)
-        if relation is None:
-            raise EvaluationError(
-                f"relation {expr.name!r} is not bound in the evaluation state "
-                f"(bound: {sorted(ctx.state)})"
-            )
-        return backend.read(relation)
+        return backend.read(_bound(expr, ctx))
 
     if isinstance(expr, Empty):
         return backend.empty(expr.attrs)
@@ -631,12 +806,10 @@ def _eval_node(expr: Expression, ctx: _Context):
         # the other side need not be evaluated (this is what makes the
         # delete-branch of maintenance expressions free on insert-only
         # updates — the delta relation binds to the empty set).
-        left = _eval(expr.left, ctx)
-        if not left:
+        operands = _operands(expr.left, expr.right, ctx)
+        if operands is None:
             return backend.empty(expr.attributes(_scope(ctx)))
-        right = _eval(expr.right, ctx)
-        if not right:
-            return backend.empty(expr.attributes(_scope(ctx)))
+        left, right = operands
         if ctx.tracer is not None:
             ctx.tracer.annotate(
                 rows_in_left=len(left),

@@ -14,8 +14,10 @@ This module implements both:
   resulting expressions mention only warehouse relations and the update's
   delta relations (``R__ins`` / ``R__del``);
 * :func:`refresh_state` — the numeric engine: normalize the reported update
-  to effective form (one ``W^{-1}`` evaluation per updated relation — a
-  warehouse-local query, never a source query), bind the delta relations,
+  to effective form (a warehouse-local query, never a source query: one
+  ``W^{-1}`` evaluation per updated relation above the 1 : 16 cutoff of
+  delta-driven restriction, only the delta's rows of it below — see
+  :mod:`repro.algebra.evaluator`), bind the delta relations,
   interpret the fused plan of the update's shape and side mask
   (:mod:`repro.compiler.fuse` — the derivation above, chain-fused, with
   recomputed old and new values replaced by references), and apply the
@@ -41,8 +43,7 @@ from repro.algebra.deltas import (
     ins_name,
 )
 from repro.algebra.evaluator import EvalStats, EvaluationCache, evaluate, evaluate_all
-from repro.algebra.expressions import Empty, Expression
-from repro.algebra.expressions import RelationRef
+from repro.algebra.expressions import Difference, Empty, Expression, RelationRef
 from repro.algebra.rewriting import fold_occurrences, substitute
 from repro.algebra.simplify import simplify
 from repro.obs.trace import span_of
@@ -180,31 +181,48 @@ def normalize_update(
 ) -> Update:
     """The update's effective form w.r.t. the *reconstructed* base state.
 
-    Only the updated relations are reconstructed (one inverse evaluation
-    each, against warehouse relations — no source access). With a
-    cross-update ``cache``, inverses of relations whose warehouse inputs
-    did not change since the last refresh are served without evaluation.
-    With a ``tracer``, each inverse evaluation nests under a
-    ``reconstruct`` span carrying the relation name.
+    Stated in the algebra over the warehouse and the update's delta
+    bindings — no source access: a relation's effective inserts are
+    ``R__ins − W^{-1}(R)`` and its effective deletes
+    ``(R__del − (R__del − W^{-1}(R))) − R__ins``. When a delta has at most
+    1/16 of the rows under ``W^{-1}(R)``, the evaluator's delta-driven
+    restriction reads the inverse only at the delta's rows; above that,
+    the inverse is evaluated once, in full, and with a cross-update
+    ``cache`` it is served without evaluation while its warehouse inputs
+    are unchanged. With a ``tracer``, each relation's evaluation nests
+    under a ``reconstruct`` span carrying the relation name and, as
+    ``rows_out``, its effective delta rows.
     """
-    reconstructed: Dict[str, Relation] = {}
+    for name in update.relations():
+        if name not in spec.inverses:
+            raise WarehouseError(f"update touches unknown relation {name!r}")
+    state: Dict[str, Relation] = dict(warehouse)
+    state.update(delta_bindings(update, spec.source_scope()))
     memo = cache if cache is not None else {}
+    effective = []
     for delta in update:
-        if delta.relation not in spec.inverses:
-            raise WarehouseError(f"update touches unknown relation {delta.relation!r}")
-        with span_of(tracer, "reconstruct", relation=delta.relation) as span:
-            result = evaluate(
-                spec.inverses[delta.relation],
-                warehouse,
+        name = delta.relation
+        inverse = spec.inverses[name]
+        inserted, deleted = RelationRef(ins_name(name)), RelationRef(del_name(name))
+        with span_of(tracer, "reconstruct", relation=name) as span:
+            result = evaluate_all(
+                {
+                    "inserts": Difference(inserted, inverse),
+                    "deletes": Difference(
+                        Difference(deleted, Difference(deleted, inverse)), inserted
+                    ),
+                },
+                state,
                 cache=memo,
                 stats=stats,
                 fastpath=fastpath,
                 tracer=tracer,
                 engine=engine,
             )
-            span.set(rows_out=len(result))
-        reconstructed[delta.relation] = result
-    return update.normalized(reconstructed)
+            span.set(rows_out=len(result["inserts"]) + len(result["deletes"]))
+        if result["inserts"] or result["deletes"]:
+            effective.append(Delta(name, **result))
+    return Update(effective)
 
 
 def side_mask(update: Update) -> str:

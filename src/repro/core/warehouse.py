@@ -23,7 +23,8 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Union as TypingU
 
 from repro.errors import WarehouseError
 from repro.algebra.evaluator import EvalStats, EvaluationCache, evaluate, evaluate_all
-from repro.algebra.expressions import Expression
+from repro.algebra.deltas import ins_name
+from repro.algebra.expressions import Expression, Join, Project, RelationRef
 from repro.algebra.parser import parse
 from repro.obs.explain import explain_refresh
 from repro.obs.metrics import MetricsRegistry
@@ -38,6 +39,7 @@ from repro.core.complement import WarehouseSpec, specify
 from repro.core.maintenance import (
     MaintenancePlan,
     State,
+    delta_bindings,
     full_recompute_state,
     maintenance_expressions,
     side_mask,
@@ -583,19 +585,28 @@ class Warehouse:
 
         A ``thm22`` spec's refresh plans are exact only on sources that
         satisfy the declared keys (the keyed projection rule of
-        :mod:`repro.algebra.deltas`). Each updated relation is
-        reconstructed over ``state`` (Equation 4, through the persistent
-        cache the refresh then reads) and the update applied; a key the
-        result violates raises before anything is committed.
+        :mod:`repro.algebra.deltas`). Only rows sharing a key value with an
+        inserted row can newly collide, so each updated relation's inverse
+        is evaluated joined with ``pi_K(R__ins)`` over ``state`` and the
+        update's delta bindings — O(delta) through the evaluator's
+        delta-driven restriction — and the update applied to that slice; a
+        key it violates raises before anything is committed. A violation
+        involving no inserted key value cannot come from this update, and
+        only :meth:`audit` reports it.
         """
         catalog = self.spec.catalog
+        env = None
         for delta in update:
             schema = catalog.get(delta.relation)
-            if schema is None or schema.key is None:
+            if schema is None or schema.key is None or not delta.inserts:
                 continue
+            if env is None:
+                env = dict(state)
+                env.update(delta_bindings(update, self.spec.source_scope()))
+            inserted = Project(RelationRef(ins_name(delta.relation)), schema.key)
             current = evaluate(
-                self.spec.inverses[delta.relation], state, cache=self._cache,
-                engine=self.engine,
+                Join(self.spec.inverses[delta.relation], inserted), env,
+                cache=self._cache, engine=self.engine,
             )
             after = delta.apply_to(current)
             if len(after.project(schema.key)) != len(after):

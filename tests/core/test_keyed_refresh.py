@@ -79,10 +79,15 @@ def test_whole_order_delete_joins_the_delta_not_the_fact_table(tpcd):
         Delta("Lineitem", deletes=Relation(database["Lineitem"].attributes, lines)),
         Delta("Orders", deletes=Relation(database["Orders"].attributes, order)),
     )
+    warehouse.enable_tracing()
     warehouse.apply(update)
     delta_rows = len(order) + len(lines)
     assert delta_rows == 4
     assert warehouse.last_refresh_stats.rows_joined <= 4 * delta_rows
+    # Normalisation reads the inverses at the delta's rows, not in full.
+    normalize = warehouse.last_trace().find("normalize_update")
+    read = sum(s.attributes["rows_out"] for s in normalize.walk() if s.name == "read")
+    assert read <= 4 * delta_rows
     sources = dict(database.state())
     for delta in update:
         sources[delta.relation] = delta.apply_to(sources[delta.relation])

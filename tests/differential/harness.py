@@ -41,7 +41,7 @@ import random
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro import Warehouse, specify
-from repro.algebra.evaluator import evaluate_all
+from repro.algebra.evaluator import EvalStats, evaluate_all
 from repro.core.maintenance import refresh_state
 from repro.errors import ReproError
 from repro.storage.relation import Relation
@@ -93,6 +93,8 @@ class DifferentialReport(NamedTuple):
     schemas_skipped: int
     steps_run: int
     disagreements: List[Disagreement]
+    #: Operands the fast track evaluated restricted to a delta's key values.
+    restrictions: int = 0
 
     @property
     def ok(self) -> bool:
@@ -103,7 +105,7 @@ class DifferentialReport(NamedTuple):
         return (
             f"differential oracle: {status} — {self.schemas_run} schemas, "
             f"{self.steps_run} update steps ({self.schemas_skipped} schema "
-            f"candidates skipped)"
+            f"candidates skipped), {self.restrictions} fast-track restrictions"
         )
 
 
@@ -152,6 +154,7 @@ def run_schema(
     schema_seed: int,
     config: DifferentialConfig,
     trace_sink=None,
+    stats: Optional[EvalStats] = None,
 ) -> Optional[Tuple[int, List[Disagreement]]]:
     """One random schema: build the lockstep tracks, replay one update stream.
 
@@ -164,7 +167,8 @@ def run_schema(
     :class:`~repro.obs.trace.JsonlSink`) enables tracing on the *fast*
     track and streams every refresh trace there — CI uploads the resulting
     JSONL as an artifact, so a differential failure comes with the full
-    operator-level story of what the fast path executed.
+    operator-level story of what the fast path executed. ``stats``, when
+    given, accumulates the fast track's :class:`EvalStats`.
     """
     rng = random.Random(schema_seed)
     catalog = random_catalog(rng, config.generator)
@@ -232,6 +236,8 @@ def run_schema(
                 )
             )
         steps += 1
+    if stats is not None:
+        stats.merge(fast.eval_stats)
     if steps == 0:
         return None
     return steps, disagreements
@@ -252,11 +258,12 @@ def run_differential(
     skipped = 0
     steps_run = 0
     disagreements: List[Disagreement] = []
+    stats = EvalStats()
     for attempt in range(config.max_schema_attempts):
         if schemas_run >= config.n_schemas:
             break
         schema_seed = config.seed + attempt
-        outcome = run_schema(schema_seed, config, trace_sink=trace_sink)
+        outcome = run_schema(schema_seed, config, trace_sink=trace_sink, stats=stats)
         if outcome is None:
             skipped += 1
             continue
@@ -264,4 +271,6 @@ def run_differential(
         schemas_run += 1
         steps_run += steps
         disagreements.extend(found)
-    return DifferentialReport(schemas_run, skipped, steps_run, disagreements)
+    return DifferentialReport(
+        schemas_run, skipped, steps_run, disagreements, stats.restrictions
+    )
