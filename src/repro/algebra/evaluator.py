@@ -592,47 +592,39 @@ def _shape(expr: Expression, ctx: _Context) -> Tuple[FrozenSet[str], FrozenSet[s
     """``expr``'s attribute set and relation names, derived once per call."""
     shape = ctx.shapes.get(id(expr))
     if shape is None:
-        shape = ctx.shapes[id(expr)] = (
-            expr.attribute_set(_scope(ctx)), expr.relation_names()
-        )
+        shape = (expr.attribute_set(_scope(ctx)), expr.relation_names())
+        ctx.shapes[id(expr)] = shape
     return shape
 
 
 def _operands(left_expr: Expression, right_expr: Expression, ctx: _Context):
     """Both operands of a join or semi-join, or ``None`` if one is empty.
 
-    The left goes first, and an empty left spares the right — unless only
-    the right reads a delta binding: it then goes first, so that it can
-    restrict the left (:func:`_against`).
+    The left goes first and an empty left spares the right — unless only
+    the right reads a delta binding: it then goes first, to restrict the
+    left (:func:`_against`).
     """
-    deltas = ctx.deltas
-    if (
-        deltas
-        and deltas & _shape(right_expr, ctx)[1]
-        and not deltas & _shape(left_expr, ctx)[1]
-    ):
-        right = _eval(right_expr, ctx)
-        if not right:
-            return None
-        left = _against(left_expr, right_expr, right, ctx)
-        return (left, right) if left else None
-    left = _eval(left_expr, ctx)
-    if not left:
+    flip = ctx.deltas and (
+        ctx.deltas & _shape(right_expr, ctx)[1]
+        and not ctx.deltas & _shape(left_expr, ctx)[1]
+    )
+    first, second = (right_expr, left_expr) if flip else (left_expr, right_expr)
+    seed = _eval(first, ctx)
+    other = _against(second, first, seed, ctx) if seed else None
+    if not other:
         return None
-    right = _against(right_expr, left_expr, left, ctx)
-    return (left, right) if right else None
+    return (other, seed) if flip else (seed, other)
 
 
 def _against(expr: Expression, seed_expr: Expression, seed, ctx: _Context):
-    """``expr``, the operand that meets ``seed`` (``seed_expr``'s value) in a
-    join, a semi-join or a difference.
+    """``expr``, which meets ``seed`` (``seed_expr``'s value) in a join, a
+    semi-join or a difference.
 
-    Delta-driven restriction: only the rows of ``expr`` that agree with
-    ``seed`` on their shared attributes can meet it, so when ``seed_expr``
+    Delta-driven restriction: only rows of ``expr`` that agree with
+    ``seed`` on their shared attributes can meet it. So when ``seed_expr``
     reads a delta binding and ``seed`` has at most 1/``RESTRICTION_RATIO``
-    of the rows bound under ``expr``, ``expr`` is evaluated as
-    ``sigma_{shared in keys(seed)}(expr)`` (:func:`_restrict`). Otherwise —
-    or when ``expr`` is already memoized — it is evaluated in full.
+    of the rows bound under ``expr``, and ``expr`` is not memoized, it is
+    evaluated only at ``seed``'s key values (:func:`_restrict`).
     """
     if (
         ctx.deltas
@@ -640,8 +632,7 @@ def _against(expr: Expression, seed_expr: Expression, seed, ctx: _Context):
         and _memo_key(expr, ctx) not in ctx.memo
     ):
         schema, names = _shape(expr, ctx)
-        state = ctx.state
-        bound = sum(len(state[name]) for name in names if name in state)
+        bound = sum(len(ctx.state[name]) for name in names if name in ctx.state)
         shared = tuple(sorted(seed.attribute_set & schema))
         if shared and len(seed) * RESTRICTION_RATIO <= bound:
             ctx.stats.restrictions += 1
@@ -650,39 +641,28 @@ def _against(expr: Expression, seed_expr: Expression, seed, ctx: _Context):
     return _eval(expr, ctx)
 
 
-def _keys_on(attrs: Tuple[str, ...], keys, subset: Tuple[str, ...]):
-    positions = tuple(attrs.index(a) for a in subset)
-    return {tuple(key[p] for p in positions) for key in keys}
-
-
 def _restrict(expr: Expression, attrs: Tuple[str, ...], keys, ctx: _Context) -> Relation:
-    """``expr`` at ``keys``: a tuple ``Relation`` holding exactly the rows
-    of ``expr`` whose ``attrs`` values lie in ``keys``, plus possibly rows
-    whose values do not.
+    """``expr`` at ``keys``: a tuple ``Relation`` with every row of ``expr``
+    whose ``attrs`` values lie in ``keys`` (aligned with the sorted
+    ``attrs``), and maybe rows whose values do not — the seed never meets
+    those.
 
-    ``attrs`` is a sorted tuple of attributes of ``expr`` and ``keys`` a set
-    of value tuples aligned with it. The rows outside ``keys`` are never
-    looked at: the seed's join, semi-join or difference only meets rows
-    that agree with the seed. The filter is pushed through ``pi`` (which
-    keeps ``attrs``), ``sigma``, union and difference down to the leaves,
-    where :meth:`Relation.restrict` answers it from a persistent join index
-    under a ``read`` span marked ``restricted=True``. A join restricts the
-    operands holding some of ``attrs``, then the other operand by its
-    shared attributes with them. Any other node is evaluated in full and
-    filtered, and so is a memoized value no larger than the keys allow a
-    restriction to be. Results are never memoized: they are not
-    ``expr``'s value.
+    Pushed through ``pi`` (which keeps ``attrs``), ``sigma``, union and
+    difference to the leaves, where :meth:`Relation.restrict` probes a
+    persistent join index under a ``read`` span marked ``restricted=True``.
+    A join restricts the operands holding some of ``attrs``, then the other
+    by its shared attributes with them. Other nodes, and memoized values
+    within the ratio, are filtered in full. Never memoized.
     """
     hit = ctx.memo.get(_memo_key(expr, ctx))
     if hit is not None and len(hit) <= len(keys) * RESTRICTION_RATIO:
         return ctx.backend.decode(hit).restrict(attrs, keys)
     if isinstance(expr, RelationRef):
-        relation = _bound(expr, ctx)
         with span_of(
             ctx.tracer, "read", relation=expr.name, restricted=True,
             **ctx.backend.span_attributes,
         ) as span:
-            result = relation.restrict(attrs, keys)
+            result = _bound(expr, ctx).restrict(attrs, keys)
             span.set(rows_out=len(result))
         return result
     if isinstance(expr, Project):
@@ -690,37 +670,28 @@ def _restrict(expr: Expression, attrs: Tuple[str, ...], keys, ctx: _Context) -> 
     if isinstance(expr, Select):
         child = _restrict(expr.child, attrs, keys, ctx)
         return child.select(expr.condition.compile(child.attributes))
-    if isinstance(expr, Union):
+    if isinstance(expr, (Union, Difference)):
         left = _restrict(expr.left, attrs, keys, ctx)
-        return left.union(_restrict(expr.right, attrs, keys, ctx))
-    if isinstance(expr, Difference):
-        left = _restrict(expr.left, attrs, keys, ctx)
-        return left.difference(_restrict(expr.right, attrs, keys, ctx)) if left else left
-    if isinstance(expr, Join):
-        return _restrict_join(expr, attrs, keys, ctx)
-    return ctx.backend.decode(_eval(expr, ctx)).restrict(attrs, keys)
-
-
-def _restrict_join(expr: Join, attrs: Tuple[str, ...], keys, ctx: _Context) -> Relation:
+        right = _restrict(expr.right, attrs, keys, ctx)
+        return left.union(right) if isinstance(expr, Union) else left.difference(right)
+    if not isinstance(expr, Join):
+        return ctx.backend.decode(_eval(expr, ctx)).restrict(attrs, keys)
     operands = (expr.left, expr.right)
-    schemas = [_shape(operand, ctx)[0] for operand in operands]
-    parts: list = [None, None]
-    for side in (0, 1):
-        mine = tuple(a for a in attrs if a in schemas[side])
+    parts = [None, None]
+    for side, operand in enumerate(operands):
+        mine = tuple(a for a in attrs if a in _shape(operand, ctx)[0])
         if mine:
-            parts[side] = _restrict(
-                operands[side], mine, _keys_on(attrs, keys, mine), ctx
-            )
-            if not parts[side]:
-                return Relation.empty(expr.attributes(_scope(ctx)))
-    for side in (0, 1):
+            at = [attrs.index(a) for a in mine]
+            mine_keys = {tuple(key[i] for i in at) for key in keys}
+            parts[side] = _restrict(operand, mine, mine_keys, ctx)
+    for side, operand in enumerate(operands):
         if parts[side] is None:
             known = parts[1 - side]
-            shared = tuple(sorted(known.attribute_set & schemas[side]))
+            shared = tuple(sorted(known.attribute_set & _shape(operand, ctx)[0]))
             parts[side] = (
-                _restrict(operands[side], shared, known.project(shared).rows, ctx)
+                _restrict(operand, shared, known.project(shared).rows, ctx)
                 if shared
-                else ctx.backend.decode(_eval(operands[side], ctx))
+                else ctx.backend.decode(_eval(operand, ctx))
             )
     result = parts[0].natural_join(parts[1])
     ctx.stats.joins += 1

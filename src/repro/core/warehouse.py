@@ -595,14 +595,12 @@ class Warehouse:
         only :meth:`audit` reports it.
         """
         catalog = self.spec.catalog
-        env = None
         for delta in update:
             schema = catalog.get(delta.relation)
             if schema is None or schema.key is None or not delta.inserts:
                 continue
-            if env is None:
-                env = dict(state)
-                env.update(delta_bindings(update, self.spec.source_scope()))
+            scope = self.spec.source_scope()
+            env = {**state, **delta_bindings(Update.of(delta), scope)}
             inserted = Project(RelationRef(ins_name(delta.relation)), schema.key)
             current = evaluate(
                 Join(self.spec.inverses[delta.relation], inserted), env,

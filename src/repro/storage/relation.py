@@ -468,43 +468,23 @@ class Relation:
     def restrict(self, attributes: Sequence[str], keys: Iterable[Row]) -> "Relation":
         """Rows whose values on ``attributes`` lie in ``keys``.
 
-        ``attributes`` is sorted and each key is aligned with it. Answered
-        from a join index: the one over ``attributes``, else the one with
-        the most keys among those already built over a subset of them (its
-        matches then filtered), else one built over the first of them in
-        column order (schemas lead with their key). Indexes survive delta-sized unions and differences,
-        so in incremental maintenance each key costs one lookup.
-
-        Examples
-        --------
-        >>> r = Relation(("a", "b"), [(1, 10), (2, 20), (3, 20)])
-        >>> sorted(r.restrict(("b",), {(20,)}).rows)
-        [(2, 20), (3, 20)]
+        Each key is aligned with ``attributes``. Probes the join index over
+        the first of ``attributes`` in column order (schemas lead with their
+        key) — built once, then delta-patched across refreshes like every
+        join index — and checks the rest.
         """
-        wanted = frozenset(attributes)
-        indexed = wanted
-        if wanted not in self._index_cache:
-            subsets = [s for s in self._index_cache if s <= wanted]
-            indexed = max(
-                subsets, key=lambda s: len(self._index_cache[s])
-            ) if subsets else frozenset(
-                (next(a for a in self._attributes if a in wanted),)
-            )
-        positions = tuple(self._attributes.index(a) for a in sorted(indexed))
-        buckets = self._join_buckets(indexed, positions)
-        if indexed == wanted:
-            return self._with_rows(
-                row for key in keys for row in buckets.get(key, ())
-            )
+        first = next(a for a in self._attributes if a in attributes)
+        buckets = self._join_buckets(
+            frozenset((first,)), (self._attributes.index(first),)
+        )
+        at = list(attributes).index(first)
+        positions = tuple(self._attributes.index(a) for a in attributes)
         keys = frozenset(keys)
-        on = tuple(sorted(indexed))
-        probes = {tuple(key[attributes.index(a)] for a in on) for key in keys}
-        wanted_positions = tuple(self._attributes.index(a) for a in attributes)
         return self._with_rows(
             row
-            for probe in probes
-            for row in buckets.get(probe, ())
-            if tuple(row[p] for p in wanted_positions) in keys
+            for value in {key[at] for key in keys}
+            for row in buckets.get((value,), ())
+            if tuple(row[p] for p in positions) in keys
         )
 
     def has_join_index(self, attributes: Iterable[str]) -> bool:
