@@ -622,19 +622,19 @@ def _against(expr: Expression, seed_expr: Expression, seed, ctx: _Context):
 
     Delta-driven restriction: only rows of ``expr`` that agree with
     ``seed`` on their shared attributes can meet it. So when ``seed_expr``
-    reads a delta binding and ``seed`` has at most 1/``RESTRICTION_RATIO``
-    of the rows bound under ``expr``, and ``expr`` is not memoized, it is
-    evaluated only at ``seed``'s key values (:func:`_restrict`).
+    reads delta bindings holding at most 1/``RESTRICTION_RATIO`` of the
+    rows bound under ``expr`` (sizes of bound relations, nothing
+    evaluated), and ``expr`` is not memoized, it is evaluated only at
+    ``seed``'s key values (:func:`_restrict`).
     """
-    if (
-        ctx.deltas
-        and ctx.deltas & _shape(seed_expr, ctx)[1]
-        and _memo_key(expr, ctx) not in ctx.memo
-    ):
+    deltas = ctx.deltas and ctx.deltas & _shape(seed_expr, ctx)[1]
+    if deltas and _memo_key(expr, ctx) not in ctx.memo:
         schema, names = _shape(expr, ctx)
-        bound = sum(len(ctx.state[name]) for name in names if name in ctx.state)
+        state = ctx.state
+        bound = sum(len(state[name]) for name in names if name in state)
+        delta_rows = sum(len(state[name]) for name in deltas)
         shared = tuple(sorted(seed.attribute_set & schema))
-        if shared and len(seed) * RESTRICTION_RATIO <= bound:
+        if shared and delta_rows * RESTRICTION_RATIO <= bound:
             ctx.stats.restrictions += 1
             keys = ctx.backend.decode(seed).project(shared).rows
             return ctx.backend.read(_restrict(expr, shared, keys, ctx))
