@@ -7,7 +7,7 @@ relations during incremental maintenance. Evaluation memoizes common
 sub-expressions (structural identity) within one call, which matters because
 inverse expressions (Equation (4) of the paper) share large sub-trees.
 
-Beyond the per-call memo, two performance layers live here:
+Beyond the per-call memo, three performance layers live here:
 
 * an :class:`EvaluationCache` — a cross-update memo keyed by expression
   structure and validated against a :class:`StateVersion` (the exact
@@ -24,9 +24,9 @@ Beyond the per-call memo, two performance layers live here:
   evaluates as a hash anti-join without computing the join at all;
 * *delta-driven restriction* — in a state binding delta relations
   (``R__ins`` / ``R__del``), a join, semi-join or difference whose one
-  operand reads a delta and is small against the relations bound under
-  the other evaluates the other only at the delta's key values, pushed
-  down to the leaves' persistent join indexes (:func:`_against`). A state
+  operand reads deltas small against the relations bound under the other
+  evaluates the other only at the delta operand's key values, pushed down
+  to the leaves' persistent join indexes (:func:`_against`). A state
   binding no delta (an answer, a reconstruction) never takes it.
 
 :class:`EvalStats` counts what happened (nodes evaluated, cache hits and
@@ -75,8 +75,9 @@ from repro.storage.relation import Relation
 State = Mapping[str, Relation]
 
 #: Delta-driven restriction's crossover: an operand is restricted to a delta
-#: operand's key values only when the delta operand's rows times this are at
-#: most the rows bound under the restricted operand (docs/fastpath.md).
+#: operand's key values only when the rows of the delta bindings that operand
+#: reads, times this, are at most the rows bound under the restricted operand
+#: (docs/fastpath.md, Layer 4).
 RESTRICTION_RATIO = 16
 
 
