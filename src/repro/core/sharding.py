@@ -39,12 +39,21 @@ publishes nothing. Every commit is appended to
 :attr:`ShardedWarehouse.commit_log`, the replay script that the seeded
 interleaving explorer (``tests/integrator/explore.py``) feeds back through
 an unsharded reference warehouse after every schedule it runs.
+
+A union-assembled image is patched, not re-unioned: each commit folds the
+deltas its shards' refreshes applied into an accumulated ``(D, I)`` against
+the last image a reader assembled, and the next read returns
+``(image − (D − I)) ∪ I`` through the delta-patched ``Relation`` operations.
+A deleted row enters ``D`` only when no shard image still holds it, so the
+patch is exact for overlapping images too. ``docs/integrator.md`` lists when
+assembly falls back to the full union.
 """
 
 from __future__ import annotations
 
 from typing import (
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -230,6 +239,12 @@ def _union_all(relations: Sequence[Relation]) -> Relation:
     return combined
 
 
+# An assembly patch: (base image, deleted rows, inserted rows).
+_Patch = Tuple[Relation, FrozenSet[tuple], FrozenSet[tuple]]
+# Per union-assembled relation: (deleted rows, inserted rows).
+_Deltas = Dict[str, Tuple[FrozenSet[tuple], FrozenSet[tuple]]]
+
+
 def _intersect_all(relations: Sequence[Relation]) -> Relation:
     combined = relations[0]
     for relation in relations[1:]:
@@ -246,22 +261,28 @@ class ShardedSnapshot:
     a routed base) union their shard images; intersection-assembled ones
     (the ``K − π(…routed…)`` complement shape) intersect them; replicated
     relations read from shard 0. Assembly is lazy and memoized per
-    snapshot. The read API mirrors
+    snapshot; a union-assembled relation with a ``patches`` entry
+    ``(image, D, I)`` assembles as ``(image − (D − I)) ∪ I`` instead, and
+    ``metrics`` counts the two ways. The read API mirrors
     :class:`~repro.storage.snapshot.SnapshotView`.
     """
 
-    __slots__ = ("_version", "_states", "_assembly", "_memo")
+    __slots__ = ("_version", "_states", "_assembly", "_memo", "_patches", "_metrics")
 
     def __init__(
         self,
         version: int,
         states: Sequence[Mapping[str, Relation]],
         assembly: Mapping[str, str],
+        patches: Optional[Mapping[str, _Patch]] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._version = version
         self._states: Tuple[Mapping[str, Relation], ...] = tuple(states)
         self._assembly = assembly
         self._memo: Dict[str, Relation] = {}
+        self._patches: Mapping[str, _Patch] = patches or {}
+        self._metrics = metrics
 
     @property
     def version(self) -> int:
@@ -285,7 +306,17 @@ class ShardedSnapshot:
         if mode == ASSEMBLE_REPLICATED or len(self._states) == 1:
             assembled = self._states[0][name]
         elif mode == ASSEMBLE_UNION:
-            assembled = _union_all([state[name] for state in self._states])
+            patch = self._patches.get(name)
+            if patch is None:
+                assembled = _union_all([state[name] for state in self._states])
+            else:
+                image, deletes, inserts = patch
+                assembled = image.difference(
+                    Relation._raw(image.attributes, deletes - inserts)
+                ).union(Relation._raw(image.attributes, inserts))
+            if self._metrics is not None:
+                how = "full" if patch is None else "patched"
+                self._metrics.counter(f"warehouse.snapshot_assemblies.{how}").inc()
         else:
             assembled = _intersect_all([state[name] for state in self._states])
         self._memo[name] = assembled
@@ -386,6 +417,14 @@ class ShardedWarehouse:
         ]
         self._version = 0
         self._snapshot: Optional[ShardedSnapshot] = None
+        # Union-assembled relations, when there is more than one image.
+        self._patchable = tuple(sorted(
+            n for n, m in self._assembly.items() if m == ASSEMBLE_UNION
+        )) if router.shards > 1 else ()
+        # Per shard, uncommitted refreshes: (start state, end state, deltas).
+        self._pending: Dict[int, Tuple[Optional[Mapping], Mapping, _Deltas]] = {}
+        # Per union-assembled relation, the newest version's patch.
+        self._patches: Dict[str, _Patch] = {}
         self._commit_log: List[CommitRecord] = []
         self._metrics = MetricsRegistry()
         self._metrics.gauge("warehouse.shards").set(router.shards)
@@ -479,7 +518,9 @@ class ShardedWarehouse:
                         "sharded warehouse not initialized; call initialize()"
                     )
                 states.append(state)
-            snapshot = ShardedSnapshot(self._version, states, self._assembly)
+            snapshot = ShardedSnapshot(
+                self._version, states, self._assembly, self._patches, self._metrics
+            )
             self._snapshot = snapshot
         return snapshot
 
@@ -530,14 +571,69 @@ class ShardedWarehouse:
         The shard's state swap is locally atomic, but readers keep seeing
         the previous *committed* snapshot until :meth:`commit` publishes
         the whole batch — this is what keeps multi-shard batches untorn.
+        The applied deltas of union-assembled relations are kept until
+        that commit folds them into the assembly patches.
         """
-        applied = self.shards[index].apply(update)
+        shard = self.shards[index]
+        before = shard._state
+        applied = shard.apply(update)
+        self._record(index, before, shard.state, applied)
         metrics = self._metrics
         metrics.counter(f"warehouse.shard_refreshes.{index}").inc()
         rows = sum(len(d.inserts) + len(d.deletes) for d in applied.values())
         if rows:
             metrics.counter(f"warehouse.shard_refresh_rows.{index}").inc(rows)
         return applied
+
+    def _record(
+        self, index: int, before: Optional[Mapping], after: Mapping,
+        applied: Mapping[str, Delta],
+    ) -> None:
+        """Chain one refresh's union-assembled deltas onto the shard's pending ones."""
+        start, end, deltas = self._pending.get(index, (before, before, {}))
+        if end is not before:
+            start, deltas = before, {}
+        for name in self._patchable:
+            if name in applied:
+                attributes = after[name].attributes
+                removed = applied[name].deletes.reorder(attributes).rows
+                added = applied[name].inserts.reorder(attributes).rows
+                old_removed, old_added = deltas.get(name, (frozenset(), frozenset()))
+                deltas[name] = (old_removed | removed, (old_added - removed) | added)
+        self._pending[index] = (start, after, deltas)
+
+    def _fold(self, changed: Optional[List[_Deltas]]) -> None:
+        """Fold one commit's shard deltas into every relation's assembly patch.
+
+        The base is the superseded snapshot's image when a reader assembled
+        it; otherwise the old base and its accumulated delta carry forward.
+        ``changed`` is ``None`` when a touched shard's state is not the one
+        its recorded refreshes led to: every relation then assembles in full.
+        """
+        carried, self._patches = self._patches, {}
+        if changed is None:
+            return
+        previous = self._snapshot
+        for name in self._patchable:
+            image = previous._memo.get(name) if previous is not None else None
+            if image is not None:
+                patch = (image.without_columnar_twin(), frozenset(), frozenset())
+            elif name in carried:
+                patch = carried[name]
+            else:
+                continue
+            image, deletes, inserts = patch
+            for deltas in changed:
+                if name in deltas:
+                    removed, added = deltas[name]
+                    # A row leaves the global image only when no shard keeps it.
+                    gone = frozenset(
+                        row for row in removed
+                        if not any(row in s[name].rows for s in self._committed)
+                    )
+                    deletes, inserts = deletes | gone, (inserts - gone) | added
+            if (len(deletes) + len(inserts)) * Relation._PATCH_RATIO <= len(image):
+                self._patches[name] = (image, deletes, inserts)
 
     def commit(
         self, shard_indices: Iterable[int], update: Optional[Update] = None
@@ -549,11 +645,21 @@ class ShardedWarehouse:
         version bumps once, and the cached snapshot is invalidated — under
         cooperative (asyncio) concurrency a reader can never observe a
         partially-captured batch. ``update`` (the net batch, pre-split) is
-        appended to :attr:`commit_log` for differential replay.
+        appended to :attr:`commit_log` for differential replay. The touched
+        shards' pending deltas fold into the assembly patches (:meth:`_fold`).
         """
         touched = tuple(sorted(set(shard_indices)))
+        changed: Optional[List[_Deltas]] = []
         for index in touched:
-            self._committed[index] = self.shards[index].state
+            state = self.shards[index].state
+            start, end, deltas = self._pending.pop(index, (None, None, {}))
+            if state is not self._committed[index] and changed is not None:
+                if start is self._committed[index] and end is state:
+                    changed.append(deltas)
+                else:
+                    changed = None
+            self._committed[index] = state
+        self._fold(changed)
         self._version += 1
         self._snapshot = None
         if update is not None:
@@ -569,6 +675,7 @@ class ShardedWarehouse:
         publish those changes under a log record that does not name them.
         """
         for index in shard_indices:
+            self._pending.pop(index, None)
             committed = self._committed[index]
             shard = self.shards[index]
             if committed is not None and shard.state is not committed:

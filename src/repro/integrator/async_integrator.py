@@ -367,6 +367,9 @@ class AsyncConcurrentIntegrator:
 
         A batch that raises is rolled back on the shards it already
         refreshed (:meth:`ShardedWarehouse.rollback`): it publishes nothing.
+        A batch cancelled while it waits for a lock releases exactly the
+        locks it holds and rolls back nothing: it has refreshed no shard,
+        and a shard it never locked may hold another batch's refresh.
         """
         notifications = list(notifications)
         if not notifications:
@@ -384,10 +387,14 @@ class AsyncConcurrentIntegrator:
         if parts:
             indices = sorted(parts)
             locks = self._shard_locks()
-            for index in indices:
-                await locks[index].acquire()
+            held: List[int] = []
+            refreshed: List[int] = []
             try:
                 for index in indices:
+                    await locks[index].acquire()
+                    held.append(index)
+                for index in indices:
+                    refreshed.append(index)
                     self.warehouse.apply_to_shard(index, parts[index])
                     # Scheduling point between shard refreshes: lets other
                     # workers and readers run mid-batch, which is exactly
@@ -395,10 +402,10 @@ class AsyncConcurrentIntegrator:
                     await asyncio.sleep(0)
                 self.warehouse.commit(indices, net)
             except BaseException:
-                self.warehouse.rollback(indices)
+                self.warehouse.rollback(refreshed)
                 raise
             finally:
-                for index in indices:
+                for index in held:
                     locks[index].release()
         self._processed += len(notifications)
         metrics.counter("integrator.notifications").inc(len(notifications))

@@ -191,6 +191,18 @@ class Relation:
         """Whether a columnar twin is already attached (observability)."""
         return self._columnar is not None
 
+    def without_columnar_twin(self) -> "Relation":
+        """The same rows and hash indexes, without the columnar twin.
+
+        Delta patching the twin copies every column: O(rows) per patch.
+        """
+        if self._columnar is None:
+            return self
+        rel = self._with_rows(self._rows)
+        rel._index_cache = dict(self._index_cache)
+        rel._projection_cache = dict(self._projection_cache)
+        return rel
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -13,6 +13,8 @@ oracle the sharding prover's witnesses replay against:
   commit log through an unsharded :class:`~repro.core.warehouse.Warehouse`;
 * ``reconstruct(R)`` equals ``answer(R)`` for every base relation at the
   same step;
+* every union-assembled relation of the reader's snapshot, patched or not,
+  equals the full union of that snapshot's pinned shard images;
 * on a layout whose sources own disjoint relations, with no batch
   rejected, the final state equals ``W`` of the live sources;
 * a stretch of steps in which only one callback is runnable is a deadlock.
@@ -35,7 +37,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro import Catalog, Relation, Update, View, WarehouseError
 from repro.analysis.specfile import load_target
-from repro.core.sharding import ShardRouting
+from repro.core.sharding import ASSEMBLE_UNION, ShardRouting, _union_all
 from repro.core.warehouse import Warehouse
 from repro.integrator import AsyncChannel, AsyncConcurrentIntegrator, AsyncSource
 from repro.workloads.tpcd import order_insert_rows, tpcd_instance
@@ -135,6 +137,10 @@ def explore(
         warehouse.apply_to_shard = faulty
 
     bases = scenario.catalog.relation_names()
+    unions = sorted(
+        name for name, mode in warehouse.assembly_report.assembly.items()
+        if mode == ASSEMBLE_UNION
+    )
     observed: Dict[int, Dict[str, Relation]] = {}
     failures: List[str] = []
     loop = SeededLoop(seed)
@@ -142,6 +148,10 @@ def explore(
     def observe() -> None:
         snapshot = warehouse.snapshot()
         observed.setdefault(snapshot.version, snapshot.state())
+        for name in unions:
+            images = [snapshot.shard_relation(i, name) for i in range(warehouse.router.shards)]
+            if snapshot.relation(name) != _union_all(images):
+                failures.append(f"step {loop.steps}: {name} != the union of its shard images")
         for name in bases:
             if warehouse.reconstruct(name) != warehouse.answer(name):
                 failures.append(f"step {loop.steps}: reconstruct({name}) != answer({name})")

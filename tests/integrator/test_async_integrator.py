@@ -31,6 +31,7 @@ from repro.integrator import (
     AsyncSource,
     Channel,
     NaiveIntegrator,
+    Notification,
     Source,
 )
 
@@ -512,3 +513,53 @@ class TestCoPartitionedConcurrent:
             reference.apply(record.update)
             states[record.version] = dict(reference.state)
         assert states[integrator.warehouse.version] == integrator.warehouse.state()
+
+
+class TestCancelledBatch:
+    """A batch cancelled while it waits for a shard lock."""
+
+    def test_cancelled_lock_wait_releases_its_locks_and_reverts_nothing(
+        self, catalog
+    ):
+        attrs = ("item", "clerk")
+
+        async def scenario():
+            integrator = AsyncConcurrentIntegrator(
+                catalog, VIEWS, routings=[ShardRouting("Sale", "item", boundaries=["M"])]
+            )
+            warehouse = integrator.warehouse
+            warehouse.initialize({
+                "Sale": Relation(attrs, SALE_ROWS), "Emp": Relation(("clerk", "age"), EMP_ROWS),
+            })
+            locks = integrator._shard_locks()
+            # Another batch holds shard 1, its refresh in flight.
+            await locks[1].acquire()
+            other = Update.insert("Sale", attrs, [("Zip", "Mary")])
+            warehouse.apply_to_shard(1, warehouse.split(other)[1])
+            in_flight = warehouse.shards[1].state
+            # This batch spans shards 0 and 1: it takes lock 0, waits for 1.
+            both = Update.insert("Sale", attrs, [("Amp", "Ann"), ("TV", "Ann")])
+            task = asyncio.ensure_future(
+                integrator.process_batch([Notification("SalesDB", 1, both)])
+            )
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert locks[0].locked() and not task.done()
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            assert not locks[0].locked()
+            assert warehouse.shards[1].state is in_flight
+            warehouse.commit([1], other)
+            locks[1].release()
+            only_0 = Update.insert("Sale", attrs, [("Amp", "Mary")])
+            await asyncio.wait_for(
+                integrator.process_batch([Notification("SalesDB", 2, only_0)]), 1.0
+            )
+            return warehouse
+
+        warehouse = asyncio.run(scenario())
+        assert ("Zip", "Mary", 23) in warehouse.relation("Sold")
+        assert ("TV", "Ann", 31) not in warehouse.relation("Sold")
+        states = reference_replay(catalog, warehouse.commit_log)
+        assert states[warehouse.version] == warehouse.state()

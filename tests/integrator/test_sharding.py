@@ -7,16 +7,23 @@ the same updates — assembled state, reconstruction, and query answers.
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Catalog, Relation, Update, View, WarehouseError, parse
 from repro.core.complement import specify
 from repro.core.sharding import (
+    ASSEMBLE_UNION,
     ShardedWarehouse,
     ShardRouter,
     ShardRouting,
+    _union_all,
 )
 from repro.core.warehouse import Warehouse
+from repro.workloads.tpcd import order_insert_rows, tpcd_instance
 
 
 @pytest.fixture
@@ -531,3 +538,224 @@ class TestOneAnswerPath:
         assert root is not None and root.attributes["query"] == "pi[age](Emp)"
         assert root.find("read") is not None
         assert sharded.aggregate_metrics().value("warehouse.queries") == 1
+
+
+def union_assembled(sharded):
+    return sorted(
+        name for name, mode in sharded.assembly_report.assembly.items()
+        if mode == ASSEMBLE_UNION
+    )
+
+
+def assert_assembled(sharded, snapshot):
+    """Every union-assembled relation equals the union of its pinned images."""
+    for name in union_assembled(sharded):
+        images = [
+            snapshot.shard_relation(i, name) for i in range(sharded.router.shards)
+        ]
+        assert snapshot.relation(name) == _union_all(images), name
+
+
+def assemblies(sharded, how):
+    return sharded.metrics.value(f"warehouse.snapshot_assemblies.{how}")
+
+
+class TestPatchedAssembly:
+    """Union-assembled images patched from the last image a reader assembled."""
+
+    VIEWS = VIEWS + [View("Clerks", parse("pi[clerk](Sale)"))]
+    # Clerk cNN sells item ANN on shard 0 and item ZNN on shard 1.
+    SALES = [(f"{side}{n:02}", f"c{n:02}") for n in range(20) for side in "AZ"]
+    EMPS = [(f"c{n:02}", 20 + n) for n in range(20)] + [("Bob", 44)]
+
+    @pytest.fixture
+    def sharded(self, catalog):
+        sharded = ShardedWarehouse.specify(
+            catalog, self.VIEWS, routings=[ShardRouting("Sale", "item", boundaries=["M"])]
+        )
+        sharded.initialize({
+            "Sale": Relation(("item", "clerk"), self.SALES),
+            "Emp": Relation(("clerk", "age"), self.EMPS),
+        })
+        return sharded
+
+    def read(self, sharded):
+        snapshot = sharded.snapshot()
+        assert_assembled(sharded, snapshot)
+        return snapshot
+
+    def test_a_commit_patches_the_image_a_reader_assembled(self, sharded):
+        self.read(sharded)
+        full = assemblies(sharded, "full")
+        sharded.insert("Sale", [("B99", "Bob"), ("Y99", "Bob")])
+        snapshot = self.read(sharded)
+        assert ("B99", "Bob", 44) in snapshot.relation("Sold")
+        patched = assemblies(sharded, "patched")
+        assert patched >= 1
+        assert patched + assemblies(sharded, "full") - full == len(union_assembled(sharded))
+
+    def test_row_deleted_and_reinserted_between_two_reads_stays(self, sharded):
+        self.read(sharded)
+        sharded.delete("Sale", [("A03", "c03")])
+        sharded.insert("Sale", [("A03", "c03")])
+        assert ("A03", "c03", 23) in self.read(sharded).relation("Sold")
+        sharded.insert("Sale", [("A99", "Bob")])
+        sharded.delete("Sale", [("A99", "Bob")])
+        assert ("A99", "Bob", 44) not in self.read(sharded).relation("Sold")
+        assert assemblies(sharded, "patched") > 0
+
+    def test_a_row_another_shard_still_holds_stays(self, sharded):
+        # Clerks projects the routing attribute away: its images overlap.
+        self.read(sharded)
+        sharded.delete("Sale", [("A05", "c05")])
+        assert ("c05",) in self.read(sharded).relation("Clerks")
+        sharded.delete("Sale", [("Z05", "c05")])
+        assert ("c05",) not in self.read(sharded).relation("Clerks")
+        assert assemblies(sharded, "patched") > 0
+
+    def test_old_snapshot_read_after_newer_commits(self, sharded):
+        read = self.read(sharded)
+        unread = None
+        for n in range(3):
+            sharded.insert("Sale", [(f"C{n}", "Bob"), (f"X{n}", "c01")])
+            if n == 0:
+                unread = sharded.snapshot()
+        self.read(sharded)
+        assert_assembled(sharded, unread)
+        assert ("C0", "Bob", 44) in unread.relation("Sold")
+        assert ("C1", "Bob", 44) not in unread.relation("Sold")
+        assert_assembled(sharded, read)
+
+    def test_batch_raising_on_one_shard_publishes_nothing(self, sharded, monkeypatch):
+        before = self.read(sharded).relation("Sold")
+
+        def refuse(update):
+            raise WarehouseError("refused")
+
+        monkeypatch.setattr(sharded.shards[1], "apply", refuse)
+        with pytest.raises(WarehouseError, match="refused"):
+            sharded.insert("Sale", [("B50", "Bob"), ("Y50", "Bob")])
+        monkeypatch.undo()
+        assert self.read(sharded).relation("Sold") == before
+        sharded.insert("Sale", [("B51", "Bob")])
+        assert ("B50", "Bob", 44) not in self.read(sharded).relation("Sold")
+
+    def test_partial_commit_then_the_whole_batch(self, sharded):
+        self.read(sharded)
+        update = Update.insert("Sale", ("item", "clerk"), [("B60", "c02"), ("Y60", "c02")])
+        parts = sharded.split(update)
+        indices = sorted(parts)
+        for index in indices:
+            sharded.apply_to_shard(index, parts[index])
+        sharded.commit(indices[:1])
+        self.read(sharded)
+        sharded.commit(indices, update)
+        sold = self.read(sharded).relation("Sold")
+        assert {("B60", "c02", 22), ("Y60", "c02", 22)} <= sold.rows
+
+    def test_two_refreshes_of_one_shard_in_one_commit(self, sharded):
+        self.read(sharded)
+        attrs = ("item", "clerk")
+        first = Update.delete("Sale", attrs, [("A03", "c03"), ("A04", "c04")])
+        second = Update.insert("Sale", attrs, [("A03", "c03"), ("B70", "Bob")])
+        for update in (first, second):
+            sharded.apply_to_shard(0, sharded.split(update)[0])
+        sharded.commit([0], first.compose(second))
+        sold = self.read(sharded).relation("Sold")
+        assert {("A03", "c03", 23), ("B70", "Bob", 44)} <= sold.rows
+        assert ("A04", "c04", 24) not in sold
+        assert assemblies(sharded, "patched") > 0
+
+    def test_direct_shard_write_between_refreshes_assembles_in_full(self, sharded):
+        self.read(sharded)
+        full = assemblies(sharded, "full")
+        attrs = ("item", "clerk")
+        for n, direct in enumerate((False, True, False)):
+            part = sharded.split(Update.insert("Sale", attrs, [(f"B8{n}", "Bob")]))[0]
+            if direct:
+                sharded.shards[0].apply(part)
+            else:
+                sharded.apply_to_shard(0, part)
+        sharded.commit([0])
+        sold = self.read(sharded).relation("Sold")
+        assert {("B80", "Bob", 44), ("B81", "Bob", 44), ("B82", "Bob", 44)} <= sold.rows
+        assert assemblies(sharded, "full") == full + len(union_assembled(sharded))
+
+    def test_reinitialize_assembles_in_full(self, sharded):
+        self.read(sharded)
+        full = assemblies(sharded, "full")
+        sharded.initialize({
+            "Sale": Relation(("item", "clerk"), [("A00", "Bob")]),
+            "Emp": Relation(("clerk", "age"), self.EMPS),
+        })
+        assert self.read(sharded).relation("Sold").rows == {("A00", "Bob", 44)}
+        assert assemblies(sharded, "full") == full + len(union_assembled(sharded))
+
+    def test_delta_past_the_cap_assembles_in_full(self, sharded):
+        self.read(sharded)
+        full = assemblies(sharded, "full")
+        for n in range(11):  # 11 rows > 40 rows / Relation._PATCH_RATIO
+            sharded.insert("Sale", [(f"D{n:02}", "Bob")])
+        sold = self.read(sharded).relation("Sold")
+        assert len(sold) == 51
+        assert assemblies(sharded, "full") > full
+
+
+def _tpcd_pool(database, catalog, rng):
+    """Updates to draw from: order batches, their deletions, broadcast churn."""
+    orders, lines = order_insert_rows(rng, database, 6)
+
+    def both(kind, n):
+        make = getattr(Update, kind)
+        return make(
+            "Orders", catalog["Orders"].attributes, orders[2 * n:2 * n + 2]
+        ).compose(make(
+            "Lineitem", catalog["Lineitem"].attributes, lines[4 * n:4 * n + 4]
+        ))
+
+    pool = [both(kind, n) for n in range(3) for kind in ("insert", "delete")]
+    old = sorted(database["Lineitem"].rows)[:3]
+    customer = [(9000, "CUST_9000", 0, "BUILDING")]
+    for kind in ("delete", "insert"):
+        make = getattr(Update, kind)
+        pool.append(make("Lineitem", catalog["Lineitem"].attributes, old))
+        pool.append(make("Customer", catalog["Customer"].attributes, customer))
+    return pool
+
+
+_TPCD = tpcd_instance(scale=1.0, seed=7)
+_POOL = _tpcd_pool(_TPCD.database, _TPCD.catalog, random.Random(7))
+
+STEP = st.one_of(
+    st.tuples(st.just("apply"), st.integers(0, len(_POOL) - 1), st.integers(0, 3)),
+    st.tuples(st.just("commit"), st.sets(st.integers(0, 3), min_size=1)),
+    st.tuples(st.just("rollback"), st.sets(st.integers(0, 3), min_size=1)),
+    st.tuples(st.just("read"), st.integers(0, 7)),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(shards=st.integers(2, 4), steps=st.lists(STEP, max_size=24))
+def test_patched_assembly_equals_the_union_of_pinned_images(shards, steps):
+    sharded = ShardedWarehouse.specify(
+        _TPCD.catalog, _TPCD.views,
+        routings=[ShardRouting("Orders", "orderkey", shards=shards),
+                  ShardRouting("Lineitem", "orderkey", shards=shards)],
+    )
+    sharded.initialize(_TPCD.database)
+    held = [sharded.snapshot()]
+    for step in steps:
+        kind = step[0]
+        if kind == "apply":
+            parts = sharded.split(_POOL[step[1]])
+            index = step[2] % shards
+            if index in parts:
+                sharded.apply_to_shard(index, parts[index])
+        elif kind in ("commit", "rollback"):
+            indices = sorted({i % shards for i in step[1]})
+            getattr(sharded, kind)(indices)
+        else:
+            held.append(sharded.snapshot())
+            assert_assembled(sharded, held[step[1] % len(held)])
+    for snapshot in held + [sharded.snapshot()]:
+        assert_assembled(sharded, snapshot)
