@@ -4,13 +4,15 @@
 Two rule sets, dispatched per file:
 
 **Evaluator rules** (the interpreter ``src/repro/algebra/evaluator.py``,
-the refresh orchestration ``repro/core/maintenance.py``, the plan
-modules ``repro/compiler/{fuse,runtime}.py``, the query-translation
-serving path ``repro/core/translation.py``, and the hybrid warehouse's
-state hooks ``repro/core/hybrid.py``). Each of
-these runs once per operator, per refresh or per answer, with tracing
-normally off, and must then cost nothing for observability: no ``Span``
-objects, no timing calls, no unguarded tracer method calls. Every
+the expression nodes ``repro/algebra/expressions.py`` whose structural
+keys it memoizes by, the refresh orchestration
+``repro/core/maintenance.py``, the plan modules
+``repro/compiler/{fuse,runtime}.py``, the query-translation serving path
+``repro/core/translation.py``, and the hybrid warehouse's state hooks
+``repro/core/hybrid.py``). Each of these runs once per operator, per
+refresh or per answer, with tracing normally off, and must then cost
+nothing for observability: no ``Span`` objects, no timing calls, no
+unguarded tracer method calls. Every
 instrumented site is written once and opens its span through the seam
 ``repro.obs.trace.span_of(tracer, ...)``, which returns one shared
 do-nothing span for ``tracer=None``. These rules enforce that invariant
@@ -91,6 +93,9 @@ DEFAULT_TARGETS = (
     # The state hooks a HybridWarehouse puts under every answer, refresh
     # and commit of the one serving path in repro.core.warehouse.
     _ROOT / "src" / "repro" / "core" / "hybrid.py",
+    # Expression nodes: every memo and cache key the interpreter takes
+    # is a node's structural key, derived on first ask.
+    _ROOT / "src" / "repro" / "algebra" / "expressions.py",
 )
 
 

@@ -5,7 +5,11 @@ A *state* is any mapping from relation names to
 snapshot, a warehouse state, or a mixed state that additionally binds delta
 relations during incremental maintenance. Evaluation memoizes common
 sub-expressions (structural identity) within one call, which matters because
-inverse expressions (Equation (4) of the paper) share large sub-trees.
+inverse expressions (Equation (4) of the paper) share large sub-trees. Memo
+and cache keys are the nodes' structural keys and footprints their relation
+names, each derived once on the immutable node
+(:class:`~repro.algebra.expressions.Expression`); attribute sets are
+computed from the call's scope where a fast path asks for them.
 
 Beyond the per-call memo, three performance layers live here:
 
@@ -195,13 +199,10 @@ class EvaluationCache:
     not touch.
     """
 
-    __slots__ = ("_entries", "_footprints")
+    __slots__ = ("_entries",)
 
     def __init__(self) -> None:
         self._entries: Dict[tuple, Tuple[Relation, StateVersion]] = {}
-        # expression key -> referenced relation names, kept across evictions
-        # so re-stores after an update skip the tree walk.
-        self._footprints: Dict[tuple, FrozenSet[str]] = {}
 
     def lookup(self, key: tuple, state: State) -> Optional[Relation]:
         """The cached relation for ``key`` if still valid under ``state``."""
@@ -218,11 +219,9 @@ class EvaluationCache:
         self, key: tuple, state: State, expression: Expression, result: Relation
     ) -> None:
         """Record ``result`` for ``key``, versioned by its referenced names."""
-        footprint = self._footprints.get(key)
-        if footprint is None:
-            footprint = expression.relation_names()
-            self._footprints[key] = footprint
-        self._entries[key] = (result, StateVersion.capture(state, footprint))
+        self._entries[key] = (
+            result, StateVersion.capture(state, expression.relation_names())
+        )
 
     def invalidate(self, names: Optional[Iterable[str]] = None) -> None:
         """Drop entries touching ``names`` (default: everything)."""
@@ -233,11 +232,11 @@ class EvaluationCache:
         self._entries = {
             key: entry
             for key, entry in self._entries.items()
-            if not (self._footprints.get(key, frozenset()) & doomed)
+            if not (entry[1].names() & doomed)
         }
 
     def clear(self) -> None:
-        """Drop every entry (footprint memos survive; they are state-free)."""
+        """Drop every entry."""
         self._entries.clear()
 
     def __len__(self) -> int:
@@ -320,7 +319,7 @@ class _Context:
 
     __slots__ = (
         "backend", "state", "memo", "cache", "stats", "fastpath", "tracer",
-        "deltas", "shapes",
+        "deltas",
     )
 
     def __init__(
@@ -347,8 +346,6 @@ class _Context:
         self.deltas = frozenset(
             name for name in state if name.endswith((INSERT_SUFFIX, DELETE_SUFFIX))
         ) if fastpath else frozenset()
-        # id(expression) -> (attribute set, relation names), per call.
-        self.shapes: Dict[int, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
 
 
 def evaluate(
@@ -582,20 +579,10 @@ def anti_join_partner(
         return None
     operands = _join_operands(right.child)
     if len(operands) == 2:
-        left_key = expr.left._key()
         for index, operand in enumerate(operands):
-            if operand._key() == left_key:
+            if operand == expr.left:
                 return operands[1 - index]
     return None
-
-
-def _shape(expr: Expression, ctx: _Context) -> Tuple[FrozenSet[str], FrozenSet[str]]:
-    """``expr``'s attribute set and relation names, derived once per call."""
-    shape = ctx.shapes.get(id(expr))
-    if shape is None:
-        shape = (expr.attribute_set(_scope(ctx)), expr.relation_names())
-        ctx.shapes[id(expr)] = shape
-    return shape
 
 
 def _operands(left_expr: Expression, right_expr: Expression, ctx: _Context):
@@ -606,8 +593,8 @@ def _operands(left_expr: Expression, right_expr: Expression, ctx: _Context):
     left (:func:`_against`).
     """
     flip = ctx.deltas and (
-        ctx.deltas & _shape(right_expr, ctx)[1]
-        and not ctx.deltas & _shape(left_expr, ctx)[1]
+        ctx.deltas & right_expr.relation_names()
+        and not ctx.deltas & left_expr.relation_names()
     )
     first, second = (right_expr, left_expr) if flip else (left_expr, right_expr)
     seed = _eval(first, ctx)
@@ -628,13 +615,13 @@ def _against(expr: Expression, seed_expr: Expression, seed, ctx: _Context):
     evaluated), and ``expr`` is not memoized, it is evaluated only at
     ``seed``'s key values (:func:`_restrict`).
     """
-    deltas = ctx.deltas and ctx.deltas & _shape(seed_expr, ctx)[1]
+    deltas = ctx.deltas and ctx.deltas & seed_expr.relation_names()
     if deltas and _memo_key(expr, ctx) not in ctx.memo:
-        schema, names = _shape(expr, ctx)
         state = ctx.state
+        names = expr.relation_names()
         bound = sum(len(state[name]) for name in names if name in state)
         delta_rows = sum(len(state[name]) for name in deltas)
-        shared = tuple(sorted(seed.attribute_set & schema))
+        shared = tuple(sorted(seed.attribute_set & expr.attribute_set(_scope(ctx))))
         if shared and delta_rows * RESTRICTION_RATIO <= bound:
             ctx.stats.restrictions += 1
             keys = ctx.backend.decode(seed).project(shared).rows
@@ -678,9 +665,10 @@ def _restrict(expr: Expression, attrs: Tuple[str, ...], keys, ctx: _Context) -> 
     if not isinstance(expr, Join):
         return ctx.backend.decode(_eval(expr, ctx)).restrict(attrs, keys)
     operands = (expr.left, expr.right)
+    schemas = [operand.attribute_set(_scope(ctx)) for operand in operands]
     parts = [None, None]
     for side, operand in enumerate(operands):
-        mine = tuple(a for a in attrs if a in _shape(operand, ctx)[0])
+        mine = tuple(a for a in attrs if a in schemas[side])
         if mine:
             at = [attrs.index(a) for a in mine]
             mine_keys = {tuple(key[i] for i in at) for key in keys}
@@ -688,7 +676,7 @@ def _restrict(expr: Expression, attrs: Tuple[str, ...], keys, ctx: _Context) -> 
     for side, operand in enumerate(operands):
         if parts[side] is None:
             known = parts[1 - side]
-            shared = tuple(sorted(known.attribute_set & _shape(operand, ctx)[0]))
+            shared = tuple(sorted(known.attribute_set & schemas[side]))
             parts[side] = (
                 _restrict(operand, shared, known.project(shared).rows, ctx)
                 if shared
@@ -713,7 +701,9 @@ def _eval_project(expr: Project, ctx: _Context):
         and not (
             ctx.deltas
             and semi_join_side(
-                expr.attrs, _shape(child.left, ctx)[0], _shape(child.right, ctx)[0]
+                expr.attrs,
+                child.left.attribute_set(_scope(ctx)),
+                child.right.attribute_set(_scope(ctx)),
             ) is None
         )
     ):

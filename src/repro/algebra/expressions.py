@@ -44,9 +44,16 @@ def scope_of(source: object) -> Dict[str, Tuple[str, ...]]:
 
 
 class Expression:
-    """Base class of relational algebra expressions."""
+    """Base class of relational algebra expressions.
 
-    __slots__ = ()
+    Nodes are immutable, so each derives its structural key, the key's hash
+    and its relation names once, on first ask, and keeps them in slots:
+    every later ask (the evaluator's memo and cache keys, the
+    cross-update cache's footprints) is a slot read. A fresh node — from a
+    constructor or :meth:`with_children` — starts with none of them.
+    """
+
+    __slots__ = ("_cached_key", "_cached_hash", "_cached_names")
 
     # -- structure ------------------------------------------------------
 
@@ -58,8 +65,16 @@ class Expression:
         """A copy of this node over new children (same arity)."""
         raise NotImplementedError
 
-    def _key(self) -> tuple:
+    def _derive_key(self) -> tuple:
         raise NotImplementedError
+
+    def _key(self) -> tuple:
+        """The structural key: equal keys, equal expressions."""
+        try:
+            return self._cached_key
+        except AttributeError:
+            self._cached_key = key = self._derive_key()
+            return key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Expression):
@@ -67,7 +82,11 @@ class Expression:
         return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        try:
+            return self._cached_hash
+        except AttributeError:
+            self._cached_hash = value = hash(self._key())
+            return value
 
     # -- schema ----------------------------------------------------------
 
@@ -88,14 +107,17 @@ class Expression:
 
     def relation_names(self) -> FrozenSet[str]:
         """Names of all :class:`RelationRef` leaves in this tree."""
-        names = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, RelationRef):
-                names.add(node.name)
-            stack.extend(node.children())
-        return frozenset(names)
+        try:
+            return self._cached_names
+        except AttributeError:
+            if isinstance(self, RelationRef):
+                names = frozenset((self.name,))
+            else:
+                names = frozenset().union(
+                    *(child.relation_names() for child in self.children())
+                )
+            self._cached_names = names
+            return names
 
     def walk(self) -> Iterable["Expression"]:
         """All nodes of the tree, pre-order."""
@@ -111,6 +133,12 @@ class Expression:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}: {self}>"
+
+
+def _flat_parts(side: Expression, kind: type) -> FrozenSet[tuple]:
+    """The operand keys ``side`` contributes to a flattened ``kind`` key."""
+    key = side._key()
+    return key[1] if isinstance(side, kind) else frozenset((key,))
 
 
 class RelationRef(Expression):
@@ -136,7 +164,7 @@ class RelationRef(Expression):
             raise ExpressionError(f"relation {self.name!r} not in scope")
         return tuple(scope[self.name])
 
-    def _key(self) -> tuple:
+    def _derive_key(self) -> tuple:
         return ("ref", self.name)
 
     def __str__(self) -> str:
@@ -167,7 +195,7 @@ class Empty(Expression):
     def attributes(self, scope: Scope) -> Tuple[str, ...]:
         return self.attrs
 
-    def _key(self) -> tuple:
+    def _derive_key(self) -> tuple:
         return ("empty", frozenset(self.attrs))
 
     def __str__(self) -> str:
@@ -205,7 +233,7 @@ class Project(Expression):
             )
         return self.attrs
 
-    def _key(self) -> tuple:
+    def _derive_key(self) -> tuple:
         return ("project", frozenset(self.attrs), self.child._key())
 
     def __str__(self) -> str:
@@ -240,7 +268,7 @@ class Select(Expression):
             )
         return child_attrs
 
-    def _key(self) -> tuple:
+    def _derive_key(self) -> tuple:
         return ("select", self.condition._key(), self.child._key())
 
     def __str__(self) -> str:
@@ -269,20 +297,12 @@ class Join(Expression):
         left_set = set(left_attrs)
         return left_attrs + tuple(a for a in right_attrs if a not in left_set)
 
-    def _key(self) -> tuple:
+    def _derive_key(self) -> tuple:
         # Natural join is associative, commutative, and idempotent under set
         # semantics, so equality flattens the join tree into the set of its
         # non-join operands (this also makes `parse(str(e)) == e` hold for
         # right-nested joins, which print flat).
-        parts = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Join):
-                stack.extend((node.left, node.right))
-            else:
-                parts.append(node._key())
-        return ("join", frozenset(parts))
+        return ("join", _flat_parts(self.left, Join) | _flat_parts(self.right, Join))
 
     def __str__(self) -> str:
         def wrap(side: Expression) -> str:
@@ -318,18 +338,10 @@ class Union(Expression):
             )
         return left_attrs
 
-    def _key(self) -> tuple:
+    def _derive_key(self) -> tuple:
         # Union is associative, commutative, and idempotent: flatten, like
         # Join above.
-        parts = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Union):
-                stack.extend((node.left, node.right))
-            else:
-                parts.append(node._key())
-        return ("union", frozenset(parts))
+        return ("union", _flat_parts(self.left, Union) | _flat_parts(self.right, Union))
 
     def __str__(self) -> str:
         def wrap(side: Expression) -> str:
@@ -365,7 +377,7 @@ class Difference(Expression):
             )
         return left_attrs
 
-    def _key(self) -> tuple:
+    def _derive_key(self) -> tuple:
         return ("difference", self.left._key(), self.right._key())
 
     def __str__(self) -> str:
@@ -412,7 +424,7 @@ class Rename(Expression):
             raise ExpressionError(f"rename {self.mapping} collides: {out}")
         return out
 
-    def _key(self) -> tuple:
+    def _derive_key(self) -> tuple:
         return ("rename", tuple(sorted(self.mapping.items())), self.child._key())
 
     def __str__(self) -> str:

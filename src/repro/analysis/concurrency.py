@@ -108,6 +108,18 @@ ASSEMBLE_REPLICATED = "replicated"  # independent of routed facts: any shard
 ASSEMBLE_UNION = "union"  # E(∪ᵢRᵢ) = ∪ᵢ E(Rᵢ)
 ASSEMBLE_INTERSECT = "intersect"  # E(∪ᵢRᵢ) = ∩ᵢ E(Rᵢ)
 
+
+def assemble(mode: str, images: Sequence[Relation]) -> Relation:
+    """The global image that ``images`` (one per shard) assemble to under ``mode``."""
+    if mode == ASSEMBLE_REPLICATED:
+        return images[0]
+    combine = Relation.union if mode == ASSEMBLE_UNION else Relation.intersection
+    combined = images[0]
+    for image in images[1:]:
+        combined = combine(combined, image)
+    return combined
+
+
 _SEARCH_BUDGET = 5000
 
 Scope = Mapping[str, Tuple[str, ...]]
@@ -782,27 +794,13 @@ def _slice_state(
     return slices
 
 
-def _union_rows(images: Sequence[Relation]) -> Relation:
-    combined = images[0]
-    for image in images[1:]:
-        combined = combined.union(image)
-    return combined
-
-
-def _intersect_rows(images: Sequence[Relation]) -> Relation:
-    combined = images[0]
-    for image in images[1:]:
-        combined = combined.intersection(image)
-    return combined
-
-
 def _assemblies_diverge(
     name: str,
     global_image: Relation,
     shard_images: Sequence[Relation],
 ) -> Optional[Tuple[Relation, Relation]]:
-    union = _union_rows(list(shard_images))
-    intersect = _intersect_rows(list(shard_images))
+    union = assemble(ASSEMBLE_UNION, shard_images)
+    intersect = assemble(ASSEMBLE_INTERSECT, shard_images)
     if (
         global_image != union
         and global_image != intersect
@@ -1155,13 +1153,7 @@ def check_sharding_certificate(
         shard_images = [evaluate_all(definitions, part) for part in slices]
         for name in sorted(definitions):
             mode = assembly.get(name, ASSEMBLE_REPLICATED)
-            images = [img[name] for img in shard_images]
-            if mode == ASSEMBLE_UNION:
-                assembled = _union_rows(images)
-            elif mode == ASSEMBLE_INTERSECT:
-                assembled = _intersect_rows(images)
-            else:
-                assembled = images[0]
+            assembled = assemble(mode, [img[name] for img in shard_images])
             if assembled != image[name]:
                 yield f"{mode} assembly of {name!r} does not match the global image"
 

@@ -77,6 +77,7 @@ from repro.analysis.concurrency import (
     ASSEMBLE_REPLICATED,
     ASSEMBLE_UNION,
     AssemblyReport,
+    assemble,
     classify_assembly,
 )
 from repro.core.complement import WarehouseSpec, specify
@@ -232,24 +233,10 @@ class CommitRecord(NamedTuple):
     shards: Tuple[int, ...]
 
 
-def _union_all(relations: Sequence[Relation]) -> Relation:
-    combined = relations[0]
-    for relation in relations[1:]:
-        combined = combined.union(relation)
-    return combined
-
-
 # An assembly patch: (base image, deleted rows, inserted rows).
 _Patch = Tuple[Relation, FrozenSet[tuple], FrozenSet[tuple]]
 # Per union-assembled relation: (deleted rows, inserted rows).
 _Deltas = Dict[str, Tuple[FrozenSet[tuple], FrozenSet[tuple]]]
-
-
-def _intersect_all(relations: Sequence[Relation]) -> Relation:
-    combined = relations[0]
-    for relation in relations[1:]:
-        combined = combined.intersection(relation)
-    return combined
 
 
 class ShardedSnapshot:
@@ -305,20 +292,18 @@ class ShardedSnapshot:
         mode = self._assembly.get(name, ASSEMBLE_REPLICATED)
         if mode == ASSEMBLE_REPLICATED or len(self._states) == 1:
             assembled = self._states[0][name]
-        elif mode == ASSEMBLE_UNION:
-            patch = self._patches.get(name)
+        else:
+            patch = self._patches.get(name)  # union-assembled relations only
             if patch is None:
-                assembled = _union_all([state[name] for state in self._states])
+                assembled = assemble(mode, [state[name] for state in self._states])
             else:
                 image, deletes, inserts = patch
                 assembled = image.difference(
                     Relation._raw(image.attributes, deletes - inserts)
                 ).union(Relation._raw(image.attributes, inserts))
-            if self._metrics is not None:
+            if mode == ASSEMBLE_UNION and self._metrics is not None:
                 how = "full" if patch is None else "patched"
                 self._metrics.counter(f"warehouse.snapshot_assemblies.{how}").inc()
-        else:
-            assembled = _intersect_all([state[name] for state in self._states])
         self._memo[name] = assembled
         return assembled
 
@@ -332,9 +317,14 @@ class ShardedSnapshot:
                 f"{name!r} on shard {shard}"
             ) from None
 
-    def state(self) -> Dict[str, Relation]:
-        """The fully assembled ``{name: Relation}`` global state."""
-        return {name: self.relation(name) for name in self.names()}
+    def state(self, names: Optional[Iterable[str]] = None) -> Dict[str, Relation]:
+        """The assembled ``{name: Relation}`` global state, or its ``names`` part.
+
+        A name this snapshot does not hold is skipped, and a relation not
+        named is not assembled.
+        """
+        names = self.names() if names is None else [n for n in names if n in self]
+        return {name: self.relation(name) for name in names}
 
     def total_rows(self) -> int:
         """Total tuples in the assembled global image."""
@@ -543,8 +533,9 @@ class ShardedWarehouse:
         shard's live state may hold a refresh whose batch has not
         committed yet.
         """
+        inverse = self.spec.inverse_for(relation)
         return evaluate(
-            self.spec.inverse_for(relation), self.snapshot().state(),
+            inverse, self.snapshot().state(inverse.relation_names()),
             engine=self.shards[0].engine,
         )
 
@@ -553,9 +544,13 @@ class ShardedWarehouse:
 
         :meth:`Warehouse.answer <repro.core.warehouse.Warehouse.answer>` as
         shard 0 runs it (its query counter, tracer and
-        ``REPRO_CHECK_INVARIANTS`` check), over the assembled global state.
+        ``REPRO_CHECK_INVARIANTS`` check), over the snapshot's relations the
+        plan reads: the others are never assembled.
         """
-        return self.shards[0]._answer(query, self.snapshot().state())
+        snapshot = self.snapshot()
+        return self.shards[0]._answer(
+            query, lambda plan: snapshot.state(plan.relation_names())
+        )
 
     # ------------------------------------------------------------------
     # Writes: split / refresh / commit

@@ -19,6 +19,7 @@ from repro import (
     evaluate_all,
     parse,
 )
+from repro.algebra.expressions import Expression
 
 
 @pytest.fixture
@@ -132,9 +133,13 @@ class TestEvaluationCache:
         size_before = len(cache)
         cache.invalidate(["Emp"])
         assert len(cache) < size_before
+        # Sale and pi[item](Sale) read no Emp: both entries survive.
+        assert len(cache) == 2
         stats = EvalStats()
         evaluate(parse("pi[item](Sale)"), state, cache=cache, stats=stats)
         assert stats.cache_hits == 1
+        evaluate(parse("Sale"), state, cache=cache, stats=stats)
+        assert (stats.cache_hits, stats.nodes_evaluated) == (2, 0)
 
     def test_clear(self, state):
         cache = EvaluationCache()
@@ -175,6 +180,36 @@ class TestEvaluationCache:
             for key, (result, _version) in cache._entries.items()
         }
         assert stored == {(True, ColumnarTable), (False, Relation)}
+
+
+class TestMemoizedIdentity:
+    def test_a_repeated_refresh_derives_no_structural_key(self, state, monkeypatch):
+        """Nodes derive their key once: a refresh repeated over fresh delta
+        bindings re-evaluates its delta-touched nodes without deriving a
+        single key again."""
+        plan = parse("(Sold minus (Sale__del join Emp)) union (Sale__ins join Emp)")
+        sold = evaluate(parse("Sale join Emp"), state)
+        cache = EvaluationCache()
+
+        def refresh(stats=None):
+            delta = Relation(("item", "clerk"), [("PC", "Mary")])
+            bound = dict(state, Sold=sold, Sale__ins=delta, Sale__del=delta)
+            return evaluate(plan, bound, cache=cache, stats=stats)
+
+        first = refresh()
+        derived = []
+        for kind in Expression.__subclasses__():
+            derive = kind._derive_key
+
+            def counted(node, derive=derive):
+                derived.append(node)
+                return derive(node)
+
+            monkeypatch.setattr(kind, "_derive_key", counted)
+        stats = EvalStats()
+        assert refresh(stats) == first
+        assert stats.nodes_evaluated > 0
+        assert derived == []
 
 
 class TestFastPathEquivalence:

@@ -41,6 +41,8 @@ class TestRealTargets:
         # orchestration around it are targets too.
         names = {Path(str(t)).name for t in CHECKER.DEFAULT_TARGETS}
         assert {"evaluator.py", "columnar.py", "maintenance.py"} <= names
+        # The nodes whose structural keys every memo and cache lookup takes.
+        assert "expressions.py" in names
         # ... and so is everything under the one serving path.
         assert {"runtime.py", "translation.py", "hybrid.py"} <= names
         assert "columnar_eval.py" not in names

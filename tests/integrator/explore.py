@@ -36,8 +36,9 @@ from pathlib import Path
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro import Catalog, Relation, Update, View, WarehouseError
+from repro.analysis.concurrency import assemble
 from repro.analysis.specfile import load_target
-from repro.core.sharding import ASSEMBLE_UNION, ShardRouting, _union_all
+from repro.core.sharding import ASSEMBLE_UNION, ShardRouting
 from repro.core.warehouse import Warehouse
 from repro.integrator import AsyncChannel, AsyncConcurrentIntegrator, AsyncSource
 from repro.workloads.tpcd import order_insert_rows, tpcd_instance
@@ -150,7 +151,7 @@ def explore(
         observed.setdefault(snapshot.version, snapshot.state())
         for name in unions:
             images = [snapshot.shard_relation(i, name) for i in range(warehouse.router.shards)]
-            if snapshot.relation(name) != _union_all(images):
+            if snapshot.relation(name) != assemble(ASSEMBLE_UNION, images):
                 failures.append(f"step {loop.steps}: {name} != the union of its shard images")
         for name in bases:
             if warehouse.reconstruct(name) != warehouse.answer(name):

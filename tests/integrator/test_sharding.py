@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 
 from repro import Catalog, Relation, Update, View, WarehouseError, parse
 from repro.core.complement import specify
+from repro.analysis.concurrency import assemble
 from repro.core.sharding import (
     ASSEMBLE_UNION,
     ShardedWarehouse,
     ShardRouter,
     ShardRouting,
-    _union_all,
 )
 from repro.core.warehouse import Warehouse
 from repro.workloads.tpcd import order_insert_rows, tpcd_instance
@@ -553,7 +553,7 @@ def assert_assembled(sharded, snapshot):
         images = [
             snapshot.shard_relation(i, name) for i in range(sharded.router.shards)
         ]
-        assert snapshot.relation(name) == _union_all(images), name
+        assert snapshot.relation(name) == assemble(ASSEMBLE_UNION, images), name
 
 
 def assemblies(sharded, how):
@@ -725,6 +725,28 @@ def _tpcd_pool(database, catalog, rng):
 
 _TPCD = tpcd_instance(scale=1.0, seed=7)
 _POOL = _tpcd_pool(_TPCD.database, _TPCD.catalog, random.Random(7))
+
+
+def test_reads_assemble_only_the_relations_their_plan_reads():
+    sharded = ShardedWarehouse.specify(
+        _TPCD.catalog, _TPCD.views,
+        routings=[ShardRouting("Orders", "orderkey", shards=4),
+                  ShardRouting("Lineitem", "orderkey", shards=4)],
+    )
+    sharded.initialize(_TPCD.database)
+
+    def counts():
+        return assemblies(sharded, "full"), assemblies(sharded, "patched")
+
+    before = counts()
+    # Region is replicated: neither read assembles a relation.
+    assert sharded.answer("Region") == _TPCD.database["Region"]
+    assert sharded.reconstruct("Region") == _TPCD.database["Region"]
+    assert counts() == before
+    # Orders reads union-assembled relations: those are assembled.
+    assert sharded.answer("Orders") == _TPCD.database["Orders"]
+    assert counts() > before
+
 
 STEP = st.one_of(
     st.tuples(st.just("apply"), st.integers(0, len(_POOL) - 1), st.integers(0, 3)),

@@ -121,10 +121,21 @@ def test_optimize_preserves_semantics(expr, state):
     assert evaluate(expr, state) == evaluate(optimized, state), str(expr)
 
 
+def _rebuilt(expr):
+    """A copy of ``expr`` whose inner nodes are new: nothing derived yet."""
+    return expr.with_children([_rebuilt(child) for child in expr.children()])
+
+
 @given(expressions(3))
 @settings(max_examples=150, deadline=None)
 def test_parser_roundtrip(expr):
     assert parse(str(expr)) == expr, str(expr)
+    # The comparison above memoized expr's key; a fresh copy derives its own.
+    fresh = _rebuilt(expr)
+    leaves = frozenset(n.name for n in expr.walk() if isinstance(n, RelationRef))
+    assert (fresh._key(), hash(fresh), fresh.relation_names()) == (
+        expr._key(), hash(expr), expr.relation_names()
+    ) and expr.relation_names() == leaves, str(expr)
 
 
 @given(expressions(2), states())
