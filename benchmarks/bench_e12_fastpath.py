@@ -58,7 +58,7 @@ def strip_caches(state):
 def run_seed(wh, base_state, updates):
     state = strip_caches(base_state)
     for update in updates:
-        state, _ = refresh_state(
+        state, _, _ = refresh_state(
             wh.spec, state, update, cache=None, fastpath=False
         )
         state = strip_caches(state)
@@ -69,7 +69,7 @@ def run_fast(wh, base_state, updates, cache=None):
     cache = EvaluationCache() if cache is None else cache
     state = base_state
     for update in updates:
-        state, _ = refresh_state(
+        state, _, _ = refresh_state(
             wh.spec, state, update, cache=cache, fastpath=True
         )
     return state

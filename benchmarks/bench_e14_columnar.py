@@ -139,7 +139,7 @@ def run_engine(wh, base_state, updates, engine=None, seed_mode=False):
     cache = None if seed_mode else EvaluationCache()
     state = strip_caches(base_state) if seed_mode else base_state
     for update in updates:
-        state, _ = refresh_state(
+        state, _, _ = refresh_state(
             wh.spec,
             state,
             update,

@@ -83,7 +83,7 @@ def test_report_series(benchmark):
         refresh_state(trivial.spec, trivial_state, update)
 
         t0 = time.perf_counter()
-        incremental, _ = refresh_state(wh.spec, state, update)
+        incremental, _, _ = refresh_state(wh.spec, state, update)
         t1 = time.perf_counter()
         full = full_recompute_state(wh.spec, state, update)
         t2 = time.perf_counter()

@@ -47,7 +47,7 @@ def test_incremental_stream(benchmark, scale):
     def run():
         state = base_state
         for update in updates:
-            state, _ = refresh_state(wh.spec, state, update)
+            state, _, _ = refresh_state(wh.spec, state, update)
         return state
 
     benchmark(run)
@@ -78,7 +78,7 @@ def test_report_series(benchmark):
         def run_incremental():
             current = dict(state)
             for update in updates:
-                current, _ = refresh_state(wh.spec, current, update)
+                current, _, _ = refresh_state(wh.spec, current, update)
             return current
 
         def run_recompute():

@@ -85,7 +85,7 @@ def test_report_series(benchmark):
         wh.initialize(state)
         update = make_update(n, 10)
 
-        new_state, _ = refresh_state(wh.spec, wh.state, update)
+        new_state, _, _ = refresh_state(wh.spec, wh.state, update)
 
         sigma = view.definition
         delta = update.delta_for("Emp")

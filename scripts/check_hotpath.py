@@ -96,6 +96,9 @@ DEFAULT_TARGETS = (
     # Expression nodes: every memo and cache key the interpreter takes
     # is a node's structural key, derived on first ask.
     _ROOT / "src" / "repro" / "algebra" / "expressions.py",
+    # Patched images: every answer reads its base relations' inverse
+    # images through them, and every sharded snapshot its assemblies.
+    _ROOT / "src" / "repro" / "storage" / "patch.py",
 )
 
 

@@ -3,8 +3,9 @@
 A refresh plan (:class:`~repro.compiler.fuse.FusedPlan`) is a pure
 function of the spec, the set of base relations an effective update
 touches and its side mask (``"insert-only"`` / ``"delete-only"`` /
-``"mixed"``); a query plan (the optimized ``Q ∘ W^{-1}`` of Theorem 3.1)
-is a pure function of the spec and the query. Both are derived once and
+``"mixed"``); a query plan (Theorem 3.1's ``Q ∘ W^{-1}``, with the query's
+base relations read from their inverse images) is a pure function of the
+spec and the query. Both are derived once and
 kept for the life of the spec: nothing evicts them.
 :class:`RefreshCompiler` holds them; the one interpreter
 (:func:`repro.algebra.evaluator.evaluate`, driven by
@@ -27,11 +28,10 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.algebra.expressions import Expression
-from repro.storage.relation import Relation
-from repro.storage.update import Delta, Update
+from repro.storage.update import Update
 from repro.core.complement import WarehouseSpec
-from repro.core.maintenance import State, refresh_state
-from repro.core.translation import translate_query
+from repro.core.maintenance import Refresh, State, refresh_state
+from repro.core.translation import answer_plan
 from repro.compiler.fuse import FusedPlan, fused_plan
 
 
@@ -42,7 +42,7 @@ class RefreshCompiler:
     :func:`~repro.core.maintenance.maintenance_expressions` call each) and
     ``plan_hits`` the lookups served from the table; ``misses`` and
     ``hits`` count the same for query plans (one
-    :func:`~repro.core.translation.translate_query` call per miss), and
+    :func:`~repro.core.translation.answer_plan` call per miss), and
     ``len()`` is the number of query plans held. All are plain cumulative
     ints (this module keeps clocks and metrics off the serving paths); a
     warehouse folds what its own refresh added into its ``compiler.*``
@@ -102,17 +102,18 @@ class RefreshCompiler:
         return plan
 
     def query_plan(self, query: Expression) -> Expression:
-        """The optimized ``Q ∘ W^{-1}`` for ``query``; translates on miss.
+        """The plan an answer to ``query`` runs; derived on miss.
 
-        Keyed structurally (``Expression._key()``), so two spellings of
-        one query share a plan.
+        :func:`~repro.core.translation.answer_plan`: ``query`` folded onto
+        the stored views and optimized, each base relation left in it
+        bound to its inverse image at answer time. Keyed structurally
+        (``Expression._key()``), so two spellings of one query share a
+        plan.
         """
         key = query._key()
         plan = self._query_plans.get(key)
         if plan is None:
-            plan = self._query_plans[key] = translate_query(
-                self.spec, query, optimized=True
-            )
+            plan = self._query_plans[key] = answer_plan(self.spec, query)
             self.misses += 1
         else:
             self.hits += 1
@@ -121,9 +122,7 @@ class RefreshCompiler:
     def __len__(self) -> int:
         return len(self._query_plans)
 
-    def refresh(
-        self, state: State, update: Update, **options
-    ) -> Tuple[Dict[str, Relation], Dict[str, Delta]]:
+    def refresh(self, state: State, update: Update, **options) -> Refresh:
         """:func:`~repro.core.maintenance.refresh_state` under this spec.
 
         ``options`` are its ``cache`` / ``stats`` / ``fastpath`` /

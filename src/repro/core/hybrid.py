@@ -16,7 +16,8 @@ materialized design removes.
 
 Everything else is :class:`~repro.core.warehouse.Warehouse`: the class
 overrides only its state hooks — which state an answer, a reconstruction
-or a refresh runs over, and which relations a commit keeps.
+or a refresh runs over, and which relations a commit keeps. It holds no
+inverse image: its answers evaluate the inverses they read.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.storage.relation import Relation
 from repro.storage.update import Update
 from repro.core.complement import WarehouseSpec
 from repro.core.maintenance import State, normalize_update, side_mask
+from repro.core.translation import with_images
 from repro.core.warehouse import Warehouse
 from repro.compiler.fuse import NEW_SUFFIX
 
@@ -129,6 +131,18 @@ class HybridWarehouse(Warehouse):
 
     def _state_for(self, *expressions: Expression) -> State:
         return self._full_state() if self._reads_virtual(expressions) else self.state
+
+    def _answer_state(self, plan: Expression) -> State:
+        # No image is held — a held image would materialize what the
+        # virtual complements leave at the sources. The inverses the plan
+        # reads are evaluated over one fetch, as their substitution was.
+        inverses = [
+            self.spec.inverses[name]
+            for name in plan.relation_names() if name in self.spec.inverses
+        ]
+        return with_images(
+            self.spec, plan, self._state_for(plan, *inverses), self.engine
+        )
 
     def _refresh_over(self, update: Update) -> State:
         # Virtual complements are fetched only if what is about to run

@@ -32,7 +32,7 @@ derived once and cached on the spec
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import WarehouseError
 from repro.algebra.deltas import (
@@ -52,6 +52,20 @@ from repro.storage.update import Delta, Update
 from repro.core.complement import WarehouseSpec
 
 State = Mapping[str, Relation]
+
+
+class Refresh(NamedTuple):
+    """What :func:`refresh_state` returns.
+
+    ``state`` is the new warehouse state; ``applied`` the effective delta of
+    each warehouse relation it changed; ``effective`` the reported update in
+    effective form against the reconstructed base state — by Theorem 4.1,
+    exactly how each base relation's ``W^{-1}(w)`` changes.
+    """
+
+    state: Dict[str, Relation]
+    applied: Dict[str, Delta]
+    effective: Update
 
 
 class MaintenancePlan:
@@ -250,13 +264,16 @@ def refresh_state(
     fastpath: bool = True,
     tracer=None,
     engine: Optional[str] = None,
-) -> Tuple[Dict[str, Relation], Dict[str, Delta]]:
+) -> Refresh:
     """Incrementally fold ``update`` into the warehouse state.
 
-    Returns ``(new_state, applied)`` where ``applied`` records the effective
-    per-warehouse-relation deltas (useful for cascading, e.g. into aggregate
-    views). Uses only warehouse relations and the update — the source
-    databases are never consulted (Theorem 4.1's update independence).
+    Returns a :class:`Refresh` ``(new_state, applied, effective)``:
+    ``applied`` records the effective per-warehouse-relation deltas (useful
+    for cascading, e.g. into aggregate views), ``effective`` the update
+    normalized against the reconstructed base state (what the warehouse
+    patches its inverse images by). Uses only warehouse relations and the
+    update — the source databases are never consulted (Theorem 4.1's
+    update independence).
 
     The update is normalized to effective form, and the fused plan for its
     shape and side mask (:func:`repro.compiler.fuse.fused_plan`, derived
@@ -289,7 +306,7 @@ def refresh_state(
             effective_rows=sum(len(d.inserts) + len(d.deletes) for d in effective)
         )
     if effective.is_empty():
-        return dict(warehouse), {}
+        return Refresh(dict(warehouse), {}, effective)
     plan = RefreshCompiler.of(spec).program_for(
         frozenset(effective.relations()), side_mask(effective)
     )
@@ -320,7 +337,7 @@ def refresh_state(
         # virtual complement it found no program reading) has no value.
         if name in new_state:
             env[new_value_name(name)] = new_state[name]
-    return new_state, applied
+    return Refresh(new_state, applied, effective)
 
 
 def full_recompute_state(

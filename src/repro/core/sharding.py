@@ -43,7 +43,8 @@ an unsharded reference warehouse after every schedule it runs.
 A union-assembled image is patched, not re-unioned: each commit folds the
 deltas its shards' refreshes applied into an accumulated ``(D, I)`` against
 the last image a reader assembled, and the next read returns
-``(image − (D − I)) ∪ I`` through the delta-patched ``Relation`` operations.
+``(image − (D − I)) ∪ I`` through the delta-patched ``Relation`` operations
+(:class:`repro.storage.patch.Patch`).
 A deleted row enters ``D`` only when no shard image still holds it, so the
 patch is exact for overlapping images too. ``docs/integrator.md`` lists when
 assembly falls back to the full union.
@@ -66,9 +67,11 @@ from typing import (
 
 from repro.errors import WarehouseError
 from repro.algebra.evaluator import evaluate
+from repro.algebra.expressions import Expression
 from repro.obs.metrics import MetricsRegistry
 from repro.schema.catalog import Catalog
 from repro.storage.database import Database
+from repro.storage.patch import Patch
 from repro.storage.relation import Relation
 from repro.storage.update import Delta, Update
 from repro.views.psj import View
@@ -233,8 +236,6 @@ class CommitRecord(NamedTuple):
     shards: Tuple[int, ...]
 
 
-# An assembly patch: (base image, deleted rows, inserted rows).
-_Patch = Tuple[Relation, FrozenSet[tuple], FrozenSet[tuple]]
 # Per union-assembled relation: (deleted rows, inserted rows).
 _Deltas = Dict[str, Tuple[FrozenSet[tuple], FrozenSet[tuple]]]
 
@@ -249,27 +250,32 @@ class ShardedSnapshot:
     (the ``K − π(…routed…)`` complement shape) intersect them; replicated
     relations read from shard 0. Assembly is lazy and memoized per
     snapshot; a union-assembled relation with a ``patches`` entry
-    ``(image, D, I)`` assembles as ``(image − (D − I)) ∪ I`` instead, and
-    ``metrics`` counts the two ways. The read API mirrors
+    (a :class:`~repro.storage.patch.Patch` against an older image) assembles
+    as ``(image − (D − I)) ∪ I`` instead, and ``metrics`` counts the two
+    ways. Base relations' inverse images are memoized per snapshot too
+    (:meth:`image`). The read API mirrors
     :class:`~repro.storage.snapshot.SnapshotView`.
     """
 
-    __slots__ = ("_version", "_states", "_assembly", "_memo", "_patches", "_metrics")
+    __slots__ = (
+        "_version", "_states", "_assembly", "_memo", "_patches", "_metrics", "_images",
+    )
 
     def __init__(
         self,
         version: int,
         states: Sequence[Mapping[str, Relation]],
         assembly: Mapping[str, str],
-        patches: Optional[Mapping[str, _Patch]] = None,
+        patches: Optional[Mapping[str, Patch]] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._version = version
         self._states: Tuple[Mapping[str, Relation], ...] = tuple(states)
         self._assembly = assembly
         self._memo: Dict[str, Relation] = {}
-        self._patches: Mapping[str, _Patch] = patches or {}
+        self._patches: Mapping[str, Patch] = patches or {}
         self._metrics = metrics
+        self._images: Dict[str, Relation] = {}
 
     @property
     def version(self) -> int:
@@ -297,15 +303,27 @@ class ShardedSnapshot:
             if patch is None:
                 assembled = assemble(mode, [state[name] for state in self._states])
             else:
-                image, deletes, inserts = patch
-                assembled = image.difference(
-                    Relation._raw(image.attributes, deletes - inserts)
-                ).union(Relation._raw(image.attributes, inserts))
+                assembled = patch.read()
             if mode == ASSEMBLE_UNION and self._metrics is not None:
                 how = "full" if patch is None else "patched"
                 self._metrics.counter(f"warehouse.snapshot_assemblies.{how}").inc()
         self._memo[name] = assembled
         return assembled
+
+    def image(
+        self, name: str, inverse: Expression, engine: Optional[str] = None
+    ) -> Relation:
+        """Base relation ``name``'s ``inverse`` over this snapshot.
+
+        Evaluated on the first ask and kept for the life of the snapshot,
+        assembling only the relations the inverse reads.
+        """
+        image = self._images.get(name)
+        if image is None:
+            image = self._images[name] = evaluate(
+                inverse, self.state(inverse.relation_names()), engine=engine
+            )
+        return image
 
     def shard_relation(self, shard: int, name: str) -> Relation:
         """One shard's pinned image of a warehouse relation."""
@@ -414,7 +432,7 @@ class ShardedWarehouse:
         # Per shard, uncommitted refreshes: (start state, end state, deltas).
         self._pending: Dict[int, Tuple[Optional[Mapping], Mapping, _Deltas]] = {}
         # Per union-assembled relation, the newest version's patch.
-        self._patches: Dict[str, _Patch] = {}
+        self._patches: Dict[str, Patch] = {}
         self._commit_log: List[CommitRecord] = []
         self._metrics = MetricsRegistry()
         self._metrics.gauge("warehouse.shards").set(router.shards)
@@ -527,16 +545,14 @@ class ShardedWarehouse:
         return sum(shard.storage_rows() for shard in self.shards)
 
     def reconstruct(self, relation: str) -> Relation:
-        """Recompute one base relation via Equation (4), across shards.
+        """One base relation via Equation (4), across shards.
 
-        Like :meth:`answer`, it reads the newest committed snapshot: a
+        Like :meth:`answer`, it reads the newest committed snapshot (a
         shard's live state may hold a refresh whose batch has not
-        committed yet.
+        committed yet), through the snapshot's inverse image.
         """
-        inverse = self.spec.inverse_for(relation)
-        return evaluate(
-            inverse, self.snapshot().state(inverse.relation_names()),
-            engine=self.shards[0].engine,
+        return self.snapshot().image(
+            relation, self.spec.inverse_for(relation), self.shards[0].engine
         )
 
     def answer(self, query) -> Relation:
@@ -545,12 +561,21 @@ class ShardedWarehouse:
         :meth:`Warehouse.answer <repro.core.warehouse.Warehouse.answer>` as
         shard 0 runs it (its query counter, tracer and
         ``REPRO_CHECK_INVARIANTS`` check), over the snapshot's relations the
-        plan reads: the others are never assembled.
+        plan reads — the others are never assembled — with each base
+        relation it names bound to its inverse image, evaluated once per
+        snapshot (:meth:`ShardedSnapshot.image`).
         """
         snapshot = self.snapshot()
-        return self.shards[0]._answer(
-            query, lambda plan: snapshot.state(plan.relation_names())
-        )
+        inverses, engine = self.spec.inverses, self.shards[0].engine
+
+        def bound(plan: Expression) -> Dict[str, Relation]:
+            names = plan.relation_names()
+            state = snapshot.state(names)
+            for name in names & inverses.keys():
+                state[name] = snapshot.image(name, inverses[name], engine)
+            return state
+
+        return self.shards[0]._answer(query, bound)
 
     # ------------------------------------------------------------------
     # Writes: split / refresh / commit
@@ -612,12 +637,11 @@ class ShardedWarehouse:
         for name in self._patchable:
             image = previous._memo.get(name) if previous is not None else None
             if image is not None:
-                patch = (image.without_columnar_twin(), frozenset(), frozenset())
+                patch = Patch(image.without_columnar_twin())
             elif name in carried:
                 patch = carried[name]
             else:
                 continue
-            image, deletes, inserts = patch
             for deltas in changed:
                 if name in deltas:
                     removed, added = deltas[name]
@@ -626,9 +650,9 @@ class ShardedWarehouse:
                         row for row in removed
                         if not any(row in s[name].rows for s in self._committed)
                     )
-                    deletes, inserts = deletes | gone, (inserts - gone) | added
-            if (len(deletes) + len(inserts)) * Relation._PATCH_RATIO <= len(image):
-                self._patches[name] = (image, deletes, inserts)
+                    patch = patch.folded(gone, added)
+            if patch.fits():
+                self._patches[name] = patch
 
     def commit(
         self, shard_indices: Iterable[int], update: Optional[Update] = None

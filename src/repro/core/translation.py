@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.errors import WarehouseError
-from repro.algebra.evaluator import evaluate
+from repro.algebra.evaluator import evaluate, evaluate_all
 from repro.algebra.expressions import Expression
 from repro.algebra.optimize import optimize
 from repro.algebra.rewriting import substitute
@@ -70,18 +70,35 @@ def translate_query(
     See ``tests/paper/test_query_independence.py`` for the paper's worked
     translation of ``pi_age(sigma[item='Computer'](Sale) join Emp)``.
     """
-    warehouse_names = set(spec.warehouse_names())
-    known = set(spec.inverses) | warehouse_names
+    _check_names(spec, query)
+    if optimized:
+        folded = fold_onto_views(query, spec.views, spec.source_scope())
+        return optimize(substitute(folded, spec.inverses), spec.warehouse_scope())
+    return simplify(substitute(query, spec.inverses), spec.warehouse_scope())
+
+
+def answer_plan(spec: WarehouseSpec, query: Expression) -> Expression:
+    """The plan an answer runs: ``query`` folded onto views, then optimized.
+
+    Every PSJ sub-query that matches a stored view is answered from it, as
+    in ``translate_query(optimized=True)``; every base relation the fold
+    leaves keeps its base name, and the answer binds it to its inverse
+    image ``W^{-1}(w)`` (Theorem 3.1 with the inverse held, not
+    substituted). Raises like :func:`translate_query`.
+    """
+    _check_names(spec, query)
+    folded = fold_onto_views(query, spec.views, spec.source_scope())
+    return optimize(folded, {**spec.source_scope(), **spec.warehouse_scope()})
+
+
+def _check_names(spec: WarehouseSpec, query: Expression) -> None:
+    known = set(spec.inverses) | set(spec.warehouse_names())
     unknown = query.relation_names() - known
     if unknown:
         raise WarehouseError(
             f"query references unknown relations {sorted(unknown)}; "
             f"known base relations: {sorted(spec.inverses)}"
         )
-    if optimized:
-        folded = fold_onto_views(query, spec.views, spec.source_scope())
-        return optimize(substitute(folded, spec.inverses), spec.warehouse_scope())
-    return simplify(substitute(query, spec.inverses), spec.warehouse_scope())
 
 
 def translation_read_set(
@@ -125,6 +142,18 @@ def translation_digest(spec: WarehouseSpec) -> str:
     return canonical_digest(document)
 
 
+def with_images(
+    spec: WarehouseSpec, plan: Expression, state: State, engine: Optional[str] = None
+) -> Dict[str, Relation]:
+    """``state`` plus each base relation ``plan`` names, bound to its inverse
+    evaluated over ``state`` — the images of a warehouse that holds none."""
+    inverses = {
+        name: spec.inverses[name]
+        for name in plan.relation_names() if name in spec.inverses
+    }
+    return {**state, **evaluate_all(inverses, state, engine=engine)}
+
+
 def answer_query(
     spec: WarehouseSpec,
     state: Union[State, Callable[[Expression], State]],
@@ -136,20 +165,22 @@ def answer_query(
     """Answer a source query using warehouse relations only.
 
     The one answer body, under every kind of warehouse: look the plan up
-    in the spec's plan table (the optimized ``Q ∘ W^{-1}``, translated
-    once per spec and query), open the ``answer`` span, evaluate — no
-    source relation is ever touched. ``query`` is stated over base
-    relations (and/or warehouse relations). ``state`` is the materialized
-    warehouse state, or a function from the plan to the state to run it
-    over (a :class:`~repro.core.hybrid.HybridWarehouse` fetches the
-    virtual complements the plan names). ``tracer`` and ``engine`` are as
-    in :func:`repro.algebra.evaluator.evaluate`.
+    in the spec's plan table (:func:`answer_plan`, derived once per spec
+    and query), open the ``answer`` span, evaluate — no source relation is
+    ever touched. ``query`` is stated over base relations (and/or
+    warehouse relations). ``state`` is a function from the plan to the
+    state to run it over, binding each base relation the plan names to
+    its inverse image (a :class:`~repro.core.warehouse.Warehouse` reads its
+    held images, a :class:`~repro.core.hybrid.HybridWarehouse` evaluates
+    the inverses over the virtual complements it fetches), or a
+    materialized warehouse state, over which the images are evaluated
+    here. ``tracer`` and ``engine`` are as in
+    :func:`repro.algebra.evaluator.evaluate`.
     """
     # Function-level: repro.compiler.runtime imports this module.
     from repro.compiler.runtime import RefreshCompiler
 
     plan = RefreshCompiler.of(spec).query_plan(query)
-    if callable(state):
-        state = state(plan)
+    state = state(plan) if callable(state) else with_images(spec, plan, state, engine)
     with span_of(tracer, "answer", query=str(query)):
         return evaluate(plan, state, tracer=tracer, engine=engine)

@@ -31,7 +31,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import RingBufferCollector, Span, TraceCollector, Tracer, span_of
 from repro.schema.catalog import Catalog
 from repro.storage.database import Database
-from repro.storage.engine import sanitizer_enabled
+from repro.storage.engine import SANITIZER_ENV, sanitizer_enabled
+from repro.storage.patch import PatchedImage
 from repro.storage.relation import Relation
 from repro.storage.update import Delta, Update
 from repro.views.psj import View
@@ -44,7 +45,7 @@ from repro.core.maintenance import (
     maintenance_expressions,
     side_mask,
 )
-from repro.core.translation import answer_query, translate_query, translation_read_set
+from repro.core.translation import answer_query, translate_query
 
 QueryLike = TypingUnion[str, Expression]
 StateLike = TypingUnion[Database, Mapping[str, Relation]]
@@ -96,10 +97,15 @@ class Warehouse:
         self._aggregates: list = []
         # The cross-update evaluation cache: sub-expressions whose inputs an
         # update does not touch are reused across refreshes (and by
-        # reconstruct between refreshes). answer() does not share it: its
-        # entries are keyed by literal, so a query stream grows it without
-        # bound (EXPERIMENTS.md, E6b).
+        # reconstruct_all between refreshes). answer() does not share it:
+        # its entries are keyed by literal, so a query stream grows it
+        # without bound (EXPERIMENTS.md, E6b). Answers read the inverse
+        # images below instead (E6c).
         self._cache = EvaluationCache()
+        # W^{-1}(w), one image per base relation an answer or reconstruct
+        # has read: each commit records its effective update against the
+        # image in O(1), and the next read patches it (repro.storage.patch).
+        self._images: Dict[str, PatchedImage] = {}
         self._stats = EvalStats()
         self._last_refresh_stats = EvalStats()
         # Observability: metrics are always on (a handful of counter bumps
@@ -361,17 +367,27 @@ class Warehouse:
         self,
         new_state: Dict[str, Relation],
         applied: Optional[Dict[str, Delta]] = None,
+        effective: Iterable[Delta] = (),
     ) -> None:
         """Publish ``new_state`` as the next version — the one commit site.
 
         ``applied`` is an incremental refresh's per-relation deltas, which
-        attached aggregates fold in; ``None`` (:meth:`initialize`,
-        :meth:`apply_full`) means everything was recomputed, and so are they.
+        attached aggregates fold in, and ``effective`` its update in
+        effective form, which the inverse images record; ``None``
+        (:meth:`initialize`, :meth:`apply_full`) means everything was
+        recomputed: so are the aggregates, and every image is dropped.
         """
         self._state = self._kept(new_state)
         self._version += 1
         self._snapshot = None
         self._update_storage_gauges()
+        images = self._images
+        if applied is None:
+            images.clear()
+        for delta in effective:
+            held = images.get(delta.relation)
+            if held is not None and not held.record(delta.deletes, delta.inserts):
+                del images[delta.relation]
         for aggregate in self._aggregates:
             source = new_state[aggregate.source]
             if applied is None:
@@ -458,12 +474,15 @@ class Warehouse:
     def answer(self, query: QueryLike) -> Relation:
         """Answer a source query from warehouse relations only.
 
-        The optimized translation is derived once per spec and query (the
-        spec's plan table); under ``REPRO_CHECK_INVARIANTS=1`` the evaluation
-        is traced (with a private tracer if tracing is off) and its
-        runtime reads are cross-checked against the plan's static read set.
+        The plan is derived once per spec and query (the spec's plan
+        table); each base relation it names reads its inverse image
+        ``W^{-1}(w)``, held and patched across refreshes. Under
+        ``REPRO_CHECK_INVARIANTS=1`` the evaluation is traced (with a
+        private tracer if tracing is off), its runtime reads are
+        cross-checked against the translation's static read set, and each
+        image read is compared with its inverse evaluated afresh.
         """
-        return self._answer(query, self._state_for)
+        return self._answer(query, self._answer_state)
 
     def _answer(self, query: QueryLike, state) -> Relation:
         """:meth:`answer` over ``state``: the one method around
@@ -477,25 +496,56 @@ class Warehouse:
             self.spec, state, expression, tracer=tracer, engine=self.engine
         )
         if self._sanitize:
-            from repro.analysis.dataflow import check_reads
+            from repro.analysis.dataflow import check_answer_reads
 
             # The static read set is recomputed from the spec, not taken
             # from the plan table — a corrupted plan must not self-certify.
-            check_reads(
-                self.spec,
-                translation_read_set(self.spec, expression),
-                tracer.last_root,
-                "query",
-            )
+            check_answer_reads(self.spec, expression, tracer.last_root)
         return result
 
+    def _answer_state(self, plan: Expression) -> State:
+        """The state ``plan`` runs over: the warehouse relations, and each
+        base relation it names bound to its image."""
+        names = plan.relation_names() & self.spec.inverses.keys()
+        return {**self.state, **{name: self._image(name) for name in names}}
+
+    def _image(self, name: str) -> Relation:
+        """``W^{-1}(w)`` for base relation ``name``.
+
+        A bare inverse is the stored relation itself. Any other is held:
+        built on the first read, patched on the next read after a commit
+        recorded deltas against it, and built again after a commit dropped
+        it (:meth:`_commit`).
+        """
+        inverse = self.spec.inverses[name]
+        if isinstance(inverse, RelationRef):
+            return self.state[inverse.name]
+        held = self._images.get(name)
+        if held is None:
+            image = evaluate(inverse, self.state, engine=self.engine)
+            self._images[name] = PatchedImage(image)
+            how = "full"
+        else:
+            image, patched = held.read()
+            how = "patched" if patched else None
+        if how is not None:
+            metrics = self._metrics
+            metrics.counter(f"warehouse.inverse_images.{how}").inc()
+            metrics.gauge("warehouse.inverse_image_rows").set(
+                sum(len(held.image) for held in self._images.values())
+            )
+        if self._sanitize and image != evaluate(inverse, self.state, engine=self.engine):
+            raise WarehouseError(
+                f"image sanitizer ({SANITIZER_ENV}=1): the held image of "
+                f"{name} differs from its inverse over the committed state"
+            )
+        return image
+
     def reconstruct(self, relation: str) -> Relation:
-        """Recompute one base relation via Equation (4)."""
+        """One base relation via Equation (4): its inverse image."""
         self._metrics.counter("warehouse.reconstructions").inc()
-        inverse = self.spec.inverse_for(relation)
-        return evaluate(
-            inverse, self._state_for(inverse), cache=self._cache, engine=self.engine
-        )
+        self.spec.inverse_for(relation)
+        return self._answer_state(RelationRef(relation))[relation]
 
     def reconstruct_all(self) -> Dict[str, Relation]:
         """Recompute every base relation (the full ``W^{-1}``)."""
@@ -557,7 +607,7 @@ class Warehouse:
         with span_of(
             tracer, "refresh", relations=sorted(update.relations()), mode=mode
         ) as root:
-            new_state, applied = plans.refresh(
+            new_state, applied, effective = plans.refresh(
                 working, update, cache=self._cache, stats=stats,
                 tracer=tracer, engine=self.engine,
             )
@@ -570,7 +620,7 @@ class Warehouse:
         self._stats.merge(stats)
         applied = self._kept(applied)
         elapsed = perf_counter() - started
-        self._commit(new_state, applied)
+        self._commit(new_state, applied, effective)
         self._record_refresh_metrics(elapsed, mode, applied, stats)
         # The plan table is shared by every warehouse on this spec; count
         # only what this refresh derived or found.

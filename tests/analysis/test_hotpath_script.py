@@ -43,6 +43,8 @@ class TestRealTargets:
         assert {"evaluator.py", "columnar.py", "maintenance.py"} <= names
         # The nodes whose structural keys every memo and cache lookup takes.
         assert "expressions.py" in names
+        # The patched inverse images every answer reads.
+        assert "patch.py" in names
         # ... and so is everything under the one serving path.
         assert {"runtime.py", "translation.py", "hybrid.py"} <= names
         assert "columnar_eval.py" not in names

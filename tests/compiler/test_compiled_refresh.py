@@ -54,7 +54,7 @@ class TestLockstepEquality:
             maker = Update.insert if rng.random() < 0.6 else Update.delete
             update = maker(relation, attrs, rows)
             expected = full_recompute_state(figure1_spec, state, update)
-            state, applied = refresh_state(figure1_spec, state, update)
+            state, applied, _ = refresh_state(figure1_spec, state, update)
             assert state == expected, step
             for name, delta in applied.items():
                 assert delta.inserts or delta.deletes, (step, name)
@@ -71,12 +71,12 @@ class TestLockstepEquality:
                 inst.database.insert("Lineitem", lines),
             ):
                 expected = full_recompute_state(spec, state, update)
-                state, _ = refresh_state(spec, state, update)
+                state, _, _ = refresh_state(spec, state, update)
                 assert state == expected
 
     def test_untouched_relations_keep_identity(self, figure1_spec, figure1_state):
         update = Update.insert("Sale", ("item", "clerk"), [("Radio", "Paula")])
-        new_state, applied = refresh_state(figure1_spec, figure1_state, update)
+        new_state, applied, _ = refresh_state(figure1_spec, figure1_state, update)
         assert applied
         for name in figure1_state:
             if name not in applied:
@@ -87,7 +87,7 @@ class TestLockstepEquality:
 
     def test_noop_update_returns_copy(self, figure1_spec, figure1_state):
         noop = Update.delete("Sale", ("item", "clerk"), [("Nothing", "Nobody")])
-        new_state, applied = refresh_state(figure1_spec, figure1_state, noop)
+        new_state, applied, _ = refresh_state(figure1_spec, figure1_state, noop)
         assert applied == {}
         assert new_state is not figure1_state
         assert new_state == figure1_state
@@ -107,7 +107,7 @@ class TestPlanCache:
             Update.delete("Sale", ("item", "clerk"), [("Phone", "Mary")]),
         ]
         for update in updates:
-            state, _ = refresh_state(figure1_spec, state, update)
+            state, _, _ = refresh_state(figure1_spec, state, update)
         # Three (shape, side mask) pairs over six refreshes.
         assert plans.compiles == 3
         assert plans.plan_hits == 3

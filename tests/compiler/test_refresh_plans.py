@@ -122,7 +122,7 @@ class TestPlanSharing:
 
 
 class TestQueryPlans:
-    """The same table serves optimized ``Q ∘ W^{-1}`` plans per query."""
+    """The same table serves one answer plan per query."""
 
     QUERIES = ("Sale", "pi[clerk](Sale)", "pi[age](Sale join Emp)")
 
@@ -134,14 +134,14 @@ class TestQueryPlans:
         # Count the way the benchmark suite's probe does: rebind the
         # function in its module and wherever it was imported by name.
         translated = []
-        real = translation.translate_query
+        real = translation.answer_plan
 
-        def counting(spec, query, optimized=False):
+        def counting(spec, query):
             translated.append(str(query))
-            return real(spec, query, optimized=optimized)
+            return real(spec, query)
 
         for module in (translation, runtime):
-            monkeypatch.setattr(module, "translate_query", counting)
+            monkeypatch.setattr(module, "answer_plan", counting)
 
         warehouse = ShardedWarehouse.specify(
             figure1_catalog, [sold_view],

@@ -4,8 +4,9 @@ An answer and a reconstruction bind no delta relation, so a refresh-only
 evaluation strategy must leave them exactly as they are: the same
 operators, in the same order, producing the same row counts. This golden
 records the span tree that ``answer_query`` builds for each query template
-of the benchmark suite and that ``Warehouse.reconstruct``'s evaluation
-builds for every base relation, on TPC-D scale 2. Regenerate with
+of the benchmark suite, over each base relation's inverse image (bound
+before the ``answer`` span opens), and that the evaluation of each base
+relation's inverse builds, on TPC-D scale 2. Regenerate with
 ``REGEN_GOLDEN=1`` only when a change to the answer path is intended.
 """
 

@@ -36,7 +36,7 @@ def replay_and_compare(catalog, views, initial_state, updates, method="thm22"):
     for step, update in enumerate(updates):
         fast.apply(update)
         # The seed path: per-refresh memo only, fast paths off.
-        slow, _ = refresh_state(spec, slow, update, cache=None, fastpath=False)
+        slow, _, _ = refresh_state(spec, slow, update, cache=None, fastpath=False)
         assert canonical(fast.state) == canonical(slow), f"diverged at step {step}"
     return fast
 

@@ -124,20 +124,20 @@ class TestRefresh:
                 db.apply(update)
             except Exception:
                 continue  # constraint-violating candidate; sources reject it
-            warehouse, _ = refresh_state(spec, warehouse, update)
+            warehouse, _, _ = refresh_state(spec, warehouse, update)
             assert warehouse == warehouse_state(spec, db.state()), step
 
     def test_refresh_returns_applied_deltas(self, spec, initial_state):
         warehouse = warehouse_state(spec, initial_state)
         update = Update.insert("S", ("b", "c"), [(7, 1)])
-        new_state, applied = refresh_state(spec, warehouse, update)
+        new_state, applied, _ = refresh_state(spec, warehouse, update)
         assert "P" in applied  # sigma[c = 1] gains (7, 1)
         assert applied["P"].inserts.to_set() == {(7, 1)}
 
     def test_noop_update_returns_same_content(self, spec, initial_state):
         warehouse = warehouse_state(spec, initial_state)
         update = Update.insert("R", ("a", "b"), [(1, 2)])  # already present
-        new_state, applied = refresh_state(spec, warehouse, update)
+        new_state, applied, _ = refresh_state(spec, warehouse, update)
         assert applied == {}
         assert new_state == warehouse
 

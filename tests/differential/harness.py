@@ -28,6 +28,10 @@ Tracks 1, 2 and 4 interpret the same fused plans
 (:mod:`repro.compiler.fuse`) under different engines, caches and fast-path
 settings; track 3 is what catches a wrong plan.
 
+After every step the inverse images that tracks 1 and 4 hold
+(``Warehouse.reconstruct``, patched by each refresh's effective update) are
+also compared with the advanced sources.
+
 Any divergence is reported with enough context to replay it: the schema
 seed, the step index, the relation, and the differing row sets.
 
@@ -212,7 +216,7 @@ def run_schema(
         # Track 1: the fast path (persistent cache, fast paths on).
         fast.apply(update)
         # Track 2: the seed evaluator (fresh memo per refresh, no fast paths).
-        uncached_state, _ = refresh_state(
+        uncached_state, _, _ = refresh_state(
             spec, uncached_state, update, cache=None, fastpath=False
         )
         # Track 3: the oracle — recompute every warehouse relation from the
@@ -235,6 +239,17 @@ def run_schema(
                     schema_seed, step, "fast", fast.state, "columnar", columnar.state
                 )
             )
+        # The inverse images the warehouses hold, patched by each refresh's
+        # effective update, against the advanced sources themselves.
+        sources = mirror.state()
+        for name, track in (("fast", fast), ("columnar", columnar)):
+            if track is not None:
+                images = {base: track.reconstruct(base) for base in spec.inverses}
+                disagreements.extend(
+                    _diff_states(
+                        schema_seed, step, f"{name} images", images, "sources", sources
+                    )
+                )
         steps += 1
     if stats is not None:
         stats.merge(fast.eval_stats)

@@ -105,7 +105,7 @@ class TestCommutingDiagram:
         db, wh = loaded
         state = dict(wh.state)
         for update in self.scripted_updates(db):
-            incremental, _ = refresh_state(wh.spec, state, update)
+            incremental, _, _ = refresh_state(wh.spec, state, update)
             full = full_recompute_state(wh.spec, state, update)
             assert incremental == full
             state = incremental

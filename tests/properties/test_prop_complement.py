@@ -127,7 +127,7 @@ def test_incremental_refresh_commutes(state, target, rows, is_insert):
         else Update.delete(target, attrs, shaped)
     )
     warehouse = warehouse_state(MULTI, state)
-    new_warehouse, _ = refresh_state(MULTI, warehouse, update)
+    new_warehouse, _, _ = refresh_state(MULTI, warehouse, update)
     new_state = dict(state)
     delta = update.delta_for(target)
     new_state[target] = delta.apply_to(state[target])

@@ -87,7 +87,7 @@ def test_refresh_state_equals_full_recompute(seed, modes):
         )
         for configuration in CONFIGURATIONS:
             engine, _, fastpath = configuration
-            states[configuration], _ = refresh_state(
+            states[configuration], _, _ = refresh_state(
                 spec,
                 states[configuration],
                 update,

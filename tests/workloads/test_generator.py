@@ -120,5 +120,5 @@ class TestEndToEndRandom:
         warehouse = warehouse_state(spec, db.state())
         for update in random_update_stream(seed, db, n_updates=6):
             db.apply(update)
-            warehouse, _ = refresh_state(spec, warehouse, update)
+            warehouse, _, _ = refresh_state(spec, warehouse, update)
             assert warehouse == warehouse_state(spec, db.state())
