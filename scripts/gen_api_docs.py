@@ -13,7 +13,7 @@ MODULES = [
     "repro.schema.schema", "repro.schema.constraints", "repro.schema.catalog",
     "repro.storage.relation", "repro.storage.database", "repro.storage.update",
     "repro.storage.persist", "repro.storage.engine", "repro.storage.columnar",
-    "repro.storage.snapshot",
+    "repro.storage.snapshot", "repro.storage.patch",
     "repro.algebra.conditions", "repro.algebra.expressions", "repro.algebra.evaluator",
     "repro.algebra.parser", "repro.algebra.simplify", "repro.algebra.optimize",
     "repro.algebra.rewriting", "repro.algebra.deltas", "repro.algebra.containment",

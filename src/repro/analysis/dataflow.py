@@ -39,7 +39,6 @@ from typing import (
 )
 
 from repro.errors import WarehouseError
-from repro.algebra.expressions import Expression
 from repro.schema.catalog import Catalog
 from repro.views.psj import View
 from repro.core.complement import WarehouseSpec
@@ -243,25 +242,6 @@ def check_reads(
             f"{what} sanitizer ({SANITIZER_ENV}=1): the {what} read "
             f"relation(s) {extra} outside the static read set {sorted(static)}"
         )
-
-
-def check_answer_reads(spec: WarehouseSpec, query: Expression, root: "Span") -> None:
-    """:func:`check_reads` over one answer to ``query``.
-
-    The static read set is the optimized translation's
-    (:func:`~repro.core.translation.translation_read_set`). An answer reads
-    a base relation through its inverse image, so a read of base relation
-    ``R`` counts as a read of the warehouse relations ``W^{-1}(R)`` names:
-    it is allowed when all of them are in the static set.
-    """
-    from repro.core.translation import translation_read_set
-
-    static = frozenset(translation_read_set(spec, query))
-    images = {
-        name for name, inverse in spec.inverses.items()
-        if inverse.relation_names() <= static
-    }
-    check_reads(spec, static | images, root, "query")
 
 
 def check_refresh_reads(

@@ -3,9 +3,8 @@
 A refresh plan (:class:`~repro.compiler.fuse.FusedPlan`) is a pure
 function of the spec, the set of base relations an effective update
 touches and its side mask (``"insert-only"`` / ``"delete-only"`` /
-``"mixed"``); a query plan (Theorem 3.1's ``Q ∘ W^{-1}``, with the query's
-base relations read from their inverse images) is a pure function of the
-spec and the query. Both are derived once and
+``"mixed"``); a query plan (Theorem 3.1's ``Q ∘ W^{-1}`` over inverse
+images) is a pure function of the spec and the query. Both are derived once and
 kept for the life of the spec: nothing evicts them.
 :class:`RefreshCompiler` holds them; the one interpreter
 (:func:`repro.algebra.evaluator.evaluate`, driven by
@@ -102,13 +101,10 @@ class RefreshCompiler:
         return plan
 
     def query_plan(self, query: Expression) -> Expression:
-        """The plan an answer to ``query`` runs; derived on miss.
+        """:func:`~repro.core.translation.answer_plan` for ``query``.
 
-        :func:`~repro.core.translation.answer_plan`: ``query`` folded onto
-        the stored views and optimized, each base relation left in it
-        bound to its inverse image at answer time. Keyed structurally
-        (``Expression._key()``), so two spellings of one query share a
-        plan.
+        Derived on miss and keyed structurally (``Expression._key()``), so
+        two spellings of one query share a plan.
         """
         key = query._key()
         plan = self._query_plans.get(key)

@@ -16,8 +16,7 @@ materialized design removes.
 
 Everything else is :class:`~repro.core.warehouse.Warehouse`: the class
 overrides only its state hooks — which state an answer, a reconstruction
-or a refresh runs over, and which relations a commit keeps. It holds no
-inverse image: its answers evaluate the inverses they read.
+or a refresh runs over, and which relations a commit keeps.
 """
 
 from __future__ import annotations
@@ -133,16 +132,10 @@ class HybridWarehouse(Warehouse):
         return self._full_state() if self._reads_virtual(expressions) else self.state
 
     def _answer_state(self, plan: Expression) -> State:
-        # No image is held — a held image would materialize what the
-        # virtual complements leave at the sources. The inverses the plan
-        # reads are evaluated over one fetch, as their substitution was.
-        inverses = [
-            self.spec.inverses[name]
-            for name in plan.relation_names() if name in self.spec.inverses
-        ]
-        return with_images(
-            self.spec, plan, self._state_for(plan, *inverses), self.engine
-        )
+        # No image held (it would store what stays virtual); one fetch for all.
+        inverses = self.spec.inverses
+        bases = [inverses[n] for n in plan.relation_names() & inverses.keys()]
+        return with_images(self.spec, plan, self._state_for(plan, *bases), self.engine)
 
     def _refresh_over(self, update: Update) -> State:
         # Virtual complements are fetched only if what is about to run

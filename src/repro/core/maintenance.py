@@ -55,13 +55,7 @@ State = Mapping[str, Relation]
 
 
 class Refresh(NamedTuple):
-    """What :func:`refresh_state` returns.
-
-    ``state`` is the new warehouse state; ``applied`` the effective delta of
-    each warehouse relation it changed; ``effective`` the reported update in
-    effective form against the reconstructed base state — by Theorem 4.1,
-    exactly how each base relation's ``W^{-1}(w)`` changes.
-    """
+    """:func:`refresh_state`'s new state, applied deltas and effective update."""
 
     state: Dict[str, Relation]
     applied: Dict[str, Delta]
@@ -267,13 +261,11 @@ def refresh_state(
 ) -> Refresh:
     """Incrementally fold ``update`` into the warehouse state.
 
-    Returns a :class:`Refresh` ``(new_state, applied, effective)``:
-    ``applied`` records the effective per-warehouse-relation deltas (useful
-    for cascading, e.g. into aggregate views), ``effective`` the update
-    normalized against the reconstructed base state (what the warehouse
-    patches its inverse images by). Uses only warehouse relations and the
-    update — the source databases are never consulted (Theorem 4.1's
-    update independence).
+    Returns ``(new_state, applied, effective)`` where ``applied`` records
+    the effective per-warehouse-relation deltas (useful for cascading, e.g.
+    into aggregate views) and ``effective`` is ``update`` normalized — by
+    Theorem 4.1, exactly how each ``W^{-1}(w)`` changes. Uses only warehouse
+    relations and the update — the source databases are never consulted.
 
     The update is normalized to effective form, and the fused plan for its
     shape and side mask (:func:`repro.compiler.fuse.fused_plan`, derived

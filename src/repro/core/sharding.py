@@ -43,8 +43,7 @@ an unsharded reference warehouse after every schedule it runs.
 A union-assembled image is patched, not re-unioned: each commit folds the
 deltas its shards' refreshes applied into an accumulated ``(D, I)`` against
 the last image a reader assembled, and the next read returns
-``(image − (D − I)) ∪ I`` through the delta-patched ``Relation`` operations
-(:class:`repro.storage.patch.Patch`).
+``(image − (D − I)) ∪ I`` (:class:`repro.storage.patch.Patch`).
 A deleted row enters ``D`` only when no shard image still holds it, so the
 patch is exact for overlapping images too. ``docs/integrator.md`` lists when
 assembly falls back to the full union.
@@ -250,16 +249,14 @@ class ShardedSnapshot:
     (the ``K − π(…routed…)`` complement shape) intersect them; replicated
     relations read from shard 0. Assembly is lazy and memoized per
     snapshot; a union-assembled relation with a ``patches`` entry
-    (a :class:`~repro.storage.patch.Patch` against an older image) assembles
-    as ``(image − (D − I)) ∪ I`` instead, and ``metrics`` counts the two
-    ways. Base relations' inverse images are memoized per snapshot too
-    (:meth:`image`). The read API mirrors
+    (a :class:`~repro.storage.patch.Patch`) assembles as ``(image − (D − I))
+    ∪ I`` instead, and ``metrics`` counts the two ways; :meth:`image` memoizes
+    base relations' inverses too. The read API mirrors
     :class:`~repro.storage.snapshot.SnapshotView`.
     """
 
-    __slots__ = (
-        "_version", "_states", "_assembly", "_memo", "_patches", "_metrics", "_images",
-    )
+    __slots__ = ("_version", "_states", "_assembly", "_memo", "_patches", "_metrics",
+                 "_images")
 
     def __init__(
         self,
@@ -310,19 +307,13 @@ class ShardedSnapshot:
         self._memo[name] = assembled
         return assembled
 
-    def image(
-        self, name: str, inverse: Expression, engine: Optional[str] = None
-    ) -> Relation:
-        """Base relation ``name``'s ``inverse`` over this snapshot.
-
-        Evaluated on the first ask and kept for the life of the snapshot,
-        assembling only the relations the inverse reads.
-        """
+    def image(self, name: str, inverse: Expression,
+              engine: Optional[str] = None) -> Relation:
+        """Base relation ``name``'s ``inverse`` over this snapshot, kept."""
         image = self._images.get(name)
         if image is None:
-            image = self._images[name] = evaluate(
-                inverse, self.state(inverse.relation_names()), engine=engine
-            )
+            state = self.state(inverse.relation_names())
+            image = self._images[name] = evaluate(inverse, state, engine=engine)
         return image
 
     def shard_relation(self, shard: int, name: str) -> Relation:
@@ -561,9 +552,8 @@ class ShardedWarehouse:
         :meth:`Warehouse.answer <repro.core.warehouse.Warehouse.answer>` as
         shard 0 runs it (its query counter, tracer and
         ``REPRO_CHECK_INVARIANTS`` check), over the snapshot's relations the
-        plan reads — the others are never assembled — with each base
-        relation it names bound to its inverse image, evaluated once per
-        snapshot (:meth:`ShardedSnapshot.image`).
+        plan reads (the others are never assembled) and the inverse images
+        of its base relations (:meth:`ShardedSnapshot.image`).
         """
         snapshot = self.snapshot()
         inverses, engine = self.spec.inverses, self.shards[0].engine

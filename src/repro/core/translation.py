@@ -78,14 +78,8 @@ def translate_query(
 
 
 def answer_plan(spec: WarehouseSpec, query: Expression) -> Expression:
-    """The plan an answer runs: ``query`` folded onto views, then optimized.
-
-    Every PSJ sub-query that matches a stored view is answered from it, as
-    in ``translate_query(optimized=True)``; every base relation the fold
-    leaves keeps its base name, and the answer binds it to its inverse
-    image ``W^{-1}(w)`` (Theorem 3.1 with the inverse held, not
-    substituted). Raises like :func:`translate_query`.
-    """
+    """``query`` folded onto views and optimized, as ``translate_query``
+    does, but each base relation left is read from its inverse image."""
     _check_names(spec, query)
     folded = fold_onto_views(query, spec.views, spec.source_scope())
     return optimize(folded, {**spec.source_scope(), **spec.warehouse_scope()})
@@ -145,13 +139,10 @@ def translation_digest(spec: WarehouseSpec) -> str:
 def with_images(
     spec: WarehouseSpec, plan: Expression, state: State, engine: Optional[str] = None
 ) -> Dict[str, Relation]:
-    """``state`` plus each base relation ``plan`` names, bound to its inverse
-    evaluated over ``state`` — the images of a warehouse that holds none."""
-    inverses = {
-        name: spec.inverses[name]
-        for name in plan.relation_names() if name in spec.inverses
-    }
-    return {**state, **evaluate_all(inverses, state, engine=engine)}
+    """``state`` plus ``plan``'s base relations, evaluated over it."""
+    names = plan.relation_names() & spec.inverses.keys()
+    images = evaluate_all({n: spec.inverses[n] for n in names}, state, engine=engine)
+    return {**state, **images}
 
 
 def answer_query(
@@ -168,14 +159,10 @@ def answer_query(
     in the spec's plan table (:func:`answer_plan`, derived once per spec
     and query), open the ``answer`` span, evaluate — no source relation is
     ever touched. ``query`` is stated over base relations (and/or
-    warehouse relations). ``state`` is a function from the plan to the
-    state to run it over, binding each base relation the plan names to
-    its inverse image (a :class:`~repro.core.warehouse.Warehouse` reads its
-    held images, a :class:`~repro.core.hybrid.HybridWarehouse` evaluates
-    the inverses over the virtual complements it fetches), or a
-    materialized warehouse state, over which the images are evaluated
-    here. ``tracer`` and ``engine`` are as in
-    :func:`repro.algebra.evaluator.evaluate`.
+    warehouse relations). ``state`` is the materialized warehouse state,
+    or a function from the plan to the state to run it over with its base
+    relations bound to their inverse images. ``tracer`` and ``engine`` are
+    as in :func:`repro.algebra.evaluator.evaluate`.
     """
     # Function-level: repro.compiler.runtime imports this module.
     from repro.compiler.runtime import RefreshCompiler

@@ -45,7 +45,7 @@ from repro.core.maintenance import (
     maintenance_expressions,
     side_mask,
 )
-from repro.core.translation import answer_query, translate_query
+from repro.core.translation import answer_query, translate_query, translation_read_set
 
 QueryLike = TypingUnion[str, Expression]
 StateLike = TypingUnion[Database, Mapping[str, Relation]]
@@ -97,14 +97,10 @@ class Warehouse:
         self._aggregates: list = []
         # The cross-update evaluation cache: sub-expressions whose inputs an
         # update does not touch are reused across refreshes (and by
-        # reconstruct_all between refreshes). answer() does not share it:
-        # its entries are keyed by literal, so a query stream grows it
-        # without bound (EXPERIMENTS.md, E6b). Answers read the inverse
-        # images below instead (E6c).
+        # reconstruct_all between refreshes). answer() does not share it: its
+        # entries are keyed by literal (EXPERIMENTS.md, E6b). Answers read
+        # W^{-1}(w) from these images, patched per commit's effective update (E6c).
         self._cache = EvaluationCache()
-        # W^{-1}(w), one image per base relation an answer or reconstruct
-        # has read: each commit records its effective update against the
-        # image in O(1), and the next read patches it (repro.storage.patch).
         self._images: Dict[str, PatchedImage] = {}
         self._stats = EvalStats()
         self._last_refresh_stats = EvalStats()
@@ -372,22 +368,20 @@ class Warehouse:
         """Publish ``new_state`` as the next version — the one commit site.
 
         ``applied`` is an incremental refresh's per-relation deltas, which
-        attached aggregates fold in, and ``effective`` its update in
-        effective form, which the inverse images record; ``None``
-        (:meth:`initialize`, :meth:`apply_full`) means everything was
-        recomputed: so are the aggregates, and every image is dropped.
+        attached aggregates fold in, and ``effective`` its effective update,
+        which the inverse images record; ``None`` (:meth:`initialize`,
+        :meth:`apply_full`) recomputes the aggregates and drops the images.
         """
         self._state = self._kept(new_state)
         self._version += 1
         self._snapshot = None
         self._update_storage_gauges()
-        images = self._images
         if applied is None:
-            images.clear()
+            self._images.clear()
         for delta in effective:
-            held = images.get(delta.relation)
+            held = self._images.get(delta.relation)
             if held is not None and not held.record(delta.deletes, delta.inserts):
-                del images[delta.relation]
+                del self._images[delta.relation]
         for aggregate in self._aggregates:
             source = new_state[aggregate.source]
             if applied is None:
@@ -475,12 +469,11 @@ class Warehouse:
         """Answer a source query from warehouse relations only.
 
         The plan is derived once per spec and query (the spec's plan
-        table); each base relation it names reads its inverse image
-        ``W^{-1}(w)``, held and patched across refreshes. Under
+        table), and reads each base relation's held image; under
         ``REPRO_CHECK_INVARIANTS=1`` the evaluation is traced (with a
         private tracer if tracing is off), its runtime reads are
         cross-checked against the translation's static read set, and each
-        image read is compared with its inverse evaluated afresh.
+        image read against its inverse.
         """
         return self._answer(query, self._answer_state)
 
@@ -496,49 +489,42 @@ class Warehouse:
             self.spec, state, expression, tracer=tracer, engine=self.engine
         )
         if self._sanitize:
-            from repro.analysis.dataflow import check_answer_reads
+            from repro.analysis.dataflow import check_reads
 
             # The static read set is recomputed from the spec, not taken
             # from the plan table — a corrupted plan must not self-certify.
-            check_answer_reads(self.spec, expression, tracer.last_root)
+            # A read of base relation R is a read of its image, W^{-1}(R).
+            static = set(translation_read_set(self.spec, expression))
+            static |= {name for name, inverse in self.spec.inverses.items()
+                       if inverse.relation_names() <= static}
+            check_reads(self.spec, static, tracer.last_root, "query")
         return result
 
     def _answer_state(self, plan: Expression) -> State:
-        """The state ``plan`` runs over: the warehouse relations, and each
-        base relation it names bound to its image."""
+        """The warehouse relations, and ``plan``'s base relations' images."""
         names = plan.relation_names() & self.spec.inverses.keys()
         return {**self.state, **{name: self._image(name) for name in names}}
 
     def _image(self, name: str) -> Relation:
-        """``W^{-1}(w)`` for base relation ``name``.
-
-        A bare inverse is the stored relation itself. Any other is held:
-        built on the first read, patched on the next read after a commit
-        recorded deltas against it, and built again after a commit dropped
-        it (:meth:`_commit`).
-        """
+        """``W^{-1}(w)`` for base relation ``name``: the stored relation of a
+        bare inverse, else the held image, built when none is held."""
         inverse = self.spec.inverses[name]
         if isinstance(inverse, RelationRef):
             return self.state[inverse.name]
         held = self._images.get(name)
         if held is None:
-            image = evaluate(inverse, self.state, engine=self.engine)
+            image, how = evaluate(inverse, self.state, engine=self.engine), "full"
             self._images[name] = PatchedImage(image)
-            how = "full"
         else:
             image, patched = held.read()
             how = "patched" if patched else None
-        if how is not None:
-            metrics = self._metrics
-            metrics.counter(f"warehouse.inverse_images.{how}").inc()
-            metrics.gauge("warehouse.inverse_image_rows").set(
-                sum(len(held.image) for held in self._images.values())
-            )
+        if how:
+            self._metrics.counter(f"warehouse.inverse_images.{how}").inc()
+            self._metrics.gauge("warehouse.inverse_image_rows").set(
+                sum(len(held.image) for held in self._images.values()))
         if self._sanitize and image != evaluate(inverse, self.state, engine=self.engine):
-            raise WarehouseError(
-                f"image sanitizer ({SANITIZER_ENV}=1): the held image of "
-                f"{name} differs from its inverse over the committed state"
-            )
+            raise WarehouseError(f"image sanitizer ({SANITIZER_ENV}=1): the held "
+                                 f"image of {name} differs from its inverse")
         return image
 
     def reconstruct(self, relation: str) -> Relation:

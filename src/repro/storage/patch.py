@@ -1,25 +1,8 @@
-"""Images kept current by deltas: patched on read, rebuilt past a cap.
-
-A relation that is derived from a state — a sharded warehouse's assembled
-global image, an unsharded warehouse's inverse image ``W^{-1}(w)`` — changes
-between two versions of that state by a known delta. Rather than derive it
-again, its owner keeps the last image it built and the deltas committed
-since, and the next read returns ``(image − (D − I)) ∪ I`` through the
-delta-patched :class:`~repro.storage.relation.Relation` operations, which
-carry the image's hash indexes and columnar twin forward in O(delta). Once
-``|D| + |I|`` exceeds ``len(image) / Relation._PATCH_RATIO`` — the point
-past which ``Relation`` itself stops patching its caches — the owner
-rebuilds the image in full instead.
-
-:class:`Patch` is the accumulated ``(D, I)`` against one image: immutable,
-so an older snapshot's patch never moves when a newer commit folds more in.
-:class:`PatchedImage` is the owner-side holder for the case where no older
-reader exists: recording a committed delta is O(1), and the fold happens on
-the first read after it.
-
-This module runs on every answer and is held to the
-``scripts/check_hotpath.py`` rules: no environment reads, no timing, no
-spans.
+"""Images kept current by deltas: ``(image − (D − I)) ∪ I``, read through the
+delta-patched ``Relation`` operations (indexes and columnar twin carried), and
+rebuilt instead past ``len(image) / Relation._PATCH_RATIO`` delta rows. Used
+by sharded snapshot assembly and the warehouse's inverse images; a
+``scripts/check_hotpath.py`` target: no clocks, no environment, no spans.
 """
 
 from __future__ import annotations
@@ -30,104 +13,59 @@ from repro.storage.relation import Relation
 
 Rows = FrozenSet[tuple]
 
-_NONE: Rows = frozenset()
-
 
 class Patch(NamedTuple):
-    """An accumulated ``(D, I)`` against ``image``: reads as ``(image − (D − I)) ∪ I``.
-
-    Rows are value tuples in ``image``'s column order.
-
-    Examples
-    --------
-    >>> image = Relation(("x",), [(1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,)])
-    >>> patch = Patch(image).folded(frozenset({(1,)}), frozenset({(9,)}))
-    >>> patch.fits(), sorted(patch.read().rows)[:2]
-    (True, [(2,), (3,)])
-    >>> patch.folded(frozenset({(9,)}), frozenset({(1,)})).read() == image
-    True
-    """
+    """An accumulated ``(D, I)`` against ``image`` (immutable; rows in its order)."""
 
     image: Relation
-    deletes: Rows = _NONE
-    inserts: Rows = _NONE
+    deletes: Rows = frozenset()
+    inserts: Rows = frozenset()
 
     def folded(self, removed: Rows, added: Rows) -> "Patch":
-        """This patch followed by one more delta (a new patch)."""
-        return Patch(
-            self.image, self.deletes | removed, (self.inserts - removed) | added
-        )
+        """This patch followed by one more delta."""
+        return Patch(self.image, self.deletes | removed, (self.inserts - removed) | added)
 
-    def fits(self, rows: int = -1) -> bool:
-        """Whether patching beats a rebuild.
-
-        True while ``|D| + |I|`` — or ``rows``, when the caller counts an
-        upper bound of it — is at most ``1 / Relation._PATCH_RATIO`` of the
-        image.
-        """
-        if rows < 0:
-            rows = len(self.deletes) + len(self.inserts)
+    def fits(self) -> bool:
+        """Whether ``|D| + |I|`` is within the cap."""
+        rows = len(self.deletes) + len(self.inserts)
         return rows * Relation._PATCH_RATIO <= len(self.image)
 
     def read(self) -> Relation:
         """The patched image, ``(image − (D − I)) ∪ I``."""
-        image = self.image
-        attributes = image.attributes
-        return image.difference(
+        attributes = self.image.attributes
+        return self.image.difference(
             Relation._raw(attributes, self.deletes - self.inserts)
         ).union(Relation._raw(attributes, self.inserts))
 
 
 class PatchedImage:
-    """One image plus the deltas committed after it, folded on the next read.
+    """An image and the deltas committed after it, folded on the next read.
 
-    :meth:`record` appends a committed delta and counts its rows — O(1), so
-    a commit pays nothing for an image no one reads. It returns ``False``
-    once the rows recorded since the last read pass the cap; the owner then
-    drops the holder and builds the image in full on the next read.
-    :meth:`read` folds every recorded delta into one :class:`Patch` and
-    keeps the patched image as the new base.
-
-    Examples
-    --------
-    >>> image = Relation(("x", "y"), [(n, n) for n in range(8)])
-    >>> held = PatchedImage(image)
-    >>> held.record(Relation(("y", "x"), [(0, 0)]), Relation(("x", "y"), [(9, 9)]))
-    True
-    >>> patched, was_patched = held.read()
-    >>> was_patched, (0, 0) in patched, (9, 9) in patched, held.read()[1]
-    (True, False, True, False)
+    :meth:`record` is O(1): a commit pays nothing for an image no one reads.
     """
 
-    __slots__ = ("_image", "_pending", "_rows")
+    __slots__ = ("image", "_pending", "_rows")
 
     def __init__(self, image: Relation) -> None:
-        self._image = image
+        self.image = image
         self._pending: List[Tuple[Relation, Relation]] = []
         self._rows = 0
-
-    @property
-    def image(self) -> Relation:
-        """The image as of the last read (deltas recorded since not folded)."""
-        return self._image
 
     def record(self, deletes: Relation, inserts: Relation) -> bool:
         """Append one committed delta; ``False`` once past the cap."""
         self._pending.append((deletes, inserts))
         self._rows += len(deletes) + len(inserts)
-        return Patch(self._image).fits(self._rows)
+        return self._rows * Relation._PATCH_RATIO <= len(self.image)
 
     def read(self) -> Tuple[Relation, bool]:
-        """The current image, and whether recorded deltas were folded into it."""
+        """The current image, and whether recorded deltas were folded in."""
         if not self._pending:
-            return self._image, False
-        attributes = self._image.attributes
-        patch = Patch(self._image)
+            return self.image, False
+        attributes = self.image.attributes
+        patch = Patch(self.image)
         for deletes, inserts in self._pending:
             patch = patch.folded(
                 deletes.reorder(attributes).rows, inserts.reorder(attributes).rows
             )
-        self._image = patch.read()
-        self._pending = []
-        self._rows = 0
-        return self._image, True
+        self.image, self._pending, self._rows = patch.read(), [], 0
+        return self.image, True

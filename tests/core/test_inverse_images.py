@@ -20,6 +20,7 @@ from repro import (
     Catalog, Database, Relation, Update, View, Warehouse, WarehouseError, evaluate, parse,
 )
 from repro.core.translation import answer_query
+from repro.storage.patch import PatchedImage
 from repro.workloads.tpcd import order_insert_rows, tpcd_instance
 
 ENGINES = ("tuple", "columnar")
@@ -146,6 +147,16 @@ class TestDeterministic:
         sale.record(Relation(attributes, [row]), Relation.empty(attributes))
         with pytest.raises(WarehouseError, match="image sanitizer"):
             warehouse.answer("Sale")
+
+
+def test_a_recorded_delta_is_aligned_to_the_image_columns():
+    image = Relation(("x", "y"), [(n, -n) for n in range(8)])
+    held = PatchedImage(image)
+    assert held.record(Relation(("y", "x"), [(0, 0)]), Relation(("y", "x"), [(-9, 9)]))
+    patched, folded = held.read()
+    assert folded
+    assert patched.rows == {(n, -n) for n in range(1, 8)} | {(9, -9)}
+    assert held.read() == (patched, False)
 
 
 # ----------------------------------------------------------------------
