@@ -1,10 +1,12 @@
-"""Golden stdout of the three prover commands over the example specs.
+"""Golden stdout of the prover and compile commands over the example specs.
 
 ``golden/cli/<command>.<txt|json>`` pins what ``python -m repro prove``,
 ``prove-sharding`` and ``prove-query`` print, in both formats,
 over every ``examples/specs/*.json`` — the verdict lines, the witnesses
 printed under them, the summary line and the JSON report. The certificate
 goldens pin the files ``--certificates`` writes; these pin the terminal.
+``golden/cli/compile-explain.txt`` pins the refresh plans
+``python -m repro compile --explain`` prints for the same specs.
 Regenerate after an intentional change with::
 
     REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/analysis/test_golden_cli.py
@@ -36,6 +38,19 @@ def test_stdout_matches_golden(command, fmt, capsys, monkeypatch):
     golden = GOLDEN_DIR / f"{command}.{'txt' if fmt == 'text' else 'json'}"
     if os.environ.get("REGEN_GOLDEN"):
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+        golden.write_text(rendered)
+    assert golden.exists(), "golden stdout missing; regenerate with REGEN_GOLDEN=1"
+    assert rendered == golden.read_text()
+
+
+def test_compile_explain_matches_golden(capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    # Some example specs are refused (the sweep exits 1); their lines are
+    # pinned too.
+    assert main(["compile", "--explain", *SPECS]) == 1
+    rendered = capsys.readouterr().out
+    golden = GOLDEN_DIR / "compile-explain.txt"
+    if os.environ.get("REGEN_GOLDEN"):
         golden.write_text(rendered)
     assert golden.exists(), "golden stdout missing; regenerate with REGEN_GOLDEN=1"
     assert rendered == golden.read_text()
