@@ -8,40 +8,46 @@ classical and sound for set semantics:
 * ``sigma_c(l ⋈ r)``   — conjuncts referencing only one side move there;
 * ``sigma_c(l ∪ r)``   — distributes to both sides;
 * ``sigma_c(l − r)``   — distributes to both sides;
-* ``sigma_c(pi_Z(e))`` — commutes inside (condition attrs are within Z);
+* ``sigma_c(pi_Z(e))`` — commutes inside (condition attrs are within Z),
+  unless ``e`` is a leaf: ``sigma_c(pi_Z(R))`` is the normal form;
 * ``sigma_c(rho(e))``  — commutes inside with renamed condition;
 * ``pi_Z(l ⋈ r)``      — each side keeps only Z plus the join attributes;
 * ``pi_Z(l ∪ r)``      — distributes to both sides;
-* ``pi_Z(sigma_c(e))`` — narrows ``e`` to Z plus the condition attributes.
+* ``pi_Z(sigma_c(e))`` — narrows ``e`` to Z plus the condition attributes
+  (a join ``e`` by narrowing its sides).
 
 A scope (name -> attributes) is required: the rules need subtree schemas.
-The result is finished with :func:`~repro.algebra.simplify.simplify`.
+The rules run in the same bottom-up walk as
+:func:`~repro.algebra.simplify.simplify`'s, after them at each node.
+
+The walk terminates because no rule moves an operator back up past one
+that moved down: selections and projections only sink, a narrowing
+projection is only built where it drops attributes, and the simplify rules
+only shrink the tree. The two narrowings under a selection are what keep
+that true. Narrowing ``pi_Z(sigma_c(R))`` builds ``sigma_c(pi_K(R))``,
+which would commute back to ``pi_K(sigma_c(R))`` if a selection sank below
+a projection of a leaf; narrowing a join below a selection by wrapping it
+would let the selection sink back through the wrapper in the same way.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.algebra.conditions import (
-    Condition,
-    FalseCondition,
-    TrueCondition,
-    conjoin,
-)
+from repro.algebra.conditions import Condition, TrueCondition, conjoin
 from repro.algebra.expressions import (
     Difference,
     Empty,
     Expression,
     Join,
     Project,
+    RelationRef,
     Rename,
     Scope,
     Select,
     Union,
 )
-from repro.algebra.simplify import simplify
-
-_MAX_PASSES = 25
+from repro.algebra.simplify import _normal_form, _simplify_node
 
 
 def optimize(expression: Expression, scope: Scope) -> Expression:
@@ -54,21 +60,10 @@ def optimize(expression: Expression, scope: Scope) -> Expression:
     >>> print(optimize(parse("sigma[a = 1 and c = 2](R join S)"), scope))
     sigma[a = 1](R) join sigma[c = 2](S)
     """
-    current = simplify(expression, scope)
-    for _ in range(_MAX_PASSES):
-        pushed = _rewrite(current, scope)
-        pushed = simplify(pushed, scope)
-        if pushed == current:
-            return pushed
-        current = pushed
-    return current
+    return _normal_form(expression, scope, (_simplify_node, _push))
 
 
-def _rewrite(expr: Expression, scope: Scope) -> Expression:
-    children = tuple(_rewrite(child, scope) for child in expr.children())
-    if children != expr.children():
-        expr = expr.with_children(children)
-
+def _push(expr: Expression, scope: Scope) -> Expression:
     if isinstance(expr, Select):
         return _push_select(expr, scope)
     if isinstance(expr, Project):
@@ -124,7 +119,7 @@ def _push_select(expr: Select, scope: Scope) -> Expression:
         # cheaper to push.
         return Difference(Select(child.left, condition), child.right)
 
-    if isinstance(child, Project):
+    if isinstance(child, Project) and not _is_leaf(child.child):
         return Project(Select(child.child, condition), child.attrs)
 
     if isinstance(child, Rename):
@@ -132,6 +127,10 @@ def _push_select(expr: Select, scope: Scope) -> Expression:
         return Rename(Select(child.child, condition.renamed(inverse)), child.mapping)
 
     return expr
+
+
+def _is_leaf(expr: Expression) -> bool:
+    return isinstance(expr, (RelationRef, Empty))
 
 
 def _narrow(side: Expression, keep: frozenset, scope: Scope) -> Expression:
@@ -143,20 +142,23 @@ def _narrow(side: Expression, keep: frozenset, scope: Scope) -> Expression:
     return Project(side, wanted)
 
 
+def _narrow_join(join: Join, keep: frozenset, scope: Scope) -> Expression:
+    """``join`` with each side narrowed to ``keep`` plus the join attributes."""
+    keep = keep | (join.left.attribute_set(scope) & join.right.attribute_set(scope))
+    left = _narrow(join.left, keep, scope)
+    right = _narrow(join.right, keep, scope)
+    if left is join.left and right is join.right:
+        return join
+    return Join(left, right)
+
+
 def _push_project(expr: Project, scope: Scope) -> Expression:
     child = expr.child
     target = frozenset(expr.attrs)
 
     if isinstance(child, Join):
-        left_attrs = child.left.attribute_set(scope)
-        right_attrs = child.right.attribute_set(scope)
-        join_attrs = left_attrs & right_attrs
-        keep = target | join_attrs
-        new_left = _narrow(child.left, keep, scope)
-        new_right = _narrow(child.right, keep, scope)
-        if new_left == child.left and new_right == child.right:
-            return expr
-        return Project(Join(new_left, new_right), expr.attrs)
+        narrowed = _narrow_join(child, target, scope)
+        return expr if narrowed is child else Project(narrowed, expr.attrs)
 
     if isinstance(child, Union):
         return Union(
@@ -165,92 +167,13 @@ def _push_project(expr: Project, scope: Scope) -> Expression:
 
     if isinstance(child, Select):
         keep = target | child.condition.attributes()
-        narrowed = _narrow(child.child, keep, scope)
-        if narrowed == child.child:
+        inner = child.child
+        if isinstance(inner, Join):
+            narrowed = _narrow_join(inner, keep, scope)
+        else:
+            narrowed = _narrow(inner, keep, scope)
+        if narrowed is inner:
             return expr
         return Project(Select(narrowed, child.condition), expr.attrs)
 
     return expr
-
-
-def fuse_chains(expression: Expression, scope: Scope) -> Expression:
-    """Collapse operator chains so one pass can execute each of them.
-
-    The plan compiler's rewrite set (:mod:`repro.compiler.fuse`): applied
-    bottom-up once, each rule is a sound set-semantics identity that turns
-    an operator *chain* into a single node the compiled closures execute
-    in one kernel call —
-
-    * ``sigma_c2(sigma_c1(e))``  →  ``sigma_{c1 and c2}(e)``;
-    * ``pi_Z2(pi_Z1(e))``        →  ``pi_Z2(e)`` (``Z2 ⊆ Z1`` by typing);
-    * ``sigma_TRUE(e)`` → ``e``, ``sigma_FALSE(e)`` → ``∅``;
-    * identity projections and renamings disappear;
-    * the empty relation folds through every operator (``e ⋈ ∅ = ∅``,
-      ``e ∪ ∅ = e``, ``e − ∅ = e``, ``∅ − e = ∅``, …) — this is what
-      prunes dead branches out of compiled maintenance plans.
-
-    Examples
-    --------
-    >>> from repro.algebra.parser import parse
-    >>> scope = {"R": ("a", "b")}
-    >>> print(fuse_chains(parse("sigma[a = 1](sigma[b = 2](R))"), scope))
-    sigma[b = 2 and a = 1](R)
-    >>> print(fuse_chains(parse("pi[a](pi[a, b](R))"), scope))
-    pi[a](R)
-    """
-    children = tuple(fuse_chains(child, scope) for child in expression.children())
-    if children != expression.children():
-        expression = expression.with_children(children)
-
-    if isinstance(expression, Select):
-        child = expression.child
-        if isinstance(child, Empty):
-            return child
-        if isinstance(expression.condition, FalseCondition):
-            return Empty(expression.attributes(scope))
-        if isinstance(expression.condition, TrueCondition):
-            return child
-        if isinstance(child, Select):
-            merged = conjoin([child.condition, expression.condition])
-            if isinstance(merged, FalseCondition):
-                return Empty(expression.attributes(scope))
-            return Select(child.child, merged)
-        return expression
-
-    if isinstance(expression, Project):
-        child = expression.child
-        if isinstance(child, Empty):
-            return Empty(expression.attrs)
-        if isinstance(child, Project):
-            return Project(child.child, expression.attrs)
-        if expression.attrs == child.attributes(scope):
-            return child
-        return expression
-
-    if isinstance(expression, Join):
-        if isinstance(expression.left, Empty) or isinstance(expression.right, Empty):
-            return Empty(expression.attributes(scope))
-        return expression
-
-    if isinstance(expression, Union):
-        if isinstance(expression.left, Empty):
-            return expression.right
-        if isinstance(expression.right, Empty):
-            return expression.left
-        return expression
-
-    if isinstance(expression, Difference):
-        if isinstance(expression.left, Empty):
-            return expression.left
-        if isinstance(expression.right, Empty):
-            return expression.left
-        return expression
-
-    if isinstance(expression, Rename):
-        if isinstance(expression.child, Empty):
-            return Empty(expression.attributes(scope))
-        if all(old == new for old, new in expression.mapping.items()):
-            return expression.child
-        return expression
-
-    return expression

@@ -1,7 +1,7 @@
 """Algebraic simplification of expression trees.
 
-The rewriter applies standard set-algebra identities bottom-up until a fixed
-point. Its job in this library is twofold:
+The rewriter applies standard set-algebra identities bottom-up until no rule
+applies anywhere. Its job in this library is twofold:
 
 * keep machine-built expressions readable — query translation (Section 3 of
   the paper) and symbolic maintenance derivation (Section 4) substitute and
@@ -12,11 +12,19 @@ point. Its job in this library is twofold:
   from every surrounding union, join, and difference.
 
 All rules are sound for set semantics and preserve the output attribute set.
+
+One walk reaches the normal form (:func:`_normal_form`, which
+:func:`~repro.algebra.optimize.optimize` runs with its pushdown rules added):
+children first, then the node, and a node a rule builds is walked again.
+The walk terminates because every rule here makes the tree strictly
+smaller — fewer nodes, or (constant folding) a condition with fewer
+constant-to-constant comparisons — and a rule that does not apply returns
+its node itself, so "changed" is an identity test, not a structural one.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.algebra.conditions import (
     And,
@@ -38,11 +46,11 @@ from repro.algebra.expressions import (
     Union,
 )
 
-_MAX_PASSES = 50
+_Rule = Callable[[Expression, object], Expression]
 
 
 def simplify(expression: Expression, scope=None) -> Expression:
-    """Simplify ``expression`` to a fixed point.
+    """Simplify ``expression`` to its normal form.
 
     Parameters
     ----------
@@ -59,20 +67,36 @@ def simplify(expression: Expression, scope=None) -> Expression:
     >>> str(simplify(parse("(Sale minus empty[item, clerk]) union empty[item, clerk]")))
     'Sale'
     """
-    current = expression
-    for _ in range(_MAX_PASSES):
-        simplified = _simplify_once(current, scope)
-        if simplified == current:
-            return simplified
-        current = simplified
-    return current
+    return _normal_form(expression, scope, (_simplify_node,))
 
 
-def _simplify_once(expr: Expression, scope) -> Expression:
-    children = tuple(_simplify_once(child, scope) for child in expr.children())
-    if children != expr.children():
-        expr = expr.with_children(children)
-    return _rewrite(expr, scope)
+def _normal_form(expression: Expression, scope, rules: Sequence[_Rule]) -> Expression:
+    """``expression`` rewritten by ``rules`` until none applies to any node.
+
+    Children are walked first, then each rule is tried on the node in turn.
+    A rule returns its node itself when it does not apply; anything else it
+    returns is walked again, except the subtrees already in normal form
+    that it reuses, which ``done`` holds by identity (and keeps alive) for
+    the length of the walk. A rule set with a cycle recurses until
+    ``RecursionError``.
+    """
+    done: Dict[int, Expression] = {}
+
+    def walk(expr: Expression) -> Expression:
+        if id(expr) in done:
+            return expr
+        children = expr.children()
+        walked = tuple(walk(child) for child in children)
+        if any(new is not old for new, old in zip(walked, children)):
+            expr = expr.with_children(walked)
+        for rule in rules:
+            rewritten = rule(expr, scope)
+            if rewritten is not expr:
+                return walk(rewritten)
+        done[id(expr)] = expr
+        return expr
+
+    return walk(expression)
 
 
 def _attrs(expr: Expression, scope) -> Optional[Tuple[str, ...]]:
@@ -121,7 +145,7 @@ def _union_parts(expr: Expression) -> list:
     return [expr]
 
 
-def _rewrite(expr: Expression, scope) -> Expression:
+def _simplify_node(expr: Expression, scope) -> Expression:
     if isinstance(expr, Select):
         condition = _fold_constant_comparison(expr.condition)
         if isinstance(condition, TrueCondition):
@@ -130,14 +154,14 @@ def _rewrite(expr: Expression, scope) -> Expression:
             result = _empty_like(expr.child, scope)
             if isinstance(result, Empty):
                 return result
-            return Select(expr.child, condition) if condition is not expr.condition else expr
+            return expr if condition == expr.condition else Select(expr.child, condition)
         # sigma[c1](sigma[c2](e)) -> sigma[c1 and c2](e)
         if isinstance(expr.child, Select):
             merged = conjoin([condition, expr.child.condition])
             return Select(expr.child.child, merged)
-        if condition is not expr.condition:
-            return Select(expr.child, condition)
-        return expr
+        # Folding rebuilds every And through conjoin: keep the node unless
+        # a comparison actually folded.
+        return expr if condition == expr.condition else Select(expr.child, condition)
 
     if isinstance(expr, Project):
         # pi over Empty -> Empty over the projected attributes.

@@ -57,7 +57,6 @@ from repro.algebra.expressions import (
     Scope,
     Union,
 )
-from repro.algebra.optimize import fuse_chains
 from repro.algebra.rewriting import substitute
 from repro.algebra.simplify import simplify
 from repro.core.complement import WarehouseSpec
@@ -191,9 +190,7 @@ def _value_maps(
     recon = _reconstruction(spec, updated, insert_only, delete_only)
     maps = _ValueMaps({}, {}, {}, {})
     for name, definition in spec.definitions_over_sources().items():
-        old = fuse_chains(
-            simplify(substitute(definition, spec.inverses), scope), scope
-        )
+        old = simplify(substitute(definition, spec.inverses), scope)
         old_key = old._key()
         if not _is_leaf(old):
             maps.old_full.setdefault(old_key, name)
@@ -201,7 +198,7 @@ def _value_maps(
                 maps.old_core.setdefault(
                     old.child._key(), (name, frozenset(old.attrs))
                 )
-        new = fuse_chains(simplify(substitute(definition, recon), scope), scope)
+        new = simplify(substitute(definition, recon), scope)
         if new._key() != old_key and not _is_leaf(new):
             maps.new_full.setdefault(new._key(), name)
             if isinstance(new, Project):
@@ -296,9 +293,7 @@ def fused_plan(
     raw: Dict[str, Tuple[Expression, Expression]] = {}
     rewritten: Dict[str, Tuple[Expression, Expression]] = {}
     maps = _value_maps(spec, plan.updated, base_scope, insert_only, delete_only)
-    for name, exprs in plan.expressions.items():
-        inserts = fuse_chains(exprs.inserts, base_scope)
-        deletes = fuse_chains(exprs.deletes, base_scope)
+    for name, (inserts, deletes) in plan.expressions.items():
         raw[name] = (inserts, deletes)
         rewritten[name] = (
             _reuse_values(inserts, maps, name),

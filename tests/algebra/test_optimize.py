@@ -67,9 +67,15 @@ class TestSelectionPushdown:
     def test_push_through_projection(self):
         # pi[a, b](R) is the identity here and simplifies away first.
         check("sigma[a = 1](pi[a, b](R))", "sigma[a = 1](R)")
-        # A genuine projection: sigma commutes inside it.
-        optimized = check("sigma[b = 1](pi[b](S))")
-        assert str(optimized) == "pi[b](sigma[b = 1](S))"
+        # Over a join, sigma commutes inside the projection and on into
+        # the join's side.
+        check(
+            "sigma[a = 1](pi[a, c](R join S))",
+            "pi[a, c](sigma[a = 1](R) join S)",
+        )
+        # Over a leaf it stays above: the normal form of both orders.
+        check("sigma[b = 1](pi[b](S))", "sigma[b = 1](pi[b](S))")
+        check("pi[b](sigma[b = 1](S))", "sigma[b = 1](pi[b](S))")
 
     def test_push_through_rename(self):
         optimized = check("sigma[x = 1](rho[a -> x](R))")
@@ -97,12 +103,12 @@ class TestProjectionPruning:
         check("pi[a](R union T)", "pi[a](R) union pi[a](T)")
 
     def test_narrow_below_selection(self):
-        optimized = check("pi[a](sigma[b = 1](R))")
         # Nothing to narrow (R is only a, b); shape preserved.
-        assert str(optimized) in (
-            "pi[a](sigma[b = 1](R))",
-            "pi[a](sigma[b = 1](pi[a, b](R)))",
-        )
+        check("pi[a](sigma[b = 1](R))", "pi[a](sigma[b = 1](R))")
+        # W narrows to the projected and the selected attributes.
+        scope = dict(SCOPE, W=("b", "c", "d"))
+        optimized = optimize(parse("pi[c](sigma[b = 1](W))"), scope)
+        assert str(optimized) == "pi[c](sigma[b = 1](pi[b, c](W)))"
 
     def test_wide_join_gets_narrowed(self):
         scope = dict(SCOPE)
@@ -143,9 +149,17 @@ class TestEndToEnd:
         assert plain != optimized
 
     def test_fixed_point_terminates(self):
-        # A deliberately nested expression must not loop.
+        # A deliberately nested expression reaches a normal form: a second
+        # run leaves it as it is.
         text = (
             "pi[a](sigma[a = 1](pi[a, b](sigma[b = 2]("
             "R join (S union sigma[c = 3](S))))))"
         )
-        check(text)
+        optimized = check(text)
+        assert str(optimize(optimized, SCOPE)) == str(optimized)
+        # A cross-side conjunct stays above the join; the projection over
+        # it narrows the join's sides instead of wrapping the join.
+        scope = dict(SCOPE, W=("b", "c", "d"))
+        optimized = optimize(parse("pi[a](sigma[a = c](R join W))"), scope)
+        assert str(optimized) == "pi[a](sigma[a = c](R join pi[b, c](W)))"
+        assert str(optimize(optimized, scope)) == str(optimized)

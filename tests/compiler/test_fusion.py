@@ -1,4 +1,8 @@
-"""Chain fusion (the compiler's middle end) and the fused kernel it feeds."""
+"""Chain fusion in refresh plans, plan kinds, and the fused kernel.
+
+A refresh plan's chains are collapsed by :func:`repro.algebra.simplify.simplify`,
+which the derivation runs on every maintenance expression; ``TestFuseChains``
+checks the rules the plans rely on through it."""
 
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from repro.algebra.expressions import (
     Select,
     Union,
 )
-from repro.algebra.optimize import fuse_chains
+from repro.algebra.simplify import simplify
 from repro.compiler import fused_plan
 from repro.errors import ExpressionError
 from repro.storage.columnar import ColumnarTable
@@ -28,54 +32,54 @@ SCOPE = {"R": ("a", "b"), "S": ("b", "c")}
 
 class TestFuseChains:
     def test_select_chains_conjoin(self):
-        fused = fuse_chains(parse("sigma[a = 1](sigma[b = 2](R))"), SCOPE)
+        fused = simplify(parse("sigma[a = 1](sigma[b = 2](R))"), SCOPE)
         assert isinstance(fused, Select)
         assert isinstance(fused.child, RelationRef)
-        assert str(fused) == "sigma[b = 2 and a = 1](R)"
+        assert str(fused) == "sigma[a = 1 and b = 2](R)"
 
     def test_project_chains_collapse(self):
-        fused = fuse_chains(parse("pi[a](pi[a, b](R))"), SCOPE)
+        fused = simplify(parse("pi[a](pi[a, b](R))"), SCOPE)
         assert isinstance(fused, Project)
         assert isinstance(fused.child, RelationRef)
 
     def test_identity_projection_disappears(self):
-        fused = fuse_chains(parse("pi[a, b](R)"), SCOPE)
+        fused = simplify(parse("pi[a, b](R)"), SCOPE)
         assert isinstance(fused, RelationRef)
 
     def test_false_selection_folds_to_empty(self):
         from repro.algebra.conditions import FALSE
 
-        fused = fuse_chains(Select(RelationRef("R"), FALSE), SCOPE)
+        fused = simplify(Select(RelationRef("R"), FALSE), SCOPE)
         assert isinstance(fused, Empty)
         assert fused.attrs == ("a", "b")
 
     def test_true_selection_disappears(self):
         from repro.algebra.conditions import TRUE
 
-        fused = fuse_chains(Select(RelationRef("R"), TRUE), SCOPE)
+        fused = simplify(Select(RelationRef("R"), TRUE), SCOPE)
         assert isinstance(fused, RelationRef)
 
     def test_empty_folds_through_join(self):
         expr = Join(RelationRef("R"), Empty(("b", "c")))
-        assert isinstance(fuse_chains(expr, SCOPE), Empty)
+        assert isinstance(simplify(expr, SCOPE), Empty)
 
     def test_empty_folds_through_union(self):
         expr = Union(RelationRef("R"), Empty(("a", "b")))
-        assert isinstance(fuse_chains(expr, SCOPE), RelationRef)
+        assert isinstance(simplify(expr, SCOPE), RelationRef)
 
     def test_empty_right_difference_disappears(self):
         expr = Difference(RelationRef("R"), Empty(("a", "b")))
-        assert isinstance(fuse_chains(expr, SCOPE), RelationRef)
+        assert isinstance(simplify(expr, SCOPE), RelationRef)
 
     def test_empty_left_difference_is_empty(self):
         expr = Difference(Empty(("a", "b")), RelationRef("R"))
-        assert isinstance(fuse_chains(expr, SCOPE), Empty)
+        assert isinstance(simplify(expr, SCOPE), Empty)
 
     def test_empty_folds_through_rename(self):
         # (Identity renamings cannot even be constructed — the Rename
         # node rejects a no-op mapping at build time.)
         expr = Rename(Empty(("a", "b")), {"a": "x"})
-        fused = fuse_chains(expr, SCOPE)
+        fused = simplify(expr, SCOPE)
         assert isinstance(fused, Empty)
         assert fused.attrs == ("x", "b")
 
@@ -96,7 +100,7 @@ class TestFuseChains:
             "S": Relation(("b", "c"), [(2, 7), (4, 8), (9, 9)]),
         }
         expr = parse(text)
-        fused = fuse_chains(expr, SCOPE)
+        fused = simplify(expr, SCOPE)
         assert evaluate(fused, state) == evaluate(expr, state)
 
 

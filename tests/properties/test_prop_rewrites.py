@@ -6,7 +6,9 @@ and rename, beyond the CQ fragment) plus random states, and checks that
 * ``simplify`` preserves evaluation,
 * ``optimize`` preserves evaluation,
 * ``parse(str(expr)) == expr`` (printer/parser round-trip) for trees whose
-  constants are printable.
+  constants are printable,
+* ``simplify`` and ``optimize`` return a normal form, equal to what
+  rewriting pass after pass until nothing changes reaches.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from repro.algebra.expressions import (
     Select,
     Union,
 )
-from repro.algebra.optimize import optimize
-from repro.algebra.simplify import simplify
+from repro.algebra.optimize import _push, optimize
+from repro.algebra.simplify import _simplify_node, simplify
 
 from .strategies import relation
 
@@ -146,3 +148,51 @@ def test_simplify_idempotent(expr, state):
     once = simplify(expr, SCOPE)
     twice = simplify(once, SCOPE)
     assert once == twice, str(expr)
+
+
+def _pass(expr, rule):
+    """One bottom-up pass: the children, then ``rule`` once at the node."""
+    children = tuple(_pass(child, rule) for child in expr.children())
+    if children != expr.children():
+        expr = expr.with_children(children)
+    return rule(expr, SCOPE)
+
+
+def _looped_simplify(expr, cap=50):
+    """Passes until one changes nothing (``==``), as ``simplify`` once ran.
+
+    Returns the result and whether it converged before ``cap`` passes.
+    """
+    current = expr
+    for _ in range(cap):
+        simplified = _pass(current, _simplify_node)
+        if simplified == current:
+            return simplified, True
+        current = simplified
+    return current, False
+
+
+def _looped_optimize(expr, cap=25):
+    """A pushdown pass then a looped simplify, until nothing changes, as
+    ``optimize`` once ran; returns the result and whether it converged."""
+    current, converged = _looped_simplify(expr)
+    for _ in range(cap):
+        pushed, simplified = _looped_simplify(_pass(current, _push))
+        converged = converged and simplified
+        if pushed == current:
+            return pushed, converged
+        current = pushed
+    return current, False
+
+
+@given(expressions(3))
+@settings(max_examples=150, deadline=None)
+def test_rewrites_reach_a_normal_form(expr):
+    if not _typed(expr):
+        return
+    for rewrite, looped in ((simplify, _looped_simplify), (optimize, _looped_optimize)):
+        once = rewrite(expr, SCOPE)
+        assert str(rewrite(once, SCOPE)) == str(once), (rewrite.__name__, str(expr))
+        reference, converged = looped(expr)
+        if converged:
+            assert once == reference, (rewrite.__name__, str(expr))
