@@ -20,14 +20,15 @@ A scope (name -> attributes) is required: the rules need subtree schemas.
 The rules run in the same bottom-up walk as
 :func:`~repro.algebra.simplify.simplify`'s, after them at each node.
 
-The walk terminates because no rule moves an operator back up past one
-that moved down: selections and projections only sink, a narrowing
-projection is only built where it drops attributes, and the simplify rules
-only shrink the tree. The two narrowings under a selection are what keep
-that true. Narrowing ``pi_Z(sigma_c(R))`` builds ``sigma_c(pi_K(R))``,
-which would commute back to ``pi_K(sigma_c(R))`` if a selection sank below
-a projection of a leaf; narrowing a join below a selection by wrapping it
-would let the selection sink back through the wrapper in the same way.
+The walk terminates because no rule undoes another: selections and
+projections only move toward the leaves, a narrowing projection is built
+only where it drops attributes, and the simplify rules only shrink the
+tree. Two orientations keep that true. Narrowing ``pi_Z(sigma_c(R))``
+builds ``sigma_c(pi_K(R))``, which would commute back to
+``pi_K(sigma_c(R))`` — and ``pi_Z`` absorb ``pi_K`` — if a selection sank
+below a projection of a leaf; and a join under a selection is narrowed by
+its sides, because a projection wrapped round the join would let the
+selection sink back through it the same way.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from repro.algebra.simplify import _normal_form, _simplify_node
 
 
 def optimize(expression: Expression, scope: Scope) -> Expression:
-    """Push selections and prune projections, then simplify.
+    """Push selections and prune projections, simplifying as it goes.
 
     Examples
     --------

@@ -1,7 +1,7 @@
-"""``repro.compiler`` — refresh plans: derivation, fusion, value reuse.
+"""``repro.compiler`` — refresh plans: derivation, value reuse, caching.
 
 Section 4's maintenance expressions are derived once per update shape and
-side mask, chain-fused and rewritten so that recomputed old and new
+side mask, simplified and rewritten so that recomputed old and new
 values become references (:mod:`repro.compiler.fuse`), and cached per
 spec (:mod:`repro.compiler.runtime`). The one interpreter runs them:
 :func:`repro.core.maintenance.refresh_state` is the only refresh path,

@@ -2,11 +2,11 @@
 
 Starting from the symbolic derivation of Example 4.1
 (:func:`repro.core.maintenance.maintenance_expressions` — delta rules plus
-Equation (4) inverse substitution), each maintenance expression is run
-through :func:`repro.algebra.optimize.fuse_chains`: select/select and
-project/project chains collapse into single nodes, TRUE/FALSE selections
-fold, and the empty relation propagates through every operator. The result
-classifies each warehouse relation's program:
+Equation (4) inverse substitution, finished by
+:func:`repro.algebra.simplify.simplify`, so select/select and
+project/project chains are already single nodes, TRUE/FALSE selections
+folded and the empty relation propagated through every operator), each
+warehouse relation's program is classified:
 
 * ``pruned``  — both delta expressions folded to ``Empty``: this update
   shape provably cannot touch the relation, and the refresh carries
@@ -15,16 +15,16 @@ classifies each warehouse relation's program:
   reference or ``Empty``): the refresh is a pure warehouse-local patch —
   ``w' = (w − R__del) ∪ R__ins`` — with no algebra to run at all (the
   complement relations of Example 4.1 take this form);
-* ``fused``   — anything else: a chain-fused expression for the
-  interpreter (:func:`repro.core.maintenance.refresh_state`) to evaluate.
+* ``fused``   — anything else: an expression for the interpreter
+  (:func:`repro.core.maintenance.refresh_state`) to evaluate.
 
 Plans are specialized per *side mask* as well as per relation set: a pure
 insertion (or pure deletion) folds the unused ``R__del`` / ``R__ins``
-delta to the empty relation *before* fusing, so whole branches of the
+delta to the empty relation *before* simplifying, so whole branches of the
 derivation prune away at derivation time — the compact forms of Example
 4.1, derived once per shape instead of being rediscovered per refresh.
 
-On top of fusion, two **value-reuse** rewrites spend the Equation (4)
+On top of that, two **value-reuse** rewrites spend the Equation (4)
 identity ``W ∘ W⁻¹ = id`` (which holds for every spec that carries a
 complement — the same trust ``fold_occurrences`` places in it inside the
 derivation):
@@ -263,10 +263,10 @@ def fused_plan(
     insert_only: bool = False,
     delete_only: bool = False,
 ) -> FusedPlan:
-    """Derive and chain-fuse the maintenance plan for an update shape.
+    """Derive and classify the maintenance plan for an update shape.
 
     ``insert_only`` / ``delete_only`` specialize the plan to a delta side
-    mask (the unused side folds to ``Empty`` before fusion — Example
+    mask (the unused side folds to ``Empty`` before simplifying — Example
     4.1's compact forms; both at once raises ``ValueError`` in
     :func:`maintenance_expressions`). The Equation (4) old/new value-reuse
     rewrites documented in the module docstring always apply.

@@ -19,7 +19,7 @@ This module implements both:
   delta-driven restriction, only the delta's rows of it below — see
   :mod:`repro.algebra.evaluator`), bind the delta relations,
   interpret the fused plan of the update's shape and side mask
-  (:mod:`repro.compiler.fuse` — the derivation above, chain-fused, with
+  (:mod:`repro.compiler.fuse` — the derivation above, simplified, with
   recomputed old and new values replaced by references), and apply the
   resulting per-relation deltas;
 * :func:`full_recompute_state` — the ``w' = W(u(W^{-1}(w)))`` baseline used
@@ -237,7 +237,7 @@ def side_mask(update: Update) -> str:
     """Which delta sides ``update`` carries: the ``mode`` its plan is cut for.
 
     ``"insert-only"`` / ``"delete-only"`` select the Example 4.1 compact
-    forms (the unused side folded to the empty relation before fusion);
+    forms (the unused side folded to the empty relation before simplifying);
     anything else runs the ``"mixed"`` plan.
     """
     has_inserts = any(len(delta.inserts) for delta in update)
