@@ -38,7 +38,6 @@ from typing import List, Tuple
 from repro.algebra.conditions import Condition, TrueCondition, conjoin
 from repro.algebra.expressions import (
     Difference,
-    Empty,
     Expression,
     Join,
     Project,
@@ -120,7 +119,7 @@ def _push_select(expr: Select, scope: Scope) -> Expression:
         # cheaper to push.
         return Difference(Select(child.left, condition), child.right)
 
-    if isinstance(child, Project) and not _is_leaf(child.child):
+    if isinstance(child, Project) and not isinstance(child.child, RelationRef):
         return Project(Select(child.child, condition), child.attrs)
 
     if isinstance(child, Rename):
@@ -128,10 +127,6 @@ def _push_select(expr: Select, scope: Scope) -> Expression:
         return Rename(Select(child.child, condition.renamed(inverse)), child.mapping)
 
     return expr
-
-
-def _is_leaf(expr: Expression) -> bool:
-    return isinstance(expr, (RelationRef, Empty))
 
 
 def _narrow(side: Expression, keep: frozenset, scope: Scope) -> Expression:
